@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .fock import LaurentPoly, llt_canonical, nmat_at_one
 from .partitions import check_partition, is_p_restricted
-from .ranks import gram_matrix, ladder_symmetrize, modp_rank, phi_chain_basis
+from .ranks import gram_report
 from .verify import conjecture_check, gram_oracle_dimD
 
 _INT64_MAX = 2 ** 63 - 1
@@ -132,22 +132,19 @@ def _cmd_fock(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    chains = phi_chain_basis(args.mu, args.tau, args.p,
-                             allow_large=args.allow_large)
-    sym = ladder_symmetrize(args.mu, chains, args.p)
-    gram = gram_matrix(sym)
-    gram_p, rank = modp_rank(gram, args.p)
+    rep = gram_report(args.mu, args.tau, args.p, allow_large=args.allow_large)
     doc = {
         "command": "rank",
-        "mu": partition_str(args.mu),
-        "tau": partition_str(args.tau),
-        "p": args.p,
-        "basis_size_before_symmetrization": len(chains),
-        "basis_size": len(sym),
-        "basis": [seminormal_vector_json(v) for v in sym],
-        "gram": [[_frac_str(x) for x in row] for row in gram],
-        "gram_mod_p": [list(row) for row in gram_p],
-        "rank": rank,
+        "mu": partition_str(rep.mu),
+        "tau": partition_str(rep.tau),
+        "p": rep.p,
+        "basis_size_before_symmetrization":
+            rep.basis_size_before_symmetrization,
+        "basis_size": rep.basis_size,
+        "basis": [seminormal_vector_json(v) for v in rep.basis],
+        "gram": [[_frac_str(x) for x in row] for row in rep.gram],
+        "gram_mod_p": [list(row) for row in rep.gram_mod_p],
+        "rank": rep.rank,
     }
     _emit(_dump(doc), args.output)
     return 0
@@ -239,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="partition, e.g. 2,2,1")
         if jobs:
             sp.add_argument("--jobs", type=int, default=_default_jobs(),
-                            help="worker processes (default: "
-                                 "$SPECHTMOD_JOBS or 1)")
+                            help="worker processes, at most one per CPU "
+                                 "(default: $SPECHTMOD_JOBS or 1)")
         if large:
             sp.add_argument("--allow-large", action="store_true",
                             help="lift the enumeration size guards")
@@ -278,6 +275,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "n", None) is not None and args.n < 0:
             raise ValueError(f"--n must be nonnegative, got {args.n}")
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         for attr in ("mu", "tau"):
             if getattr(args, attr, None) is not None:
                 setattr(args, attr, parse_partition(getattr(args, attr)))

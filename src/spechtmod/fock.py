@@ -110,9 +110,6 @@ class LaurentPoly:
     def min_degree(self):
         return min(self.coeffs) if self.coeffs else None
 
-    def max_degree(self):
-        return max(self.coeffs) if self.coeffs else None
-
     def coefficient(self, e: int) -> int:
         return self.coeffs.get(e, 0)
 
@@ -242,9 +239,6 @@ class FockVector:
         if isinstance(f, int):
             f = LaurentPoly.const(f)
         return FockVector(self.n, {lam: c * f for lam, c in self.terms.items()})
-
-    def is_bar_invariant(self) -> bool:
-        return all(c.is_bar_symmetric() for c in self.terms.values())
 
     def __repr__(self):
         parts = [f"({c!r})*{lam}" for lam, c in

@@ -36,10 +36,6 @@ def check_partition(parts) -> Partition:
     return parts
 
 
-def size(lam: Partition) -> int:
-    return sum(lam)
-
-
 @cache
 def all_partitions(n: int) -> tuple:
     """All partitions of ``n`` in canonical order (descending lexicographic)."""
@@ -111,19 +107,6 @@ def total_order_key(lam: Partition) -> tuple:
     and incomparable pairs are broken larger-lexicographic first.
     """
     return tuple(-a for a in lam)
-
-
-def total_order(lam: Partition, mu: Partition) -> int:
-    """-1 if lam precedes mu in the canonical total order, 0 if equal, else 1."""
-    if sum(lam) != sum(mu):
-        raise ValueError(f"total order needs equal sizes: {lam} vs {mu}")
-    kl, km = total_order_key(lam), total_order_key(mu)
-    return -1 if kl < km else (0 if kl == km else 1)
-
-
-def node_content(node: Node) -> int:
-    i, j = node
-    return j - i
 
 
 def node_residue(node: Node, p: int) -> int:

@@ -5,12 +5,16 @@ the pipeline runs:
 
 1. enumerate T_{mu,tau}, the standard tableaux of shape tau whose residue
    sequence equals that of the ladder tableau of mu;
-2. factor each d(s), s in T_{mu,tau}, into a reduced word;
-3. apply the corresponding intertwiner chain phi_{i_k} ... phi_{i_1} to the
-   seminormal vector of the row-reading tableau of tau (rightmost letter
-   first), giving a basis of the class eigenspace of the Specht module;
-4. symmetrize over the ladder group (the full average over each interval
-   symmetric group) and keep a maximal Q-independent subset, in input order;
+2. factor d(s) into a reduced word for each member s kept in step 3;
+3. for one member s per ladder-group orbit, the one whose entries in each
+   ladder interval go down the rows in increasing order, apply the chain
+   phi_{i_k} ... phi_{i_1} of d(s) to the seminormal vector of the
+   row-reading tableau of tau (rightmost letter first).  Entries of one
+   interval share a residue and number fewer than p, so they lie in distinct
+   rows and columns and the ladder group acts freely on T_{mu,tau};
+4. symmetrize over the ladder group: on each interval a..b of m entries,
+   average over its symmetric group as a product of coset sums, m(m-1)/2
+   generator applications;
 5. form the Gram matrix of the invariant form, whose entries must be
    p-integral;
 6. reduce mod p and take the rank.
@@ -20,7 +24,6 @@ module indexed by tau (dim of the image of the class projector composed with
 ladder symmetrization on D(tau)).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,10 +31,10 @@ from fractions import Fraction
 from .fock import evaluate_at_one, first_approximation
 from .partitions import (Partition, check_partition, is_p_restricted,
                          ladder_decomposition, validate_ladder_lengths)
-from .seminormal import (SeminormalVector, act_by_word, inner_product,
-                         phi_action)
+from .seminormal import (SeminormalVector, inner_product, phi_action,
+                         sigma_action)
 from .tableaux import (StandardTableau, d_reduced_word, ladder_class_of_shape,
-                       reduced_word, row_reading_tableau)
+                       row_reading_tableau)
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,7 @@ class GramReport:
     p: int
     basis_size_before_symmetrization: int
     basis_size: int
+    basis: tuple           # the symmetrized vectors the Gram matrix is of
     gram: tuple            # basis_size x basis_size, Fractions
     gram_mod_p: tuple      # same shape over Z/p
     rank: int
@@ -56,15 +60,8 @@ def _require_valid_mu(mu: Partition, p: int) -> Partition:
     return mu
 
 
-def phi_chain_basis(mu: Partition, tau: Partition, p: int,
-                    word_strategy: str = "canonical",
-                    allow_large: bool = False) -> tuple:
-    """The intertwiner-chain vectors, one per member of T_{mu,tau}."""
-    mu = _require_valid_mu(mu, p)
-    tau = check_partition(tau)
-    if sum(mu) != sum(tau):
-        raise ValueError(f"size mismatch: {mu} vs {tau}")
-    members = ladder_class_of_shape(mu, tau, p, allow_large=allow_large)
+def _phi_chains(members, tau: Partition, p: int, word_strategy: str) -> tuple:
+    """One intertwiner-chain vector per given member of T_{mu,tau}."""
     start = SeminormalVector.unit(row_reading_tableau(tau))
     out = []
     for s in members:
@@ -75,16 +72,27 @@ def phi_chain_basis(mu: Partition, tau: Partition, p: int,
     return tuple(out)
 
 
-def _interval_symmetrizer(v: SeminormalVector, a: int, b: int,
-                          n: int) -> SeminormalVector:
-    """The average over the symmetric group on positions a..b."""
-    m = b - a + 1
-    base = list(range(1, n + 1))
-    acc = SeminormalVector(v.shape)
-    for perm in itertools.permutations(range(a, b + 1)):
-        one_line = tuple(base[:a - 1]) + perm + tuple(base[b:])
-        acc = acc + act_by_word(reduced_word(one_line), v)
-    return acc.scale(Fraction(1, math.factorial(m)))
+def phi_chain_basis(mu: Partition, tau: Partition, p: int,
+                    word_strategy: str = "canonical",
+                    allow_large: bool = False) -> tuple:
+    """The intertwiner-chain vectors, one per member of T_{mu,tau}."""
+    mu, tau = _require_valid_mu(mu, p), check_partition(tau)
+    members = ladder_class_of_shape(mu, tau, p, allow_large=allow_large)
+    return _phi_chains(members, tau, p, word_strategy)
+
+
+def _interval_symmetrizer(v: SeminormalVector, a: int,
+                          b: int) -> SeminormalVector:
+    """The average over the symmetric group on positions a..b, as the
+    product of coset sums D_b ... D_{a+1}, D_j = 1 + s_j + s_{j-1} s_j + ...
+    + s_{a+1} ... s_j summing the cosets of Sym(a..j-1) in Sym(a..j)."""
+    for j in range(a + 1, b + 1):
+        term = acc = v
+        for i in range(j, a, -1):
+            term = sigma_action(i, term)
+            acc = acc + term
+        v = acc
+    return v.scale(Fraction(1, math.factorial(b - a + 1)))
 
 
 def independent_subset(vectors) -> tuple:
@@ -118,17 +126,16 @@ def independent_subset(vectors) -> tuple:
 
 def ladder_symmetrize(mu: Partition, basis, p: int) -> tuple:
     """Average each vector over the ladder group of mu, then keep a maximal
-    independent subset (the symmetrized images of an orbit coincide)."""
+    independent subset.  The images of the chains of one orbit are nonzero
+    multiples of each other (not equal), so at most one per orbit is kept."""
     mu = _require_valid_mu(mu, p)
-    ld = ladder_decomposition(mu, p)
-    n = sum(mu)
+    intervals = ladder_decomposition(mu, p).ladder_group_intervals
     symmetrized = []
     for v in basis:
-        w = v
-        for a, b in ld.ladder_group_intervals:
+        for a, b in intervals:
             if b > a:
-                w = _interval_symmetrizer(w, a, b, n)
-        symmetrized.append(w)
+                v = _interval_symmetrizer(v, a, b)
+        symmetrized.append(v)
     return independent_subset(symmetrized)
 
 
@@ -181,7 +188,14 @@ def gram_report(mu: Partition, tau: Partition, p: int,
                 allow_large: bool = False) -> GramReport:
     """Run steps 1-6 and package the result."""
     mu, tau = check_partition(mu), check_partition(tau)
-    chains = phi_chain_basis(mu, tau, p, word_strategy, allow_large)
+    members = ladder_class_of_shape(_require_valid_mu(mu, p), tau, p,
+                                    allow_large=allow_large)
+    # one member per ladder-group orbit: interval entries go down the rows
+    intervals = ladder_decomposition(mu, p).ladder_group_intervals
+    representatives = [s for s in members if all(
+        s.position_of(k)[0] < s.position_of(k + 1)[0]
+        for a, b in intervals for k in range(a, b))]
+    chains = _phi_chains(representatives, tau, p, word_strategy)
     sym = ladder_symmetrize(mu, chains, p)
     # weight-space dimension cross-check against the Fock-side coefficient
     expected = evaluate_at_one(first_approximation(mu, p).coefficient(tau))
@@ -192,9 +206,9 @@ def gram_report(mu: Partition, tau: Partition, p: int,
     gram = gram_matrix(sym)
     gram_p, rank = modp_rank(gram, p)
     return GramReport(mu=mu, tau=tau, p=p,
-                      basis_size_before_symmetrization=len(chains),
-                      basis_size=len(sym), gram=gram, gram_mod_p=gram_p,
-                      rank=rank)
+                      basis_size_before_symmetrization=len(members),
+                      basis_size=len(sym), basis=sym, gram=gram,
+                      gram_mod_p=gram_p, rank=rank)
 
 
 def dim_e_tilde_D(mu: Partition, tau: Partition, p: int,

@@ -167,11 +167,6 @@ class ResidueSequence:
         return ResidueSequence(self.p, tuple(v))
 
 
-def content(t: StandardTableau, k: int) -> int:
-    """c_t(k) = column - row of the node holding k."""
-    return t.content(k)
-
-
 def residue_sequence(t: StandardTableau, p: int) -> ResidueSequence:
     return ResidueSequence(p, tuple(t.content(k) % p for k in range(1, t.n + 1)))
 

@@ -23,6 +23,7 @@ carry an explicit marker and skip the mu columns whose ladder lengths reach p.
 """
 
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 
 from .fock import evaluate_at_one, invert_unitriangular, llt_canonical, nmat_at_one
@@ -78,11 +79,13 @@ def _m_column(args):
 def m_matrix(n: int, p: int, jobs: int = 1):
     """m[lam][mu] = dim of the mu-weight space of D(lam), lam and mu running
     over the p-restricted partitions of n in canonical order.  Columns whose
-    mu fails the ladder-length bound (possible only for n >= p*p) are None."""
+    mu fails the ladder-length bound (possible only for n >= p*p) are None.
+    At most min(jobs, columns, CPUs) worker processes are started."""
     order = restricted_partitions(n, p)
     valid = [mu for mu in order if validate_ladder_lengths(mu, p)]
     tasks = [(n, p, mu) for mu in valid]
-    if jobs > 1 and len(tasks) > 1:
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_m_column, tasks)
     else:

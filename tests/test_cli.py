@@ -2,6 +2,7 @@
 determinism, exit codes, and output formats."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -112,6 +113,21 @@ class TestRankCommand:
                               "--tau", "2,1"], capsys)
         assert rc == 2 and "restricted" in err
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["--p", "5", "--mu", "6,3,1^3", "--tau", "7,3,1,1"],
+         "a92d47cdbff321592b10c20938d06c5b1c781a63143d8485ea9cecb55f21e60c"),
+        (["--p", "3", "--mu", "3,2,1,1", "--tau", "4,2,1"],
+         "efe52b3d7312928f2cacf87173b3c4e6ab8da8ba8ae568b810c092bdb0043edb"),
+    ])
+    def test_report_bytes_pinned(self, capsys, argv, digest):
+        # both pairs have a nontrivial ladder group, basis size 2 and rank 1
+        rc, out, _ = run_cli(["rank"] + argv, capsys)
+        assert rc == 0
+        doc = json.loads(out)
+        assert (doc["basis_size"], doc["rank"]) == (2, 1)
+        assert doc["basis_size_before_symmetrization"] > doc["basis_size"]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerifyCommand:
     def test_n5_p3_json(self, capsys):
@@ -148,6 +164,12 @@ class TestVerifyCommand:
         _, out2, _ = run_cli(["verify", "--p", "3", "--n", "6",
                               "--jobs", "2"], capsys)
         assert out1 == out2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_exit_2(self, capsys, jobs):
+        rc, out, err = run_cli(["verify", "--p", "3", "--n", "4",
+                                "--jobs", jobs], capsys)
+        assert rc == 2 and out == "" and "--jobs" in err
 
     def test_outside_region_needs_opt_in(self, capsys):
         rc, out, err = run_cli(["verify", "--p", "3", "--n", "9"], capsys)

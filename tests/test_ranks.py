@@ -1,20 +1,26 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 import oracles
 from spechtmod.fock import evaluate_at_one, first_approximation
-from spechtmod.partitions import all_partitions, restricted_partitions
+from spechtmod.partitions import (all_partitions, ladder_decomposition,
+                                  restricted_partitions)
 from spechtmod.ranks import (
     GramReport,
     dim_e_tilde_D,
     gram_matrix,
     gram_report,
+    independent_subset,
     ladder_symmetrize,
     modp_rank,
     phi_chain_basis,
 )
-from spechtmod.tableaux import ladder_class_of_shape
+from spechtmod.seminormal import SeminormalVector, act_by_word
+from spechtmod.tableaux import (StandardTableau, ladder_class_of_shape,
+                                reduced_word)
 
 
 def q_rank(mat):
@@ -169,3 +175,52 @@ def test_symmetrization_shrinks_to_report_size():
         a = first_approximation(mu, 3)
         assert len(sym) == evaluate_at_one(a.coefficient(tau))
         assert len(sym) <= len(basis)
+
+
+def reference_symmetrize(v, intervals, n):
+    """The ladder-group average as a sum over all m! words per interval."""
+    for a, b in intervals:
+        acc = SeminormalVector(v.shape)
+        for perm in itertools.permutations(range(a, b + 1)):
+            one_line = tuple(range(1, a)) + perm + tuple(range(b + 1, n + 1))
+            acc = acc + act_by_word(reduced_word(one_line), v)
+        v = acc.scale(Fraction(1, math.factorial(b - a + 1)))
+    return v
+
+
+def orbit_representative(s, intervals):
+    """The member of the ladder-group orbit of s whose interval entries go
+    down the rows in increasing order."""
+    rows = [list(row) for row in s.rows]
+    for a, b in intervals:
+        nodes = sorted(s.position_of(k) for k in range(a, b + 1))
+        for k, (i, j) in zip(range(a, b + 1), nodes):
+            rows[i - 1][j - 1] = k
+    return StandardTableau(rows)
+
+
+def test_orbit_chains_match_full_family_reference():
+    """One chain per orbit with coset-sum symmetrization gives exactly the
+    basis that a chain per member, the m!-word average and an independent
+    subset give; every member's image is a nonzero multiple of its orbit
+    representative's."""
+    for p, top in ((3, 8), (5, 10)):
+        for n in range(1, top + 1):
+            for mu in restricted_partitions(n, p):
+                ld = ladder_decomposition(mu, p)
+                intervals = ld.ladder_group_intervals
+                for tau in all_partitions(n):
+                    members = ladder_class_of_shape(mu, tau, p)
+                    full = [reference_symmetrize(v, intervals, n)
+                            for v in phi_chain_basis(mu, tau, p)]
+                    rep = gram_report(mu, tau, p)
+                    assert rep.basis == independent_subset(full)
+                    assert rep.basis_size * ld.ladder_group_order() \
+                        == len(members)
+                    image = dict(zip(members, full))
+                    for s in members:
+                        u = image[s]
+                        v = image[orbit_representative(s, intervals)]
+                        t = v.support()[0]
+                        ratio = u.coefficient(t) / v.coefficient(t)
+                        assert ratio != 0 and u == v.scale(ratio)

@@ -53,6 +53,31 @@ class TestMMatrix:
     def test_jobs_do_not_change_the_answer(self):
         assert m_matrix(4, 3, jobs=2) == m_matrix(4, 3, jobs=1)
 
+    @pytest.mark.parametrize("cpus, started", [(4, [4]), (64, [5]),
+                                               (None, []), (1, [])])
+    def test_worker_count_is_clamped(self, monkeypatch, cpus, started):
+        # a fake pool records the requested size; no process is started
+        requested = []
+
+        class FakePool:
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr("spechtmod.verify.multiprocessing.Pool", FakePool)
+        monkeypatch.setattr("spechtmod.verify.os.cpu_count", lambda: cpus)
+        # five 3-restricted partitions of 5, so five column tasks
+        assert m_matrix(5, 3, jobs=10**6) == identity_matrix(5)
+        assert requested == started
+
     def test_rows_are_simples_columns_are_weights(self):
         # ties the matrix layout to the Fitting oracle, entry by entry
         for n in (4, 5):
