@@ -200,7 +200,8 @@ class FockVector:
             if not isinstance(c, LaurentPoly):
                 c = LaurentPoly.const(c)
             if c:
-                assert sum(lam) == n, f"partition {lam} is not of size {n}"
+                if sum(lam) != n:
+                    raise ValueError(f"partition {lam} is not of size {n}")
                 self.terms[tuple(lam)] = c
 
     @classmethod

@@ -149,20 +149,22 @@ def removable_nodes(lam: Partition, i: int, p: int) -> tuple:
 
 def add_node(lam: Partition, node: Node) -> Partition:
     i, j = node
-    lam = list(lam)
-    if i == len(lam) + 1:
-        lam.append(0)
-    lam[i - 1] += 1
-    assert lam[i - 1] == j
-    return check_partition(lam)
+    parts = list(lam)
+    if i == len(parts) + 1:
+        parts.append(0)
+    parts[i - 1] += 1
+    if parts[i - 1] != j:
+        raise ValueError(f"{node} is not an addable node of {tuple(lam)}")
+    return check_partition(parts)
 
 
 def remove_node(lam: Partition, node: Node) -> Partition:
     i, j = node
-    lam = list(lam)
-    assert lam[i - 1] == j
-    lam[i - 1] -= 1
-    return check_partition(lam)
+    parts = list(lam)
+    if parts[i - 1] != j:
+        raise ValueError(f"{node} is not a removable node of {tuple(lam)}")
+    parts[i - 1] -= 1
+    return check_partition(parts)
 
 
 def hook_lengths(lam: Partition) -> dict:

@@ -4,7 +4,9 @@ For a p-restricted mu (all ladder lengths < p) and any tau of the same size,
 the pipeline runs:
 
 1. enumerate T_{mu,tau}, the standard tableaux of shape tau whose residue
-   sequence equals that of the ladder tableau of mu;
+   sequence equals that of the ladder tableau of mu.  ``weight_space_dims``
+   enumerates the class of mu once and groups it by shape; a shape with no
+   members has rank 0, after the weight-space count is checked to be 0 too;
 2. factor d(s) into a reduced word for each member s kept in step 3;
 3. for one member s per ladder-group orbit, the one whose entries in each
    ladder interval go down the rows in increasing order, apply the chain
@@ -34,7 +36,7 @@ from .partitions import (Partition, check_partition, is_p_restricted,
 from .seminormal import (SeminormalVector, inner_product, phi_action,
                          sigma_action)
 from .tableaux import (StandardTableau, d_reduced_word, ladder_class_of_shape,
-                       row_reading_tableau)
+                       ladder_classes_by_shape, row_reading_tableau)
 
 
 @dataclass(frozen=True)
@@ -183,13 +185,19 @@ def modp_rank(gram, p: int):
     return tuple(tuple(row) for row in reduced), rank
 
 
-def gram_report(mu: Partition, tau: Partition, p: int,
-                word_strategy: str = "canonical",
-                allow_large: bool = False) -> GramReport:
-    """Run steps 1-6 and package the result."""
-    mu, tau = check_partition(mu), check_partition(tau)
-    members = ladder_class_of_shape(_require_valid_mu(mu, p), tau, p,
-                                    allow_large=allow_large)
+def _check_weight_space_count(mu: Partition, tau: Partition, p: int,
+                              size: int) -> None:
+    """Cross-check a basis size against the Fock-side weight-space count."""
+    expected = evaluate_at_one(first_approximation(mu, p).coefficient(tau))
+    if size != expected:
+        raise AssertionError(
+            f"symmetrized basis for mu={mu}, tau={tau} has size {size}, "
+            f"weight-space count expects {expected}")
+
+
+def _gram_report(mu: Partition, tau: Partition, p: int, members,
+                 word_strategy: str) -> GramReport:
+    """Steps 2-6 for the given members of T_{mu,tau}, in sort_key order."""
     # one member per ladder-group orbit: interval entries go down the rows
     intervals = ladder_decomposition(mu, p).ladder_group_intervals
     representatives = [s for s in members if all(
@@ -197,18 +205,42 @@ def gram_report(mu: Partition, tau: Partition, p: int,
         for a, b in intervals for k in range(a, b))]
     chains = _phi_chains(representatives, tau, p, word_strategy)
     sym = ladder_symmetrize(mu, chains, p)
-    # weight-space dimension cross-check against the Fock-side coefficient
-    expected = evaluate_at_one(first_approximation(mu, p).coefficient(tau))
-    if len(sym) != expected:
-        raise AssertionError(
-            f"symmetrized basis for mu={mu}, tau={tau} has size {len(sym)}, "
-            f"weight-space count expects {expected}")
+    _check_weight_space_count(mu, tau, p, len(sym))
     gram = gram_matrix(sym)
     gram_p, rank = modp_rank(gram, p)
     return GramReport(mu=mu, tau=tau, p=p,
                       basis_size_before_symmetrization=len(members),
                       basis_size=len(sym), basis=sym, gram=gram,
                       gram_mod_p=gram_p, rank=rank)
+
+
+def gram_report(mu: Partition, tau: Partition, p: int,
+                word_strategy: str = "canonical",
+                allow_large: bool = False) -> GramReport:
+    """Run steps 1-6 and package the result."""
+    mu, tau = check_partition(mu), check_partition(tau)
+    members = ladder_class_of_shape(_require_valid_mu(mu, p), tau, p,
+                                    allow_large=allow_large)
+    return _gram_report(mu, tau, p, members, word_strategy)
+
+
+def weight_space_dims(mu: Partition, taus, p: int) -> tuple:
+    """dim_e_tilde_D(mu, tau, p) for each tau, enumerating the class of mu
+    once; a shape without members gets rank 0 after the count cross-check."""
+    mu = _require_valid_mu(mu, p)
+    classes = ladder_classes_by_shape(mu, p)
+    dims = []
+    for tau in taus:
+        tau = check_partition(tau)
+        if sum(tau) != sum(mu):
+            raise ValueError(f"size mismatch: {mu} vs {tau}")
+        members = classes.get(tau)
+        if members:
+            dims.append(_gram_report(mu, tau, p, members, "canonical").rank)
+        else:
+            _check_weight_space_count(mu, tau, p, 0)
+            dims.append(0)
+    return tuple(dims)
 
 
 def dim_e_tilde_D(mu: Partition, tau: Partition, p: int,

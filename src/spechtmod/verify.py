@@ -30,7 +30,7 @@ from .fock import evaluate_at_one, invert_unitriangular, llt_canonical, nmat_at_
 from .partitions import (Partition, all_partitions, check_partition, dominates,
                          is_p_restricted, restricted_partitions,
                          standard_tableau_count, validate_ladder_lengths)
-from .ranks import dim_e_tilde_D, gram_matrix, modp_rank
+from .ranks import gram_matrix, modp_rank, weight_space_dims
 from .seminormal import SeminormalVector, act_by_word
 from .tableaux import d_reduced_word, row_reading_tableau, standard_tableaux
 
@@ -71,9 +71,9 @@ class VerificationReport:
 
 
 def _m_column(args):
+    """The column of mu, from one enumeration of the class of mu."""
     n, p, mu = args
-    return mu, tuple(dim_e_tilde_D(mu, lam, p)
-                     for lam in restricted_partitions(n, p))
+    return mu, weight_space_dims(mu, restricted_partitions(n, p), p)
 
 
 def m_matrix(n: int, p: int, jobs: int = 1):

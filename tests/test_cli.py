@@ -171,6 +171,20 @@ class TestVerifyCommand:
                                 "--jobs", jobs], capsys)
         assert rc == 2 and out == "" and "--jobs" in err
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["--p", "5", "--n", "12", "--jobs", "1"],
+         "cefb9f845b8d5205f6459712ad4e21df62c9f4220e629b0674fdaa35a58e5a9c"),
+        (["--p", "7", "--n", "12", "--jobs", "1"],
+         "773be6b96a9d75b1b3f2fd2e55fc3ec1dcdc061cb0ab57a4252a43181c73f292"),
+        (["--p", "3", "--n", "9", "--jobs", "1", "--outside-region"],
+         "b447100849e9ef33a3fad60e0ffb409831ec00c1dffcceff82485ad63cac969b"),
+    ])
+    def test_report_bytes_pinned(self, capsys, argv, digest):
+        # the last case has skipped columns (outside the stated region)
+        rc, out, _ = run_cli(["verify"] + argv, capsys)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_outside_region_needs_opt_in(self, capsys):
         rc, out, err = run_cli(["verify", "--p", "3", "--n", "9"], capsys)
         assert rc == 2 and out == ""

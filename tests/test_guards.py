@@ -1,0 +1,31 @@
+"""Input guards raise ValueError, so they hold under ``python -O`` too."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+from spechtmod.fock import FockVector
+from spechtmod.partitions import add_node, remove_node
+for call in (lambda: FockVector(3, {(5,): 1}),
+             lambda: add_node((2, 1), (1, 4)),
+             lambda: remove_node((2, 1), (1, 1))):
+    try:
+        call()
+    except ValueError:
+        continue
+    raise SystemExit("guard did not raise ValueError")
+"""
+
+
+def test_guards_survive_optimized_mode():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from spechtmod.fock import evaluate_at_one, first_approximation
+from spechtmod.fock import FockVector, evaluate_at_one, first_approximation
 from spechtmod.partitions import (all_partitions, ladder_decomposition,
-                                  restricted_partitions)
+                                  restricted_partitions,
+                                  validate_ladder_lengths)
 from spechtmod.ranks import (
     GramReport,
     dim_e_tilde_D,
@@ -17,10 +18,11 @@ from spechtmod.ranks import (
     ladder_symmetrize,
     modp_rank,
     phi_chain_basis,
+    weight_space_dims,
 )
 from spechtmod.seminormal import SeminormalVector, act_by_word
 from spechtmod.tableaux import (StandardTableau, ladder_class_of_shape,
-                                reduced_word)
+                                ladder_classes_by_shape, reduced_word)
 
 
 def q_rank(mat):
@@ -224,3 +226,39 @@ def test_orbit_chains_match_full_family_reference():
                         t = v.support()[0]
                         ratio = u.coefficient(t) / v.coefficient(t)
                         assert ratio != 0 and u == v.scale(ratio)
+
+
+def test_weight_space_dims_match_per_pair_ranks():
+    """One class enumeration per mu gives the per-pair ranks, in order."""
+    for p, top in ((3, 9), (5, 11)):
+        for n in range(1, top + 1):
+            taus = restricted_partitions(n, p)
+            for mu in taus:
+                if not validate_ladder_lengths(mu, p):
+                    continue
+                assert weight_space_dims(mu, taus, p) == \
+                    tuple(dim_e_tilde_D(mu, tau, p) for tau in taus)
+
+
+def test_weight_space_dims_checks_empty_shapes(monkeypatch):
+    """A shape with no class members still gets the weight-space count
+    cross-check: a nonzero Fock-side count there is an error naming it."""
+    mu, tau, p = (3, 2), (1, 1, 1, 1, 1), 3
+    assert tau not in ladder_classes_by_shape(mu, p)
+    real = first_approximation
+    monkeypatch.setattr(
+        "spechtmod.ranks.first_approximation",
+        lambda m, q: real(m, q) + FockVector.basis(tau) if m == mu
+        else real(m, q))
+    with pytest.raises(AssertionError) as excinfo:
+        weight_space_dims(mu, restricted_partitions(5, p), p)
+    message = str(excinfo.value)
+    assert f"mu={mu}" in message and f"tau={tau}" in message
+    assert "size 0" in message and "expects 1" in message
+
+
+def test_weight_space_dims_rejects_bad_input():
+    with pytest.raises(ValueError):
+        weight_space_dims((4, 1), [(3, 2)], 3)        # not 3-restricted
+    with pytest.raises(ValueError):
+        weight_space_dims((3, 2), [(4, 1, 1)], 3)     # size mismatch
