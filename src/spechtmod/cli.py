@@ -43,7 +43,10 @@ def parse_partition(text: str) -> tuple:
         token = token.strip()
         if "^" in token:
             base, _, exp = token.partition("^")
-            parts.extend([int(base)] * int(exp))
+            count = int(exp)
+            if count < 1:
+                raise ValueError(f"exponent below 1 in partition {text!r}")
+            parts.extend([int(base)] * count)
         elif token:
             parts.append(int(token))
         else:

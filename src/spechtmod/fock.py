@@ -12,6 +12,15 @@ smaller columns minus removable i-nodes of :math:`\lambda` in strictly smaller
 columns.  The lowering operator is dual, counting in strictly larger columns
 with inverted powers of q.
 
+The divided power :math:`f_i^{(k)} = f_i^k / [k]_q!` is a sum over k-subsets
+S of addable i-nodes of :math:`\lambda` (Lascoux-Leclerc-Thibon 1996),
+
+.. math::  f_i^{(k)} \lambda = \sum_S q^{N_i(\lambda, S)} (\lambda \cup S),
+
+where :math:`N_i(\lambda, S)` sums, over each :math:`\gamma \in S`, the
+addable i-nodes of :math:`\lambda` not in S in strictly smaller columns minus
+the removable i-nodes of :math:`\lambda` in strictly smaller columns.
+
 For a p-restricted mu with ladders L_1 < ... < L_m of residues
 :math:`\iota_k`, the first approximation is the ladder product of divided
 powers applied to the vacuum,
@@ -27,6 +36,7 @@ most dominant first, and records the transition matrix n.
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
 from .partitions import (Partition, check_partition, restricted_partitions,
                          addable_nodes, removable_nodes, add_node, remove_node,
@@ -156,38 +166,6 @@ def gaussian_factorial(k: int) -> LaurentPoly:
     return gaussian_factorial(k - 1) * gaussian(k)
 
 
-def laurent_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """The exact quotient f / g in Z[q, q^{-1}]; ArithmeticError when inexact."""
-    if not g:
-        raise ArithmeticError("division by zero")
-    if not f:
-        return LaurentPoly.zero()
-    shift = f.min_degree() - g.min_degree()
-    # reduce to ordinary polynomials with nonzero constant terms
-    fc = {e - f.min_degree(): c for e, c in f.coeffs.items()}
-    gc = {e - g.min_degree(): c for e, c in g.coeffs.items()}
-    gdeg = max(gc)
-    glead = gc[gdeg]
-    quot = {}
-    while fc:
-        fdeg = max(fc)
-        if fdeg < gdeg:
-            raise ArithmeticError(f"inexact Laurent division: {f!r} / {g!r}")
-        c, r = divmod(fc[fdeg], glead)
-        if r != 0:
-            raise ArithmeticError(f"inexact Laurent division: {f!r} / {g!r}")
-        e = fdeg - gdeg
-        quot[e] = c
-        for ge, gco in gc.items():
-            key = ge + e
-            val = fc.get(key, 0) - c * gco
-            if val:
-                fc[key] = val
-            else:
-                fc.pop(key, None)
-    return LaurentPoly({e + shift: c for e, c in quot.items()})
-
-
 class FockVector:
     """Finitely supported combination of partitions of n over Z[q, q^{-1}]."""
 
@@ -227,7 +205,8 @@ class FockVector:
                 and self.terms == other.terms)
 
     def __add__(self, other):
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
         out = dict(self.terms)
         for lam, c in other.terms.items():
             out[lam] = out.get(lam, LaurentPoly.zero()) + c
@@ -276,15 +255,27 @@ def e_action(i: int, v: FockVector, p: int) -> FockVector:
 
 
 def divided_f(i: int, k: int, v: FockVector, p: int) -> FockVector:
-    """The divided power f_i^(k) = f_i^k / [k]_q!; the division must be exact,
-    and inexactness raises ArithmeticError (it would signal a bug upstream)."""
+    """The divided power f_i^(k) = f_i^k / [k]_q!, as a sum over k-subsets S
+    of addable i-nodes (see the module docstring).
+
+    Adding an i-node creates or destroys no other addable or removable i-node
+    (p > 1), so along any ordering of S the f_i exponents sum to N(lam, S) +
+    k(k-1)/2 - 2 (pairs added left-first); over all k! orderings that gives
+    q^N(lam, S) [k]_q!."""
     if k <= 0:
         raise ValueError("divided power needs k >= 1")
-    for _ in range(k):
-        v = f_action(i, v, p)
-    fact = gaussian_factorial(k)
-    return FockVector(v.n, {lam: laurent_exact_div(c, fact)
-                            for lam, c in v.terms.items()})
+    out = {}
+    for lam, c in v.terms.items():
+        adds = addable_nodes(lam, i, p)
+        rems = removable_nodes(lam, i, p)
+        for subset in combinations(adds, k):
+            npow = sum(sum(1 for a in adds if a[1] < g[1] and a not in subset)
+                       - sum(1 for r in rems if r[1] < g[1]) for g in subset)
+            mu = lam
+            for g in subset:
+                mu = add_node(mu, g)
+            out[mu] = out.get(mu, LaurentPoly.zero()) + c * LaurentPoly.q_power(npow)
+    return FockVector(v.n + k, out)
 
 
 @cache
@@ -381,7 +372,6 @@ def _llt_canonical(n: int, p: int, order: tuple) -> CanonicalBasisTable:
             if steps > cap:
                 raise AssertionError("canonical-basis elimination did not stabilize")
             corr = _bar_symmetric_correction(cur.coefficient(offender))
-            assert corr.is_bar_symmetric()
             cur = cur - G[offender].scale(corr)
             key = (offender, mu)
             nmat[key] = nmat.get(key, LaurentPoly.zero()) + corr

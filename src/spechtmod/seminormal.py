@@ -45,7 +45,8 @@ class SeminormalVector:
         self.coeffs = {}
         for t, c in (coeffs or {}).items():
             if c:
-                assert t.shape == self.shape, f"{t} is not of shape {self.shape}"
+                if t.shape != self.shape:
+                    raise ValueError(f"{t} is not of shape {self.shape}")
                 self.coeffs[t] = Fraction(c)
 
     @classmethod
@@ -66,7 +67,8 @@ class SeminormalVector:
                 and self.coeffs == other.coeffs)
 
     def __add__(self, other):
-        assert self.shape == other.shape
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
         out = dict(self.coeffs)
         for t, c in other.coeffs.items():
             out[t] = out.get(t, Fraction(0)) + c

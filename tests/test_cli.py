@@ -46,6 +46,11 @@ class TestPartitionParsing:
         with pytest.raises(ValueError):
             parse_partition("2,,1")
 
+    @pytest.mark.parametrize("text", ["1^-1", "3,1^-2", "2^0,1"])
+    def test_rejects_exponent_below_one(self, text):
+        with pytest.raises(ValueError):
+            parse_partition(text)
+
     def test_roundtrip(self):
         for lam in ((4, 2, 1), (1, 1, 1), (7,)):
             assert parse_partition(partition_str(lam)) == lam
@@ -78,6 +83,17 @@ class TestFockCommand:
         assert rc == 0 and out == ""
         doc = json.loads(target.read_text())
         assert doc["n"] == 4
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--p", "3", "--n", "10"],
+         "40cafbd2c23dfb26cd31eb07cef5659e752c22de903c3174741765c6c905e97f"),
+        (["--p", "5", "--n", "14"],
+         "2e2b73e20139fd4bffccceb2e77cbb410f76c70cfd8e153727e64674c7df2cfe"),
+    ])
+    def test_report_bytes_pinned(self, capsys, argv, digest):
+        rc, out, _ = run_cli(["fock"] + argv, capsys)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestRankCommand:
@@ -245,6 +261,11 @@ class TestValidation:
     def test_bad_partition_is_exit_2(self, capsys):
         rc, _, err = run_cli(["oracle", "--p", "3", "--tau", "1,2"], capsys)
         assert rc == 2 and "error" in err
+
+    def test_exponent_below_one_is_exit_2(self, capsys):
+        rc, out, err = run_cli(["rank", "--p", "3", "--mu", "2,1^-1",
+                                "--tau", "2"], capsys)
+        assert rc == 2 and out == "" and "exponent" in err
 
     def test_csv_limited_to_verify(self, capsys):
         rc, _, err = run_cli(["fock", "--p", "3", "--n", "3",
