@@ -106,14 +106,12 @@ def _emit(text: str, path):
 
 def _cmd_fock(args) -> int:
     table = llt_canonical(args.n, args.p)
-    nmat_entries = []
-    for b, mu in enumerate(table.order):
-        for a, lam in enumerate(table.order):
-            poly = table.nmat_entry(lam, mu)
-            if poly:
-                nmat_entries.append({"lam": partition_str(lam),
-                                     "mu": partition_str(mu),
-                                     "poly": _poly_json(poly)})
+    pos = {mu: k for k, mu in enumerate(table.order)}
+    keys = sorted([(mu, mu) for mu in table.order] + list(table.nmat),
+                  key=lambda key: (pos[key[1]], pos[key[0]]))
+    nmat_entries = [{"lam": partition_str(lam), "mu": partition_str(mu),
+                     "poly": _poly_json(table.nmat_entry(lam, mu))}
+                    for lam, mu in keys]
     doc = {
         "command": "fock",
         "p": args.p,
@@ -211,13 +209,6 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("SPECHTMOD_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spechtmod",
@@ -238,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--tau", type=str, required=True,
                             help="partition, e.g. 2,2,1")
         if jobs:
-            sp.add_argument("--jobs", type=int, default=_default_jobs(),
+            sp.add_argument("--jobs", type=int,
+                            default=os.environ.get("SPECHTMOD_JOBS", "1"),
                             help="worker processes, at most one per CPU "
                                  "(default: $SPECHTMOD_JOBS or 1)")
         if large:

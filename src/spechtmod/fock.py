@@ -319,10 +319,6 @@ def _bar_symmetric_correction(c: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-def _has_nonpositive_part(c: LaurentPoly) -> bool:
-    return any(e <= 0 for e in c.coeffs)
-
-
 def llt_canonical(n: int, p: int, order=None) -> CanonicalBasisTable:
     """Compute G(mu) and n(lam, mu) for every p-restricted mu of n.
 
@@ -335,18 +331,9 @@ def llt_canonical(n: int, p: int, order=None) -> CanonicalBasisTable:
     lies in qZ[q]; bar-invariance of the recorded corrections, unitriangularity
     and exact reconstruction A = nmat . G are asserted.
     """
-    if order is None:
-        return _llt_canonical_default(n, p)
-    return _llt_canonical(n, p, tuple(check_partition(m) for m in order))
-
-
-@cache
-def _llt_canonical_default(n: int, p: int) -> CanonicalBasisTable:
-    return _llt_canonical(n, p, restricted_partitions(n, p))
-
-
-def _llt_canonical(n: int, p: int, order: tuple) -> CanonicalBasisTable:
-    if set(order) != set(restricted_partitions(n, p)) or len(set(order)) != len(order):
+    restricted = restricted_partitions(n, p)
+    order = restricted if order is None else tuple(check_partition(m) for m in order)
+    if set(order) != set(restricted) or len(set(order)) != len(order):
         raise ValueError("order must enumerate the p-restricted partitions of n")
     pos = {mu: k for k, mu in enumerate(order)}
     A = {mu: first_approximation(mu, p) for mu in order}
@@ -360,14 +347,11 @@ def _llt_canonical(n: int, p: int, order: tuple) -> CanonicalBasisTable:
                     f"triangularity failure: {lam} in A({mu}) does not dominate")
         steps = 0
         while True:
-            offender = None
-            for nu in order[:pos[mu]]:
-                c = cur.coefficient(nu)
-                if c and _has_nonpositive_part(c):
-                    offender = nu
-                    break
-            if offender is None:
+            dirty = [pos[nu] for nu, c in cur.terms.items()
+                     if pos.get(nu, pos[mu]) < pos[mu] and c.min_degree() <= 0]
+            if not dirty:
                 break
+            offender = order[min(dirty)]
             steps += 1
             if steps > cap:
                 raise AssertionError("canonical-basis elimination did not stabilize")
@@ -391,29 +375,34 @@ def _llt_canonical(n: int, p: int, order: tuple) -> CanonicalBasisTable:
 
 
 def _assert_table_invariants(table: CanonicalBasisTable):
+    recon = dict(table.G)
     for (lam, mu), c in table.nmat.items():
         if not c.is_bar_symmetric():
             raise AssertionError(f"nmat({lam},{mu}) is not bar-invariant: {c!r}")
         if lam == mu or not dominates(lam, mu):
             raise AssertionError(f"nmat({lam},{mu}) breaks unitriangularity")
+        recon[mu] = recon[mu] + table.G[lam].scale(c)
     for mu in table.order:
-        recon = FockVector(table.n)
-        for lam in table.order:
-            c = table.nmat_entry(lam, mu)
-            if c:
-                recon = recon + table.G[lam].scale(c)
-        if recon != table.A[mu]:
+        if recon[mu] != table.A[mu]:
             raise AssertionError(f"A({mu}) != sum nmat . G reconstruction")
 
 
 def nmat_at_one(table: CanonicalBasisTable):
     """The integer matrix n(lam, mu)(1), rows and columns in table order."""
-    return [[evaluate_at_one(table.nmat_entry(lam, mu)) for mu in table.order]
-            for lam in table.order]
+    pos = {mu: k for k, mu in enumerate(table.order)}
+    out = [[1 if i == j else 0 for j in range(len(pos))]
+           for i in range(len(pos))]
+    for (lam, mu), c in table.nmat.items():
+        out[pos[lam]][pos[mu]] = evaluate_at_one(c)
+    return out
 
 
 def invert_unitriangular(M):
-    """Exact inverse of an upper-unitriangular integer matrix."""
+    """Exact inverse of an upper-unitriangular integer matrix.
+
+    Solved from the last row up, inv[i] = e_i - sum over k > i with
+    M[i][k] != 0 of M[i][k] inv[k]: one row operation per nonzero above the
+    diagonal, so a nearly diagonal M costs little more than reading it."""
     N = len(M)
     for i in range(N):
         if M[i][i] != 1:
@@ -421,8 +410,11 @@ def invert_unitriangular(M):
         for j in range(i):
             if M[i][j] != 0:
                 raise ValueError("matrix is not upper triangular")
-    inv = [[1 if i == j else 0 for j in range(N)] for i in range(N)]
-    for j in range(N):
-        for i in range(j - 1, -1, -1):
-            inv[i][j] = -sum(inv[i][k] * M[k][j] for k in range(i, j))
+    inv = [None] * N
+    for i in range(N - 1, -1, -1):
+        row = [1 if j == i else 0 for j in range(N)]
+        for k in range(i + 1, N):
+            if M[i][k]:
+                row = [x - M[i][k] * y for x, y in zip(row, inv[k])]
+        inv[i] = row
     return inv

@@ -310,17 +310,6 @@ def d_reduced_word(t: StandardTableau, strategy: str = "canonical") -> Permutati
     return PermutationWord(one_line, word)
 
 
-def place_permute(g, t: StandardTableau) -> tuple:
-    """Row tuples of g . t (entry k replaced by g(k)); possibly non-standard."""
-    return tuple(tuple(g[e - 1] for e in row) for row in t.rows)
-
-
-def act_tableau(g, t: StandardTableau):
-    """g . t as a StandardTableau, or None when the result is not standard."""
-    rows = place_permute(g, t)
-    return StandardTableau(rows) if is_standard_rows(rows) else None
-
-
 def swap_entries(t: StandardTableau, i: int):
     """sigma_i . t (entries i-1 and i exchanged), or None when not standard."""
     rows = tuple(tuple(i - 1 if e == i else i if e == i - 1 else e for e in row)

@@ -620,6 +620,17 @@ def _solve_exact(rows, rhs):
     return sol
 
 
+def dense_unitriangular_inverse(m):
+    """Inverse of an upper-unitriangular integer matrix by the column formula
+    inv[i][j] = -sum_{i <= k < j} inv[i][k] m[k][j], in O(N^3)."""
+    size = len(m)
+    inv = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    for j in range(size):
+        for i in range(j - 1, -1, -1):
+            inv[i][j] = -sum(inv[i][k] * m[k][j] for k in range(i, j))
+    return inv
+
+
 def alt_total_order(n, p):
     """A second most-dominant-first linear extension of dominance on the
     restricted partitions: Kahn's algorithm preferring short partitions."""

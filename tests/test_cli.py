@@ -187,6 +187,29 @@ class TestVerifyCommand:
                                 "--jobs", jobs], capsys)
         assert rc == 2 and out == "" and "--jobs" in err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_bad_jobs_variable_is_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SPECHTMOD_JOBS", value)
+        try:
+            rc = main(["verify", "--p", "3", "--n", "4"])
+        except SystemExit as exc:  # argparse rejects a non-integer default
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and "--jobs" in captured.err
+
+    def test_jobs_variable_reaches_conjecture_check(self, capsys, monkeypatch):
+        seen = []
+        stub = VerificationReport(
+            p=3, n=2, order=((2,), (1, 1)),
+            nmat1=((1, 0), (0, 1)), amat=((1, 0), (0, 1)),
+            mmat=((1, 0), (0, 1)),
+            checks={}, overall=True, outside_region=False)
+        monkeypatch.setattr("spechtmod.cli.conjecture_check",
+                            lambda n, p, jobs=1: seen.append(jobs) or stub)
+        monkeypatch.setenv("SPECHTMOD_JOBS", "2")
+        rc, _, _ = run_cli(["verify", "--p", "3", "--n", "2"], capsys)
+        assert rc == 0 and seen == [2]
+
     @pytest.mark.parametrize("argv, digest", [
         (["--p", "5", "--n", "12", "--jobs", "1"],
          "cefb9f845b8d5205f6459712ad4e21df62c9f4220e629b0674fdaa35a58e5a9c"),

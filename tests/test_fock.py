@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +8,7 @@ import oracles
 from spechtmod.fock import (
     FockVector,
     LaurentPoly,
+    _assert_table_invariants,
     bar,
     divided_f,
     e_action,
@@ -270,6 +274,64 @@ def test_invert_unitriangular():
             for i in range(3)]
     assert prod == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert invert_unitriangular([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("m, message", [
+    ([[1, 2], [0, 2]], "matrix is not unitriangular (diagonal != 1)"),
+    ([[1, 0, 0], [0, 1, 0], [0, 3, 1]], "matrix is not upper triangular"),
+])
+def test_invert_unitriangular_rejects(m, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        invert_unitriangular(m)
+
+
+@st.composite
+def unitriangular_strategy(draw, max_size=12):
+    size = draw(st.integers(min_value=0, max_value=max_size))
+    cells = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    entries = draw(st.dictionaries(
+        st.sampled_from(cells), st.integers(min_value=-9, max_value=9),
+        max_size=2 * size)) if cells else {}
+    return [[1 if i == j else entries.get((i, j), 0) for j in range(size)]
+            for i in range(size)]
+
+
+@given(unitriangular_strategy())
+@settings(max_examples=200)
+def test_invert_unitriangular_matches_dense_formula(m):
+    assert invert_unitriangular(m) == oracles.dense_unitriangular_inverse(m)
+
+
+def test_inverse_of_nmat_at_one_for_every_small_table():
+    for p in (3, 5, 7):
+        for n in range(13):
+            n1 = nmat_at_one(llt_canonical(n, p))
+            inv = invert_unitriangular(n1)
+            size = len(n1)
+            assert [[sum(n1[i][k] * inv[k][j] for k in range(size))
+                     for j in range(size)] for i in range(size)] == \
+                [[1 if i == j else 0 for j in range(size)]
+                 for i in range(size)]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda nmat, lam, mu: {**nmat, (lam, mu): LaurentPoly.q_power(1)},
+     "nmat({lam},{mu}) is not bar-invariant: q"),
+    (lambda nmat, lam, mu: {**nmat, (mu, mu): LaurentPoly.one()},
+     "nmat({mu},{mu}) breaks unitriangularity"),
+    (lambda nmat, lam, mu: {**nmat, (mu, lam): nmat[(lam, mu)]},
+     "nmat({mu},{lam}) breaks unitriangularity"),
+    (lambda nmat, lam, mu: {**nmat, (lam, mu): nmat[(lam, mu)] + 1},
+     "A({mu}) != sum nmat . G reconstruction"),
+], ids=["not-bar-symmetric", "diagonal-key", "non-dominating-key",
+        "entry-plus-one"])
+def test_table_invariants_reject_corrupted_tables(corrupt, message):
+    table = llt_canonical(8, 3)
+    lam, mu = next(iter(table.nmat))
+    bad = dataclasses.replace(table, nmat=corrupt(table.nmat, lam, mu))
+    with pytest.raises(AssertionError,
+                       match=re.escape(message.format(lam=lam, mu=mu))):
+        _assert_table_invariants(bad)
 
 
 def test_nmat_frozen_small_p3():
