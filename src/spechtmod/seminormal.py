@@ -3,32 +3,30 @@ r"""Young's seminormal form over exact rationals.
 The rational Specht module of shape lam has the seminormal basis
 ``{xi_t : t standard of shape lam}`` of simultaneous eigenvectors of the
 Jucys-Murphy elements, ``L_k xi_t = c_t(k) xi_t``.  With
-``h = c_s(i-1) - c_s(i)`` (never zero for a standard s) and ``t = sigma_i s``,
-the Coxeter generator sigma_i = (i-1, i) acts by
+``h = c_s(i-1) - c_s(i)`` (never zero for a standard s) and ``t = sigma_i s``
+(standard exactly when |h| > 1), the Coxeter generator sigma_i = (i-1, i) and
+the intertwiner phi_i = sigma_i + 1/(L_{i-1} - L_i) both act by one step
 
-    h = -1  ->   xi_s                (i-1, i adjacent in a row)
-    h =  1  ->  -xi_s                (i-1, i adjacent in a column)
-    h >  1  ->  -(1/h) xi_s + xi_t
-    h < -1  ->  -(1/h) xi_s + ((h^2-1)/h^2) xi_t
+    xi_s  ->  d(h) xi_s + e(h) xi_t,    e(h) = 1            if h >  1
+                                        e(h) = (h^2-1)/h^2  if h < -1
+                                        e(h) = 0            if |h| = 1
 
-and the invariant bilinear form is diagonal, <xi_s, xi_t> = delta_st gamma_s,
+and differ only in the diagonal rule d(h):
+
+    sigma_i:  d(h) = -1/h, so xi_s -> xi_s when i-1, i are adjacent in a row
+              (h = -1) and xi_s -> -xi_s when adjacent in a column (h = 1);
+    phi_i:    d(h) = (h-1)/h when p | h (the singular case, where sigma_i s
+              stays in the class of s), else 0, so phi_i kills the |h| = 1
+              directions.
+
+phi_i moves vectors between tableau classes (equal residue sequences mod p).
+The invariant bilinear form is diagonal, <xi_s, xi_t> = delta_st gamma_s,
 where gamma_s is a product of hook quotients over the entry-truncations of s.
-
-The intertwiner phi_i = sigma_i + 1/(L_{i-1} - L_i) moves vectors between
-tableau classes (equal residue sequences mod p).  Termwise it kills the
-|h| = 1 directions; otherwise its matrix depends on whether h is divisible by
-p (the singular case, where sigma_i s stays in the class of s):
-
-    regular,  h >  1  ->  xi_t
-    regular,  h < -1  ->  ((h^2-1)/h^2) xi_t
-    singular, h >  1  ->  (1 - 1/h) xi_s + xi_t
-    singular, h < -1  ->  (1 - 1/h) xi_s + ((h^2-1)/h^2) xi_t
 """
 
 from fractions import Fraction
 from functools import cache
 
-from .partitions import hook_lengths
 from .tableaux import (StandardTableau, ResidueSequence, residue_sequence,
                        swap_entries)
 
@@ -94,42 +92,37 @@ def gamma(t: StandardTableau) -> Rational:
     the product of h/(h-1) along the row of the largest entry, hooks of
     length one omitted.  E.g. gamma of any row-reading tableau telescopes
     to the product of the row factorials."""
-    out = Fraction(1)
-    for i in range(2, t.n + 1):
-        shape_i = tuple(ln for ln in
-                        (sum(1 for e in row if e <= i) for row in t.rows) if ln)
-        hooks = hook_lengths(shape_i)
-        r = t.position_of(i)[0]
-        for j in range(1, shape_i[r - 1] + 1):
-            h = hooks[(r, j)]
-            if h >= 2:
-                out *= Fraction(h, h - 1)
-    return out
+    num = den = 1
+    col = [0] * (t.n + 1)        # column lengths of the truncation to 1..k
+    for k in range(1, t.n + 1):
+        c = t.position_of(k)[1]
+        col[c] += 1
+        r = col[c]
+        for j in range(1, c):
+            h = c - j + col[j] - r + 1
+            num *= h
+            den *= h - 1
+    return Fraction(num, den)
+
+
+def _step(i: int, v: SeminormalVector, diagonal) -> SeminormalVector:
+    """xi_s -> diagonal(h) xi_s + e(h) xi_{sigma_i s}, extended linearly."""
+    out = {}
+    for s, c in v.coeffs.items():
+        h = s.content(i - 1) - s.content(i)
+        d = diagonal(h)
+        if d:
+            out[s] = out.get(s, 0) + c * d
+        if h > 1 or h < -1:
+            t = swap_entries(s, i)
+            out[t] = out.get(t, 0) + (
+                c if h > 1 else c * Fraction(h * h - 1, h * h))
+    return SeminormalVector(v.shape, out)
 
 
 def sigma_action(i: int, v: SeminormalVector) -> SeminormalVector:
     """The seminormal action of sigma_i = (i-1, i), extended linearly."""
-    out = {}
-
-    def add(t, c):
-        if c:
-            out[t] = out.get(t, Fraction(0)) + c
-
-    for s, c in v.coeffs.items():
-        h = s.content(i - 1) - s.content(i)
-        if h == -1:
-            add(s, c)
-        elif h == 1:
-            add(s, -c)
-        else:
-            t = swap_entries(s, i)
-            assert t is not None  # |h| > 1 forces sigma_i s standard
-            add(s, -c / h)
-            if h > 1:
-                add(t, c)
-            else:
-                add(t, c * Fraction(h * h - 1, h * h))
-    return SeminormalVector(v.shape, out)
+    return _step(i, v, lambda h: Fraction(-1, h))
 
 
 def jm_action(k: int, v: SeminormalVector) -> SeminormalVector:
@@ -142,25 +135,7 @@ def jm_action(k: int, v: SeminormalVector) -> SeminormalVector:
 def phi_action(i: int, v: SeminormalVector, p: int) -> SeminormalVector:
     """The intertwiner phi_i = sigma_i + 1/(L_{i-1} - L_i), extended linearly;
     the regular/singular split is decided termwise by p | h."""
-    out = {}
-
-    def add(t, c):
-        if c:
-            out[t] = out.get(t, Fraction(0)) + c
-
-    for s, c in v.coeffs.items():
-        h = s.content(i - 1) - s.content(i)
-        if h == 1 or h == -1:
-            continue
-        t = swap_entries(s, i)
-        assert t is not None
-        if h % p == 0:
-            add(s, c * Fraction(h - 1, h))
-        if h > 1:
-            add(t, c)
-        else:
-            add(t, c * Fraction(h * h - 1, h * h))
-    return SeminormalVector(v.shape, out)
+    return _step(i, v, lambda h: Fraction(h - 1, h) if h % p == 0 else 0)
 
 
 def act_by_word(word, v: SeminormalVector) -> SeminormalVector:

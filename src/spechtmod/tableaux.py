@@ -311,7 +311,14 @@ def d_reduced_word(t: StandardTableau, strategy: str = "canonical") -> Permutati
 
 
 def swap_entries(t: StandardTableau, i: int):
-    """sigma_i . t (entries i-1 and i exchanged), or None when not standard."""
-    rows = tuple(tuple(i - 1 if e == i else i if e == i - 1 else e for e in row)
-                 for row in t.rows)
-    return StandardTableau(rows) if is_standard_rows(rows) else None
+    """sigma_i . t (entries i-1 and i exchanged), or None when not standard.
+
+    Requires ``t`` standard and ``2 <= i <= t.n``.  Then sigma_i t is standard
+    exactly when i-1 and i share neither a row nor a column, so only those two
+    positions are read."""
+    (a, b), (c, d) = t._positions[i - 1], t._positions[i]
+    if a == c or b == d:
+        return None
+    rows = [list(row) for row in t.rows]
+    rows[a - 1][b - 1], rows[c - 1][d - 1] = i, i - 1
+    return StandardTableau(rows)

@@ -99,11 +99,11 @@ def m_matrix(n: int, p: int, jobs: int = 1):
 def conjecture_check(n: int, p: int, jobs: int = 1) -> VerificationReport:
     """Evaluate every delta identity for (n, p) and assemble the report."""
     order = restricted_partitions(n, p)
+    mmat = m_matrix(n, p, jobs=jobs)
     table = llt_canonical(n, p)
     nmat1 = tuple(tuple(row) for row in nmat_at_one(table))
     amat = tuple(tuple(row) for row in invert_unitriangular(
         [list(row) for row in nmat1]))
-    mmat = m_matrix(n, p, jobs=jobs)
     idx = {mu: k for k, mu in enumerate(order)}
     checks = {}
     overall = True
@@ -149,12 +149,13 @@ def gram_oracle_dimD(tau: Partition, p: int, allow_large: bool = False) -> int:
     tau = check_partition(tau)
     if not is_p_restricted(tau, p):
         raise ValueError(f"{tau} is not {p}-restricted")
-    ts = standard_tableaux(tau)
-    if len(ts) > _ORACLE_CAP and not allow_large:
+    size = standard_tableau_count(tau)
+    if size > _ORACLE_CAP and not allow_large:
         raise ValueError(
-            f"|Std({tau})| = {len(ts)} > {_ORACLE_CAP} needs allow_large=True")
+            f"|Std({tau})| = {size} > {_ORACLE_CAP} needs allow_large=True")
     start = SeminormalVector.unit(row_reading_tableau(tau))
-    basis = [act_by_word(d_reduced_word(t).word, start) for t in ts]
+    basis = [act_by_word(d_reduced_word(t).word, start)
+             for t in standard_tableaux(tau)]
     gram = gram_matrix(basis)
     for row in gram:
         for entry in row:

@@ -519,6 +519,24 @@ def seminormal_norms_oracle(lam):
     return out
 
 
+def gamma_by_truncations(rows):
+    """The seminormal norm of the standard tableau ``rows`` as the product,
+    over its entry-truncations to 1..k, of h/(h-1) along the row of k, hooks
+    of length one omitted; each truncation's shape and hooks are rebuilt
+    from scratch (the former package formula, kept as a reference)."""
+    out = Fraction(1)
+    for k in range(2, sum(len(row) for row in rows) + 1):
+        shape = tuple(ln for ln in (sum(1 for e in row if e <= k)
+                                    for row in rows) if ln)
+        cols = conjugate(shape)
+        r = next(i for i, row in enumerate(rows) if k in row)
+        for j in range(shape[r]):
+            h = shape[r] - j + cols[j] - r - 1
+            if h >= 2:
+                out *= Fraction(h, h - 1)
+    return out
+
+
 # -------------------------------------------------- canonical-basis solver
 
 def llt_solve(a_map, order):

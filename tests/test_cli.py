@@ -263,6 +263,18 @@ class TestVerifyCommand:
         assert doc["nonnegativity_violations"] == [
             {"lam": "1,1", "mu": "2", "value": -1}]
 
+    def test_class_cap_exits_before_the_fock_side(self, capsys, monkeypatch):
+        # the Gram side runs first, so a refused class enumeration exits 2
+        # without waiting for the LLT recursion
+        def no_fock(n, p):
+            raise AssertionError("Fock side ran before the class cap")
+
+        monkeypatch.setattr("spechtmod.tableaux._CLASS_CAP", 4)
+        monkeypatch.setattr("spechtmod.verify.llt_canonical", no_fock)
+        rc, out, err = run_cli(["verify", "--p", "3", "--n", "5"], capsys)
+        assert rc == 2 and out == ""
+        assert "n=5 > 4 needs allow_large=True" in err
+
 
 class TestOracleCommand:
     def test_dim_report(self, capsys):
@@ -273,6 +285,18 @@ class TestOracleCommand:
     def test_unrestricted_tau_is_exit_2(self, capsys):
         rc, _, err = run_cli(["oracle", "--p", "3", "--tau", "5"], capsys)
         assert rc == 2 and "restricted" in err
+
+    def test_oracle_cap_is_exit_2_without_enumeration(self, capsys,
+                                                      monkeypatch):
+        def no_enumeration(lam):
+            raise AssertionError("enumerated before the oracle cap")
+
+        monkeypatch.setattr("spechtmod.verify.standard_tableaux",
+                            no_enumeration)
+        rc, out, err = run_cli(["oracle", "--p", "7", "--tau", "5,4,3,2,1"],
+                               capsys)
+        assert rc == 2 and out == ""
+        assert "= 292864 > 20000 needs allow_large=True" in err
 
 
 class TestValidation:

@@ -59,6 +59,12 @@ def test_gamma_matches_tabloid_model_oracle():
                 assert gamma(t) == norms[t.rows]
 
 
+def test_gamma_matches_truncation_reference_n_le_10():
+    for lam in shapes_up_to(10):
+        for t in standard_tableaux(lam):
+            assert gamma(t) == oracles.gamma_by_truncations(t.rows)
+
+
 def test_gamma_worked_example_second_norm_is_six():
     """The 1x1 Gram entry for the second n = 5 verification step.
 
@@ -209,6 +215,20 @@ def test_intertwining_p3_n_le_6():
                 lhs = phi_action(i, proj, 3)
                 rhs = class_project(rs.swap(i), phi_action(i, v, 3))
                 assert lhs.coeffs == rhs.coeffs
+
+
+def test_phi_is_sigma_plus_diagonal_n_le_7():
+    # phi_i = sigma_i + 1/h on regular terms; a singular term (p | h) keeps
+    # (h-1)/h = -1/h + 1 of xi_s instead
+    for p in (3, 5, 7):
+        for lam in shapes_up_to(7):
+            for s in standard_tableaux(lam):
+                v = SeminormalVector.unit(s)
+                for i in range(2, s.n + 1):
+                    h = s.content(i - 1) - s.content(i)
+                    d = 1 if h % p == 0 else Fraction(1, h)
+                    assert phi_action(i, v, p) == \
+                        sigma_action(i, v) + v.scale(d)
 
 
 def test_phi_kills_exactly_h_pm1():

@@ -193,6 +193,15 @@ class TestGramOracle:
         with pytest.raises(ValueError):
             gram_oracle_dimD(big, 3)
 
+    def test_cap_checked_before_enumeration(self, monkeypatch):
+        def no_enumeration(lam):
+            raise AssertionError("enumerated before the oracle cap")
+
+        monkeypatch.setattr("spechtmod.verify.standard_tableaux",
+                            no_enumeration)
+        with pytest.raises(ValueError, match="292864 > 20000"):
+            gram_oracle_dimD((5, 4, 3, 2, 1), 7)
+
 
 class TestConsistencyCheck:
     def test_holds_through_n6_p3(self):
