@@ -10,18 +10,22 @@ Subcommands:
 Partitions are written as comma-separated parts with optional exponent
 shorthand, e.g. ``3,2`` or ``2,1^3``.  All output is deterministic: the same
 configuration produces byte-identical reports, and --jobs only changes the
-amount of parallelism, never the content.  Exit status: 0 on success (and all
+amount of parallelism, never the content.  JSON reports are streamed to the
+destination in batches, with exactly the bytes of
+``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, so the text
+of a large report is never held in memory whole; everything in it is
+computed before the first byte is written.  Exit status: 0 on success (and all
 checks passing), 1 when a verification check or the nonnegativity finding
 fails, 2 on invalid input.
 """
 
 import argparse
 import csv
-import io
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from .fock import LaurentPoly, llt_canonical, nmat_at_one
 from .partitions import check_partition, is_p_restricted
@@ -66,15 +70,11 @@ def _poly_json(f: LaurentPoly) -> dict:
     return {str(e): _jint(f.coeffs[e]) for e in sorted(f.coeffs)}
 
 
-def _tableau_json(t) -> list:
-    return [list(row) for row in t.rows]
-
-
 def seminormal_vector_json(v) -> dict:
     """Shape string plus one {tableau, numerator, denominator} per term."""
     return {
         "shape": partition_str(v.shape),
-        "terms": [{"tableau": _tableau_json(t),
+        "terms": [{"tableau": t.rows,
                    "numerator": _jint(v.coeffs[t].numerator),
                    "denominator": _jint(v.coeffs[t].denominator)}
                   for t in v.support()],
@@ -92,16 +92,77 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+_BATCH = 4096       # pieces of text handed to one write call
+
+# JSON text of each scalar type; a value of any other type is a container
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
 
 
-def _emit(text: str, path):
+def _write_json(obj, fh) -> None:
+    """Write ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` to fh.
+
+    Handles dicts with str keys, lists, tuples and generators (written as
+    lists), str, int, bool and None; anything else raises TypeError.  An int
+    inside a list obeys the int64 rule of ``_jint``; a list of ints only is
+    written by one join.  The text goes out ``_BATCH`` pieces at a time."""
+    out = []
+
+    def key_text(key):
+        if type(key) is not str:
+            raise TypeError(f"JSON object key {key!r} is not a str")
+        return encode_basestring_ascii(key) + ": "
+
+    def walk(obj, pad):
+        inner = pad + "  "
+        kind = type(obj)
+        if kind is dict:
+            items = ((key_text(k), obj[k]) for k in sorted(obj))
+            brackets = "{}"
+        elif kind is list or kind is tuple or kind is GeneratorType:
+            if (kind is not GeneratorType and set(map(type, obj)) == {int}
+                    and -_INT64_MAX <= min(obj) and max(obj) <= _INT64_MAX):
+                out.append("[" + inner + ("," + inner).join(
+                    map(int.__repr__, obj)) + pad + "]")
+                return
+            items = (("", _jint(x) if type(x) is int else x) for x in obj)
+            brackets = "[]"
+        else:
+            raise TypeError(f"{kind.__name__} is not JSON serializable here")
+        sep = brackets[0] + inner
+        for prefix, value in items:
+            scalar = _SCALARS.get(type(value))
+            if scalar is None:
+                out.append(sep + prefix)
+                walk(value, inner)
+            else:
+                out.append(sep + prefix + scalar(value))
+            sep = "," + inner
+            if len(out) >= _BATCH:
+                fh.write("".join(out))
+                out.clear()
+        if sep[0] == ",":
+            out.append(pad + brackets[1])
+        else:           # nothing was written: "{}" or "[]"
+            out.append(brackets)
+
+    scalar = _SCALARS.get(type(obj))
+    if scalar is None:
+        walk(obj, "\n")
+    else:
+        out.append(scalar(obj))
+    out.append("\n")
+    fh.write("".join(out))
+
+
+def _emit(path, write) -> None:
+    """Open the destination (stdout for None or '-') once; ``write(fh)``."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            write(fh)
 
 
 def _cmd_fock(args) -> int:
@@ -109,9 +170,6 @@ def _cmd_fock(args) -> int:
     pos = {mu: k for k, mu in enumerate(table.order)}
     keys = sorted([(mu, mu) for mu in table.order] + list(table.nmat),
                   key=lambda key: (pos[key[1]], pos[key[0]]))
-    nmat_entries = [{"lam": partition_str(lam), "mu": partition_str(mu),
-                     "poly": _poly_json(table.nmat_entry(lam, mu))}
-                    for lam, mu in keys]
     doc = {
         "command": "fock",
         "p": args.p,
@@ -125,10 +183,12 @@ def _cmd_fock(args) -> int:
                                   for lam, c in sorted(
                                       table.G[mu].terms.items())}
               for mu in table.order},
-        "nmat": nmat_entries,
-        "nmat1": [[_jint(x) for x in row] for row in nmat_at_one(table)],
+        "nmat": ({"lam": partition_str(lam), "mu": partition_str(mu),
+                  "poly": _poly_json(table.nmat_entry(lam, mu))}
+                 for lam, mu in keys),
+        "nmat1": nmat_at_one(table),
     }
-    _emit(_dump(doc), args.output)
+    _emit(args.output, lambda fh: _write_json(doc, fh))
     return 0
 
 
@@ -144,10 +204,10 @@ def _cmd_rank(args) -> int:
         "basis_size": rep.basis_size,
         "basis": [seminormal_vector_json(v) for v in rep.basis],
         "gram": [[_frac_str(x) for x in row] for row in rep.gram],
-        "gram_mod_p": [list(row) for row in rep.gram_mod_p],
+        "gram_mod_p": rep.gram_mod_p,
         "rank": rep.rank,
     }
-    _emit(_dump(doc), args.output)
+    _emit(args.output, lambda fh: _write_json(doc, fh))
     return 0
 
 
@@ -161,39 +221,38 @@ def _cmd_verify(args) -> int:
     violations = report.nonnegativity_violations()
     ok = report.overall and not violations
     rows, cols, body = report.decomposition_matrix()
+    names = {mu: partition_str(mu) for mu in report.order}
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["tau\\mu"] + [partition_str(mu) for mu in cols])
-        for tau, line in zip(rows, body):
-            writer.writerow([partition_str(tau)] + [_jint(d) for d in line])
-        _emit(buf.getvalue(), args.output)
+        def write_csv(fh):
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["tau\\mu"] + [names[mu] for mu in cols])
+            writer.writerows([partition_str(tau), *line]
+                             for tau, line in zip(rows, body))
+        _emit(args.output, write_csv)
         return 0 if ok else 1
     doc = {
         "command": "verify",
         "p": report.p,
         "n": report.n,
         "outside_region": report.outside_region,
-        "order": [partition_str(mu) for mu in report.order],
-        "nmat1": [[_jint(x) for x in row] for row in report.nmat1],
-        "amat": [[_jint(x) for x in row] for row in report.amat],
-        "mmat": [[None if x is None else _jint(x) for x in row]
-                 for row in report.mmat],
-        "checks": [{"mu": partition_str(mu), "tau": partition_str(tau),
-                    "lhs": rec["lhs"], "expected": rec["expected"],
-                    "pass": rec["pass"]}
-                   for (mu, tau), rec in report.checks.items()],
+        "order": [names[mu] for mu in report.order],
+        "nmat1": report.nmat1,
+        "amat": report.amat,
+        "mmat": report.mmat,
+        "checks": ({"mu": names[mu], "tau": names[tau], "lhs": rec["lhs"],
+                    "expected": rec["expected"], "pass": rec["pass"]}
+                   for (mu, tau), rec in report.checks.items()),
         "overall": report.overall,
         "nonnegativity_violations": [
-            {"lam": partition_str(lam), "mu": partition_str(mu),
-             "value": _jint(v)} for lam, mu, v in violations],
+            {"lam": names[lam], "mu": names[mu], "value": _jint(v)}
+            for lam, mu, v in violations],
         "decomposition": {
             "rows": [partition_str(tau) for tau in rows],
-            "cols": [partition_str(mu) for mu in cols],
-            "entries": [[_jint(d) for d in line] for line in body],
+            "cols": [names[mu] for mu in cols],
+            "entries": body,
         },
     }
-    _emit(_dump(doc), args.output)
+    _emit(args.output, lambda fh: _write_json(doc, fh))
     return 0 if ok else 1
 
 
@@ -205,7 +264,7 @@ def _cmd_oracle(args) -> int:
         "p": args.p,
         "dim_D": _jint(dim),
     }
-    _emit(_dump(doc), args.output)
+    _emit(args.output, lambda fh: _write_json(doc, fh))
     return 0
 
 

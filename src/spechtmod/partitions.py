@@ -13,6 +13,7 @@ tableau of a p-restricted partition, the combinatorial backbone of the
 eigenspace algorithm in :mod:`spechtmod.ranks`.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 
@@ -26,12 +27,12 @@ def check_partition(parts) -> Partition:
     >>> check_partition([3, 2, 0])
     (3, 2)
     """
-    parts = tuple(int(a) for a in parts)
+    parts = tuple(map(int, parts))
     while parts and parts[-1] == 0:
         parts = parts[:-1]
-    if any(a <= 0 for a in parts):
+    if parts and min(parts) <= 0:
         raise ValueError(f"partition parts must be positive: {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if any(map(operator.lt, parts, parts[1:])):
         raise ValueError(f"partition parts must be weakly decreasing: {parts}")
     return parts
 

@@ -185,10 +185,11 @@ def modp_rank(gram, p: int):
     return tuple(tuple(row) for row in reduced), rank
 
 
-def _check_weight_space_count(mu: Partition, tau: Partition, p: int,
+def _check_weight_space_count(mu: Partition, tau: Partition, terms,
                               size: int) -> None:
-    """Cross-check a basis size against the Fock-side weight-space count."""
-    expected = evaluate_at_one(first_approximation(mu, p).coefficient(tau))
+    """Cross-check a basis size against the Fock-side weight-space count,
+    read from ``terms``, the terms of the first approximation A(mu)."""
+    expected = evaluate_at_one(terms[tau]) if tau in terms else 0
     if size != expected:
         raise AssertionError(
             f"symmetrized basis for mu={mu}, tau={tau} has size {size}, "
@@ -196,7 +197,7 @@ def _check_weight_space_count(mu: Partition, tau: Partition, p: int,
 
 
 def _gram_report(mu: Partition, tau: Partition, p: int, members,
-                 word_strategy: str) -> GramReport:
+                 word_strategy: str, terms) -> GramReport:
     """Steps 2-6 for the given members of T_{mu,tau}, in sort_key order."""
     # one member per ladder-group orbit: interval entries go down the rows
     intervals = ladder_decomposition(mu, p).ladder_group_intervals
@@ -205,7 +206,7 @@ def _gram_report(mu: Partition, tau: Partition, p: int, members,
         for a, b in intervals for k in range(a, b))]
     chains = _phi_chains(representatives, tau, p, word_strategy)
     sym = ladder_symmetrize(mu, chains, p)
-    _check_weight_space_count(mu, tau, p, len(sym))
+    _check_weight_space_count(mu, tau, terms, len(sym))
     gram = gram_matrix(sym)
     gram_p, rank = modp_rank(gram, p)
     return GramReport(mu=mu, tau=tau, p=p,
@@ -221,7 +222,8 @@ def gram_report(mu: Partition, tau: Partition, p: int,
     mu, tau = check_partition(mu), check_partition(tau)
     members = ladder_class_of_shape(_require_valid_mu(mu, p), tau, p,
                                     allow_large=allow_large)
-    return _gram_report(mu, tau, p, members, word_strategy)
+    return _gram_report(mu, tau, p, members, word_strategy,
+                        first_approximation(mu, p).terms)
 
 
 def weight_space_dims(mu: Partition, taus, p: int) -> tuple:
@@ -229,6 +231,7 @@ def weight_space_dims(mu: Partition, taus, p: int) -> tuple:
     once; a shape without members gets rank 0 after the count cross-check."""
     mu = _require_valid_mu(mu, p)
     classes = ladder_classes_by_shape(mu, p)
+    terms = first_approximation(mu, p).terms
     dims = []
     for tau in taus:
         tau = check_partition(tau)
@@ -236,9 +239,10 @@ def weight_space_dims(mu: Partition, taus, p: int) -> tuple:
             raise ValueError(f"size mismatch: {mu} vs {tau}")
         members = classes.get(tau)
         if members:
-            dims.append(_gram_report(mu, tau, p, members, "canonical").rank)
+            dims.append(_gram_report(mu, tau, p, members, "canonical",
+                                     terms).rank)
         else:
-            _check_weight_space_count(mu, tau, p, 0)
+            _check_weight_space_count(mu, tau, terms, 0)
             dims.append(0)
     return tuple(dims)
 

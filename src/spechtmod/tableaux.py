@@ -174,6 +174,14 @@ def residue_sequence(t: StandardTableau, p: int) -> ResidueSequence:
 _CLASS_CAP = 40
 
 
+def check_class_cap(n: int, allow_large: bool = False,
+                    what: str = "tableau_class") -> None:
+    """Refuse a class enumeration of size n > _CLASS_CAP unless allowed."""
+    if n > _CLASS_CAP and not allow_large:
+        raise ValueError(
+            f"{what} with n={n} > {_CLASS_CAP} needs allow_large=True")
+
+
 def tableau_class(rs: ResidueSequence, allow_large: bool = False) -> tuple:
     """All standard tableaux (of any shape) with residue sequence ``rs``.
 
@@ -181,10 +189,7 @@ def tableau_class(rs: ResidueSequence, allow_large: bool = False) -> tuple:
     (prefix length, prefix shape): all prefixes reaching the same shape at the
     same step share their completions.  May be empty.
     """
-    n = len(rs)
-    if n > _CLASS_CAP and not allow_large:
-        raise ValueError(
-            f"tableau_class with n={n} > {_CLASS_CAP} needs allow_large=True")
+    check_class_cap(len(rs), allow_large)
     return _class_members(rs, None)
 
 
@@ -195,9 +200,7 @@ def ladder_class_of_shape(mu: Partition, lam: Partition, p: int,
     if sum(mu) != sum(lam):
         raise ValueError(f"size mismatch: {mu} vs {lam}")
     rs = ladder_decomposition(mu, p).ladder_residue_sequence
-    if len(rs) > _CLASS_CAP and not allow_large:
-        raise ValueError(
-            f"class enumeration with n={len(rs)} > {_CLASS_CAP} needs allow_large=True")
+    check_class_cap(len(rs), allow_large, "class enumeration")
     return _class_members(rs, lam)
 
 

@@ -32,7 +32,8 @@ from .partitions import (Partition, all_partitions, check_partition, dominates,
                          standard_tableau_count, validate_ladder_lengths)
 from .ranks import gram_matrix, modp_rank, weight_space_dims
 from .seminormal import SeminormalVector, act_by_word
-from .tableaux import d_reduced_word, row_reading_tableau, standard_tableaux
+from .tableaux import (check_class_cap, d_reduced_word, row_reading_tableau,
+                       standard_tableaux)
 
 
 @dataclass
@@ -80,7 +81,9 @@ def m_matrix(n: int, p: int, jobs: int = 1):
     """m[lam][mu] = dim of the mu-weight space of D(lam), lam and mu running
     over the p-restricted partitions of n in canonical order.  Columns whose
     mu fails the ladder-length bound (possible only for n >= p*p) are None.
-    At most min(jobs, columns, CPUs) worker processes are started."""
+    At most min(jobs, columns, CPUs) worker processes are started.  The
+    class-size cap is checked first, before any partition is listed."""
+    check_class_cap(n)
     order = restricted_partitions(n, p)
     valid = [mu for mu in order if validate_ladder_lengths(mu, p)]
     tasks = [(n, p, mu) for mu in valid]
@@ -98,8 +101,8 @@ def m_matrix(n: int, p: int, jobs: int = 1):
 
 def conjecture_check(n: int, p: int, jobs: int = 1) -> VerificationReport:
     """Evaluate every delta identity for (n, p) and assemble the report."""
-    order = restricted_partitions(n, p)
     mmat = m_matrix(n, p, jobs=jobs)
+    order = restricted_partitions(n, p)
     table = llt_canonical(n, p)
     nmat1 = tuple(tuple(row) for row in nmat_at_one(table))
     amat = tuple(tuple(row) for row in invert_unitriangular(

@@ -8,10 +8,14 @@ import json
 import subprocess
 import sys
 
-import pytest
+from fractions import Fraction
 
-from spechtmod.cli import main, parse_partition, partition_str
-from spechtmod.verify import VerificationReport
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spechtmod.cli import (_jint, _write_json, main, parse_partition,
+                           partition_str)
+from spechtmod.verify import VerificationReport, conjecture_check
 
 
 def run_cli(argv, capsys):
@@ -174,6 +178,14 @@ class TestVerifyCommand:
         assert by_tau["4,1"][0] == "1"
         assert by_tau["1,1,1,1,1"] == ["0", "0", "0", "0", "1"]
 
+    def test_csv_bytes_pinned(self, capsys):
+        # SHA-256 measured before the CSV was streamed to the destination
+        rc, out, _ = run_cli(["verify", "--p", "5", "--n", "12", "--jobs", "1",
+                              "--format", "csv"], capsys)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "9cc1bdd320cda252a0412a81d31682a2b6eafef411a94488e47b4598838a8a75"
+
     def test_jobs_do_not_change_bytes(self, capsys):
         _, out1, _ = run_cli(["verify", "--p", "3", "--n", "6",
                               "--jobs", "1"], capsys)
@@ -276,6 +288,20 @@ class TestVerifyCommand:
         assert "n=5 > 4 needs allow_large=True" in err
 
 
+    def test_class_cap_exits_before_ladder_checks(self, capsys, monkeypatch):
+        # the cap is read before any ladder of a restricted partition is
+        # decomposed, with the message the enumeration itself would give
+        def no_ladders(mu, p):
+            raise AssertionError("ladder lengths checked before the cap")
+
+        monkeypatch.setattr("spechtmod.tableaux._CLASS_CAP", 4)
+        monkeypatch.setattr("spechtmod.verify.validate_ladder_lengths",
+                            no_ladders)
+        rc, out, err = run_cli(["verify", "--p", "3", "--n", "5"], capsys)
+        assert rc == 2 and out == ""
+        assert "tableau_class with n=5 > 4 needs allow_large=True" in err
+
+
 class TestOracleCommand:
     def test_dim_report(self, capsys):
         rc, doc, _ = run_json(["oracle", "--p", "3", "--tau", "2,1"], capsys)
@@ -318,6 +344,206 @@ class TestValidation:
         rc, _, err = run_cli(["fock", "--p", "3", "--n", "3",
                               "--format", "csv"], capsys)
         assert rc == 2 and "csv" in err
+
+
+def dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def streamed(doc) -> str:
+    buf = io.StringIO()
+    _write_json(doc, buf)
+    return buf.getvalue()
+
+
+class Streamed(list):
+    """A list the writer receives as a generator."""
+
+
+def as_plain(doc):
+    if isinstance(doc, dict):
+        return {k: as_plain(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [as_plain(v) for v in doc]
+    return doc
+
+
+def as_written(doc):
+    if isinstance(doc, Streamed):
+        return (as_written(v) for v in doc)
+    if isinstance(doc, dict):
+        return {k: as_written(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [as_written(v) for v in doc]
+    if isinstance(doc, tuple):
+        return tuple(as_written(v) for v in doc)
+    return doc
+
+
+INT64 = 2 ** 63 - 1
+keys = st.one_of(st.sampled_from(["-1", "10", "2", "", "a", "B", 'q"', "\u00e9"]),
+                 st.text(max_size=4))
+small_ints = st.integers(min_value=-INT64, max_value=INT64)
+big_ints = st.integers(min_value=INT64 + 1, max_value=2 ** 80).flatmap(
+    lambda x: st.sampled_from([x, -x])).map(_jint)
+strings = st.one_of(
+    st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\n\t\x7f", "\u00e9",
+                     "\u2028", "\U0001f600", ""]),
+    st.text(max_size=6))
+scalars = st.one_of(st.none(), st.booleans(), small_ints, big_ints, strings)
+int_rows = st.one_of(st.lists(small_ints, max_size=6),
+                     st.lists(st.integers(-3, 3) | st.booleans(), min_size=1,
+                              max_size=6))
+documents = st.recursive(
+    scalars | int_rows,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(Streamed),
+        st.dictionaries(keys, children, max_size=4)),
+    max_leaves=24)
+
+
+class TestJsonWriter:
+    @given(documents)
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_json_dumps(self, doc):
+        assert streamed(as_written(doc)) == dumps(as_plain(doc))
+
+    def test_empty_generators_and_containers(self):
+        doc = {"a": (x for x in ()), "b": [], "c": {}, "d": (x for x in [1])}
+        assert streamed(doc) == dumps({"a": [], "b": [], "c": {}, "d": [1]})
+
+    def test_batches_keep_the_bytes(self, monkeypatch):
+        monkeypatch.setattr("spechtmod.cli._BATCH", 3)
+        doc = {"rows": [[1, 2], [3]], "checks": [{"k": i} for i in range(9)]}
+        assert streamed(doc) == dumps(doc)
+
+    def test_int64_rule_in_lists(self):
+        # the join path and the mixed path write out-of-range ints as _jint
+        row = [1, 2 ** 63, -(2 ** 63)]
+        assert streamed([row, [None] + row]) == dumps(
+            [[_jint(x) for x in row], [None] + [_jint(x) for x in row]])
+
+    @pytest.mark.parametrize("doc", [
+        Fraction(1, 2), [1, Fraction(1, 2)], {"a": 1.5}, {1: "a"},
+        {"x": {2, 3}}])
+    def test_unsupported_values_raise(self, doc):
+        with pytest.raises(TypeError):
+            streamed(doc)
+
+
+def old_verify_doc(report):
+    """The verify document as built before the report was streamed."""
+    violations = report.nonnegativity_violations()
+    rows, cols, body = report.decomposition_matrix()
+    return {
+        "command": "verify",
+        "p": report.p,
+        "n": report.n,
+        "outside_region": report.outside_region,
+        "order": [partition_str(mu) for mu in report.order],
+        "nmat1": [[_jint(x) for x in row] for row in report.nmat1],
+        "amat": [[_jint(x) for x in row] for row in report.amat],
+        "mmat": [[None if x is None else _jint(x) for x in row]
+                 for row in report.mmat],
+        "checks": [{"mu": partition_str(mu), "tau": partition_str(tau),
+                    "lhs": rec["lhs"], "expected": rec["expected"],
+                    "pass": rec["pass"]}
+                   for (mu, tau), rec in report.checks.items()],
+        "overall": report.overall,
+        "nonnegativity_violations": [
+            {"lam": partition_str(lam), "mu": partition_str(mu),
+             "value": _jint(v)} for lam, mu, v in violations],
+        "decomposition": {
+            "rows": [partition_str(tau) for tau in rows],
+            "cols": [partition_str(mu) for mu in cols],
+            "entries": [[_jint(d) for d in line] for line in body],
+        },
+    }
+
+
+BIG = 2 ** 70
+STUBS = {
+    "failing-and-skipped": VerificationReport(
+        p=3, n=2, order=((2,), (1, 1)),
+        nmat1=((1, 0), (-BIG, 1)), amat=((1, 0), (BIG, 1)),
+        mmat=((1, None), (1, None)),
+        checks={((2,), (2,)): {"lhs": 1, "expected": 1, "pass": True},
+                ((2,), (1, 1)): {"lhs": 1, "expected": 0, "pass": False},
+                ((1, 1), (2,)): {"lhs": None, "expected": 0, "pass": None},
+                ((1, 1), (1, 1)): {"lhs": None, "expected": 1,
+                                   "pass": None}},
+        overall=False, outside_region=False),
+    "outside-region": VerificationReport(
+        p=3, n=2, order=((2,), (1, 1)),
+        nmat1=((1, 0), (-BIG, 1)), amat=((1, 0), (BIG, 1)),
+        mmat=((1, None), (0, None)),
+        checks={((2,), (2,)): {"lhs": 1, "expected": 1, "pass": True},
+                ((1, 1), (1, 1)): {"lhs": None, "expected": 1,
+                                   "pass": None}},
+        overall=True, outside_region=True,
+        decomposition={(tau, mu): int(tau == mu) * BIG
+                       for tau in ((2,), (1, 1)) for mu in ((2,), (1, 1))}),
+}
+
+
+class TestStreamedVerify:
+    @pytest.mark.parametrize("name", sorted(STUBS))
+    def test_stub_report_matches_old_document(self, capsys, monkeypatch,
+                                                 name):
+        stub = STUBS[name]
+        monkeypatch.setattr("spechtmod.cli.conjecture_check",
+                            lambda n, p, jobs=1: stub)
+        argv = ["verify", "--p", "3", "--n", str(stub.n), "--outside-region"]
+        rc, out, _ = run_cli(argv, capsys)
+        assert rc == 1
+        assert out == dumps(old_verify_doc(stub))
+
+    @pytest.mark.parametrize("p, n", [(3, 5), (5, 7), (3, 9)])
+    def test_real_report_matches_old_document(self, capsys, p, n):
+        rc, out, _ = run_cli(["verify", "--p", str(p), "--n", str(n),
+                              "--outside-region"], capsys)
+        assert rc == 0
+        assert out == dumps(old_verify_doc(conjecture_check(n, p)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["fock", "--p", "3", "--n", "5"],
+    ["rank", "--p", "3", "--mu", "2,1^3", "--tau", "2,2,1"],
+    ["verify", "--p", "3", "--n", "5"],
+    ["verify", "--p", "3", "--n", "5", "--format", "csv"],
+    ["oracle", "--p", "3", "--tau", "2,1"],
+])
+def test_output_file_bytes_equal_stdout(capsys, tmp_path, argv):
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0
+    target = tmp_path / "report"
+    rc, nothing, _ = run_cli(argv + ["--output", str(target)], capsys)
+    assert rc == 0 and nothing == ""
+    assert target.read_bytes() == out.encode()
+    rc, dash, _ = run_cli(argv + ["--output", "-"], capsys)
+    assert rc == 0 and dash == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["fock", "--p", "4", "--n", "3"],
+    ["fock", "--p", "3", "--n", "-1"],
+    ["fock", "--p", "3", "--n", "3", "--format", "csv"],
+    ["rank", "--p", "3", "--mu", "2,1", "--tau", "3,1"],
+    ["rank", "--p", "3", "--mu", "2,1^-1", "--tau", "2"],
+    ["rank", "--p", "3", "--mu", "3", "--tau", "2,1"],
+    ["verify", "--p", "3", "--n", "4", "--jobs", "0"],
+    ["verify", "--p", "3", "--n", "9"],
+    ["oracle", "--p", "3", "--tau", "1,2"],
+    ["oracle", "--p", "7", "--tau", "5,4,3,2,1"],
+])
+def test_exit_2_writes_nothing(capsys, tmp_path, argv):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2 and out == "" and err
+    target = tmp_path / "report"
+    rc, out, _ = run_cli(argv + ["--output", str(target)], capsys)
+    assert rc == 2 and out == "" and not target.exists()
 
 
 def test_module_entry_point():

@@ -8,6 +8,7 @@ from spechtmod.partitions import (
     Partition,
     addable_nodes,
     all_partitions,
+    check_partition,
     conjugate,
     dominance_compare,
     dominates,
@@ -34,6 +35,28 @@ def partition_strategy(draw, max_n=12):
         bound = a
         remaining -= a
     return tuple(parts)
+
+
+@pytest.mark.parametrize("parts, expected", [
+    ((3, 2, 0, 0), (3, 2)),
+    ((), ()),
+    ([0, 0], ()),
+    ((3, 1, 1), (3, 1, 1)),
+    ((2.0, 1), (2, 1)),
+    ((2, -1), "partition parts must be positive: (2, -1)"),
+    ([2, 0, 3], "partition parts must be positive: (2, 0, 3)"),
+    ((1, 2), "partition parts must be weakly decreasing: (1, 2)"),
+])
+def test_check_partition(parts, expected):
+    # tuples and messages as the generator-expression version gave them
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            check_partition(parts)
+        assert str(info.value) == expected
+    else:
+        result = check_partition(parts)
+        assert result == expected and type(result) is tuple
+        assert all(type(a) is int for a in result)
 
 
 def test_all_partitions_counts():
