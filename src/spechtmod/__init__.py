@@ -17,7 +17,7 @@ from .tableaux import (StandardTableau, ResidueSequence, d_reduced_word,
                        ladder_class_of_shape, residue_sequence,
                        row_reading_tableau, standard_tableaux, tableau_class)
 from .fock import (CanonicalBasisTable, FockVector, LaurentPoly, bar,
-                   divided_f, e_action, evaluate_at_one, f_action,
+                   divided_f, evaluate_at_one, f_action,
                    first_approximation, gaussian, gaussian_factorial,
                    invert_unitriangular, llt_canonical, nmat_at_one)
 from .seminormal import (Rational, SeminormalVector, class_project, gamma,

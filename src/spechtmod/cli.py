@@ -16,7 +16,8 @@ destination in batches, with exactly the bytes of
 of a large report is never held in memory whole; everything in it is
 computed before the first byte is written.  Exit status: 0 on success (and all
 checks passing), 1 when a verification check or the nonnegativity finding
-fails, 2 on invalid input.
+fails, 2 on invalid input (an ``--output`` path that cannot be opened
+included).
 """
 
 import argparse
@@ -160,9 +161,13 @@ def _emit(path, write) -> None:
     """Open the destination (stdout for None or '-') once; ``write(fh)``."""
     if path is None or path == "-":
         write(sys.stdout)
-    else:
-        with open(path, "w") as fh:
-            write(fh)
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+    with fh:
+        write(fh)
 
 
 def _cmd_fock(args) -> int:

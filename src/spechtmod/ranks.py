@@ -32,7 +32,8 @@ from fractions import Fraction
 
 from .fock import evaluate_at_one, first_approximation
 from .partitions import (Partition, check_partition, is_p_restricted,
-                         ladder_decomposition, validate_ladder_lengths)
+                         ladder_decomposition, restricted_partitions,
+                         validate_ladder_lengths)
 from .seminormal import (SeminormalVector, inner_product, phi_action,
                          sigma_action)
 from .tableaux import (StandardTableau, d_reduced_word, ladder_class_of_shape,
@@ -226,17 +227,15 @@ def gram_report(mu: Partition, tau: Partition, p: int,
                         first_approximation(mu, p).terms)
 
 
-def weight_space_dims(mu: Partition, taus, p: int) -> tuple:
-    """dim_e_tilde_D(mu, tau, p) for each tau, enumerating the class of mu
-    once; a shape without members gets rank 0 after the count cross-check."""
+def weight_space_dims(mu: Partition, p: int) -> tuple:
+    """dim_e_tilde_D(mu, tau, p) for each tau of restricted_partitions(|mu|,
+    p), enumerating the class of mu once; a shape without members gets rank
+    0 after the count cross-check."""
     mu = _require_valid_mu(mu, p)
     classes = ladder_classes_by_shape(mu, p)
     terms = first_approximation(mu, p).terms
     dims = []
-    for tau in taus:
-        tau = check_partition(tau)
-        if sum(tau) != sum(mu):
-            raise ValueError(f"size mismatch: {mu} vs {tau}")
+    for tau in restricted_partitions(sum(mu), p):
         members = classes.get(tau)
         if members:
             dims.append(_gram_report(mu, tau, p, members, "canonical",

@@ -72,9 +72,10 @@ class VerificationReport:
 
 
 def _m_column(args):
-    """The column of mu, from one enumeration of the class of mu."""
-    n, p, mu = args
-    return mu, weight_space_dims(mu, restricted_partitions(n, p), p)
+    """The column of mu over the p-restricted partitions of |mu|, from one
+    enumeration of the class of mu."""
+    p, mu = args
+    return mu, weight_space_dims(mu, p)
 
 
 def m_matrix(n: int, p: int, jobs: int = 1):
@@ -86,7 +87,7 @@ def m_matrix(n: int, p: int, jobs: int = 1):
     check_class_cap(n)
     order = restricted_partitions(n, p)
     valid = [mu for mu in order if validate_ladder_lengths(mu, p)]
-    tasks = [(n, p, mu) for mu in valid]
+    tasks = [(p, mu) for mu in valid]
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
@@ -105,8 +106,7 @@ def conjecture_check(n: int, p: int, jobs: int = 1) -> VerificationReport:
     order = restricted_partitions(n, p)
     table = llt_canonical(n, p)
     nmat1 = tuple(tuple(row) for row in nmat_at_one(table))
-    amat = tuple(tuple(row) for row in invert_unitriangular(
-        [list(row) for row in nmat1]))
+    amat = tuple(tuple(row) for row in invert_unitriangular(nmat1))
     idx = {mu: k for k, mu in enumerate(order)}
     checks = {}
     overall = True
@@ -131,10 +131,10 @@ def conjecture_check(n: int, p: int, jobs: int = 1) -> VerificationReport:
                                 outside_region=n >= p * p)
     if overall:
         for mu in order:
-            g = table.G[mu]
+            terms = table.G[mu].terms
             for tau in all_partitions(n):
-                report.decomposition[(tau, mu)] = evaluate_at_one(
-                    g.coefficient(tau))
+                report.decomposition[(tau, mu)] = (
+                    evaluate_at_one(terms[tau]) if tau in terms else 0)
     return report
 
 

@@ -121,6 +121,18 @@ def perm_sign(one_line):
     return sign
 
 
+def permutation_of_word(word, n):
+    """One-line form of sigma_{word[0]} sigma_{word[1]} ... in S_n.
+
+    Letters are applied right to left (rightmost factor acts first); each
+    left multiplication by sigma_i swaps the values i-1 and i.
+    """
+    w = list(range(1, n + 1))
+    for i in reversed(word):
+        w = [i - 1 if v == i else i if v == i - 1 else v for v in w]
+    return tuple(w)
+
+
 def transposition(a, b, n):
     w = list(range(1, n + 1))
     w[a - 1], w[b - 1] = b, a

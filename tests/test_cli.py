@@ -345,6 +345,16 @@ class TestValidation:
                               "--format", "csv"], capsys)
         assert rc == 2 and "csv" in err
 
+    @pytest.mark.parametrize("argv", [["oracle", "--p", "3", "--tau", "2,1"],
+                                      ["verify", "--p", "3", "--n", "4"]])
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_output_is_exit_2(self, capsys, tmp_path, argv, where):
+        target = tmp_path if where == "directory" else tmp_path / "no" / "x"
+        rc, out, err = run_cli(argv + ["--output", str(target)], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+
 
 def dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

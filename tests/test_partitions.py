@@ -10,7 +10,6 @@ from spechtmod.partitions import (
     all_partitions,
     check_partition,
     conjugate,
-    dominance_compare,
     dominates,
     hook_lengths,
     ladder_decomposition,
@@ -110,17 +109,21 @@ def test_dominance_matches_bruteforce(a, b):
     assert dominates(b, a) == oracles.dominates_leq(a, b)
 
 
-def test_dominance_compare_antisymmetry():
-    flipped = {"less": "greater", "greater": "less",
-               "equal": "equal", "incomparable": "incomparable"}
-    for n in range(8):
+def test_dominates_exhaustive():
+    """Every ordered pair of partitions of each n <= 10 (3,583 pairs)."""
+    pairs = 0
+    for n in range(11):
         pars = all_partitions(n)
         for a in pars:
             for b in pars:
-                c = dominance_compare(a, b)
-                assert dominance_compare(b, a) == flipped[c]
-                if a == b:
-                    assert c == "equal"
+                assert dominates(a, b) == oracles.dominates_leq(b, a), (a, b)
+                assert (dominates(a, b) and dominates(b, a)) == (a == b)
+                pairs += 1
+    assert pairs == 3583
+    with pytest.raises(ValueError) as excinfo:
+        dominates((2, 1), (2, 2))
+    assert str(excinfo.value) == \
+        "dominance needs equal sizes: (2, 1) vs (2, 2)"
 
 
 @given(partition_strategy())

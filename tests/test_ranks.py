@@ -236,7 +236,7 @@ def test_weight_space_dims_match_per_pair_ranks():
             for mu in taus:
                 if not validate_ladder_lengths(mu, p):
                     continue
-                assert weight_space_dims(mu, taus, p) == \
+                assert weight_space_dims(mu, p) == \
                     tuple(dim_e_tilde_D(mu, tau, p) for tau in taus)
 
 
@@ -251,7 +251,7 @@ def test_weight_space_dims_checks_empty_shapes(monkeypatch):
         lambda m, q: real(m, q) + FockVector.basis(tau) if m == mu
         else real(m, q))
     with pytest.raises(AssertionError) as excinfo:
-        weight_space_dims(mu, restricted_partitions(5, p), p)
+        weight_space_dims(mu, p)
     message = str(excinfo.value)
     assert f"mu={mu}" in message and f"tau={tau}" in message
     assert "size 0" in message and "expects 1" in message
@@ -259,6 +259,4 @@ def test_weight_space_dims_checks_empty_shapes(monkeypatch):
 
 def test_weight_space_dims_rejects_bad_input():
     with pytest.raises(ValueError):
-        weight_space_dims((4, 1), [(3, 2)], 3)        # not 3-restricted
-    with pytest.raises(ValueError):
-        weight_space_dims((3, 2), [(4, 1, 1)], 3)     # size mismatch
+        weight_space_dims((4, 1), 3)        # not 3-restricted

@@ -12,7 +12,6 @@ from spechtmod.tableaux import (
     is_standard_rows,
     ladder_class_of_shape,
     ladder_classes_by_shape,
-    permutation_of_word,
     reduced_word,
     residue_sequence,
     row_reading_tableau,
@@ -117,12 +116,32 @@ def test_ladder_classes_by_shape_partitions_the_class():
             assert members == ladder_class_of_shape(mu, shape, 3)
 
 
+def test_classes_come_out_in_sort_key_order():
+    """The class recursion yields members in sort_key order by itself (476
+    classes): addable nodes are tried by increasing row."""
+    from spechtmod.partitions import ladder_decomposition
+    classes = 0
+    for p, top in ((3, 9), (5, 11), (7, 12)):
+        for n in range(top + 1):
+            for mu in restricted_partitions(n, p):
+                rs = ladder_decomposition(mu, p).ladder_residue_sequence
+                members = tableau_class(rs)
+                assert list(members) == sorted(
+                    members, key=StandardTableau.sort_key)
+                for shape in {t.shape for t in members}:
+                    of_shape = ladder_class_of_shape(mu, shape, p)
+                    assert list(of_shape) == sorted(
+                        of_shape, key=StandardTableau.sort_key)
+                classes += 1
+    assert classes == 476
+
+
 @given(permutation_strategy())
 def test_reduced_word_lengths_and_product(w):
     for strategy in ("canonical", "reverse"):
         word = reduced_word(w, strategy)
         assert len(word) == inversions(w)
-        assert permutation_of_word(word, len(w)) == w
+        assert oracles.permutation_of_word(word, len(w)) == w
 
 
 @given(permutation_strategy(max_n=6))
@@ -149,7 +168,7 @@ def test_act_tableau_by_d_permutation(lam):
     for t in standard_tableaux(lam):
         pw = d_reduced_word(t)
         assert pw.one_line == d_permutation(t)
-        assert permutation_of_word(pw.word, t.n) == pw.one_line
+        assert oracles.permutation_of_word(pw.word, t.n) == pw.one_line
 
 
 def test_d_word_worked_examples():
