@@ -31,9 +31,11 @@ from types import GeneratorType
 from .fock import LaurentPoly, llt_canonical, nmat_at_one
 from .partitions import check_partition, is_p_restricted
 from .ranks import gram_report
+from .tableaux import check_class_cap
 from .verify import conjecture_check, gram_oracle_dimD
 
 _INT64_MAX = 2 ** 63 - 1
+_P_LIMIT = 2 ** 31          # --p is trial-divided, so it is bounded first
 
 
 def _jint(x: int):
@@ -171,6 +173,7 @@ def _emit(path, write) -> None:
 
 
 def _cmd_fock(args) -> int:
+    check_class_cap(args.n)     # the same bound as verify, before any listing
     table = llt_canonical(args.n, args.p)
     pos = {mu: k for k, mu in enumerate(table.order)}
     keys = sorted([(mu, mu) for mu in table.order] + list(table.nmat),
@@ -328,6 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.p >= _P_LIMIT:
+        print(f"--p must be below 2^31, got {args.p}", file=sys.stderr)
+        return 2
     if not _is_prime(args.p) or args.p < 3:
         print(f"--p must be an odd prime, got {args.p}", file=sys.stderr)
         return 2

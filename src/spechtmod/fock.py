@@ -34,7 +34,6 @@ most dominant first, and records the transition matrix n.
 """
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 
 from .partitions import (Partition, check_partition, restricted_partitions,
@@ -262,8 +261,6 @@ def divided_f(i: int, k: int, v: FockVector, p: int) -> FockVector:
     return FockVector(v.n + k, out)
 
 
-# cached: 164 hits on verify-p5n16 (Gram-side count check, then Fock side)
-@cache
 def first_approximation(mu: Partition, p: int) -> FockVector:
     """The ladder product of divided powers applied to the vacuum vector."""
     ld = ladder_decomposition(check_partition(mu), p)

@@ -64,7 +64,7 @@ def is_p_restricted(lam: Partition, p: int) -> bool:
                for i in range(len(lam)))
 
 
-# cached: 166 hits on verify-p5n16, one per column of m
+# cached: 165 hits on verify-p5n16, one per column of m
 @cache
 def restricted_partitions(n: int, p: int) -> tuple:
     """All p-restricted partitions of ``n``, most dominant first.

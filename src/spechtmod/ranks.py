@@ -34,8 +34,7 @@ from .fock import evaluate_at_one, first_approximation
 from .partitions import (Partition, check_partition, is_p_restricted,
                          ladder_decomposition, restricted_partitions,
                          validate_ladder_lengths)
-from .seminormal import (SeminormalVector, inner_product, phi_action,
-                         sigma_action)
+from .seminormal import SeminormalVector, gamma, phi_action, sigma_action
 from .tableaux import (StandardTableau, d_reduced_word, ladder_class_of_shape,
                        ladder_classes_by_shape, row_reading_tableau)
 
@@ -143,13 +142,17 @@ def ladder_symmetrize(mu: Partition, basis, p: int) -> tuple:
 
 
 def gram_matrix(basis) -> tuple:
-    """Matrix of the invariant form on the given vectors (exact, symmetric)."""
+    """Matrix of the invariant form on the given vectors (exact, symmetric);
+    each tableau's norm gamma is computed once per call."""
+    norms = {t: gamma(t) for t in {t for v in basis for t in v.coeffs}}
+    weighted = [{t: c * norms[t] for t, c in v.coeffs.items()} for v in basis]
     k = len(basis)
     g = [[Fraction(0)] * k for _ in range(k)]
     for a in range(k):
         for b in range(a, k):
-            val = inner_product(basis[a], basis[b])
-            g[a][b] = g[b][a] = val
+            small, big = sorted((basis[a].coeffs, weighted[b]), key=len)
+            g[a][b] = g[b][a] = sum(
+                (c * big[t] for t, c in small.items() if t in big), Fraction(0))
     return tuple(tuple(row) for row in g)
 
 
@@ -186,11 +189,10 @@ def modp_rank(gram, p: int):
     return tuple(tuple(row) for row in reduced), rank
 
 
-def _check_weight_space_count(mu: Partition, tau: Partition, terms,
+def _check_weight_space_count(mu: Partition, tau: Partition, expected: int,
                               size: int) -> None:
     """Cross-check a basis size against the Fock-side weight-space count,
-    read from ``terms``, the terms of the first approximation A(mu)."""
-    expected = evaluate_at_one(terms[tau]) if tau in terms else 0
+    the coefficient of tau in the first approximation A(mu) at q = 1."""
     if size != expected:
         raise AssertionError(
             f"symmetrized basis for mu={mu}, tau={tau} has size {size}, "
@@ -198,7 +200,7 @@ def _check_weight_space_count(mu: Partition, tau: Partition, terms,
 
 
 def _gram_report(mu: Partition, tau: Partition, p: int, members,
-                 word_strategy: str, terms) -> GramReport:
+                 word_strategy: str, count: int) -> GramReport:
     """Steps 2-6 for the given members of T_{mu,tau}, in sort_key order."""
     # one member per ladder-group orbit: interval entries go down the rows
     intervals = ladder_decomposition(mu, p).ladder_group_intervals
@@ -207,7 +209,7 @@ def _gram_report(mu: Partition, tau: Partition, p: int, members,
         for a, b in intervals for k in range(a, b))]
     chains = _phi_chains(representatives, tau, p, word_strategy)
     sym = ladder_symmetrize(mu, chains, p)
-    _check_weight_space_count(mu, tau, terms, len(sym))
+    _check_weight_space_count(mu, tau, count, len(sym))
     gram = gram_matrix(sym)
     gram_p, rank = modp_rank(gram, p)
     return GramReport(mu=mu, tau=tau, p=p,
@@ -223,25 +225,28 @@ def gram_report(mu: Partition, tau: Partition, p: int,
     mu, tau = check_partition(mu), check_partition(tau)
     members = ladder_class_of_shape(_require_valid_mu(mu, p), tau, p,
                                     allow_large=allow_large)
-    return _gram_report(mu, tau, p, members, word_strategy,
-                        first_approximation(mu, p).terms)
+    count = evaluate_at_one(first_approximation(mu, p).coefficient(tau))
+    return _gram_report(mu, tau, p, members, word_strategy, count)
 
 
-def weight_space_dims(mu: Partition, p: int) -> tuple:
+def weight_space_dims(mu: Partition, p: int, counts) -> tuple:
     """dim_e_tilde_D(mu, tau, p) for each tau of restricted_partitions(|mu|,
     p), enumerating the class of mu once; a shape without members gets rank
-    0 after the count cross-check."""
+    0.  ``counts`` maps tau to the coefficient of tau in A(mu) at q = 1, as
+    the Fock side computed it (absent means 0).  It is read only by the
+    weight-space count cross-check and decides nothing computed here: every
+    shape is enumerated and every orbit representative chained."""
     mu = _require_valid_mu(mu, p)
     classes = ladder_classes_by_shape(mu, p)
-    terms = first_approximation(mu, p).terms
     dims = []
     for tau in restricted_partitions(sum(mu), p):
         members = classes.get(tau)
+        count = counts.get(tau, 0)
         if members:
             dims.append(_gram_report(mu, tau, p, members, "canonical",
-                                     terms).rank)
+                                     count).rank)
         else:
-            _check_weight_space_count(mu, tau, terms, 0)
+            _check_weight_space_count(mu, tau, count, 0)
             dims.append(0)
     return tuple(dims)
 

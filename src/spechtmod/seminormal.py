@@ -25,7 +25,6 @@ where gamma_s is a product of hook quotients over the entry-truncations of s.
 """
 
 from fractions import Fraction
-from functools import cache
 
 from .tableaux import (StandardTableau, ResidueSequence, residue_sequence,
                        swap_entries)
@@ -86,8 +85,6 @@ class SeminormalVector:
         return " + ".join(parts) if parts else "0"
 
 
-# cached: 829,259 hits on oracle-p5-t442, one per term of each Gram entry
-@cache
 def gamma(t: StandardTableau) -> Rational:
     """The seminormal norm <xi_t, xi_t>: over each entry-truncation of t,
     the product of h/(h-1) along the row of the largest entry, hooks of

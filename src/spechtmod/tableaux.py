@@ -71,9 +71,6 @@ class StandardTableau:
     def __repr__(self):
         return f"StandardTableau({list(map(list, self.rows))})"
 
-    def __reduce__(self):
-        return (StandardTableau, (self.rows,))
-
 
 def is_standard_rows(rows) -> bool:
     """True iff ``rows`` is a standard filling of a partition shape by 1..n."""

@@ -11,8 +11,11 @@ by exact Gram ranks, the claim is
 for all p-restricted mu, tau of n -- equivalently, the matrix product
 m . a is the identity.  Both sides are computed independently: the left by
 intertwiner chains and mod-p ranks, the right by the Fock-space recursion.
-When every identity holds, the decomposition numbers d(tau, mu) are read off
-as the q = 1 evaluations of the canonical-basis coefficients.
+The Fock side runs first.  The Gram side gets from it only the q = 1 counts
+of each A(mu), and only to compare them with its basis sizes: they decide
+nothing it computes.  When every identity holds, the decomposition numbers
+d(tau, mu) are read off as the q = 1 evaluations of the canonical-basis
+coefficients.
 
 ``gram_oracle_dimD`` is a deliberately naive cross-check: it spans the whole
 Specht module by word chains of the seminormal action, forms the full integer
@@ -74,20 +77,21 @@ class VerificationReport:
 def _m_column(args):
     """The column of mu over the p-restricted partitions of |mu|, from one
     enumeration of the class of mu."""
-    p, mu = args
-    return mu, weight_space_dims(mu, p)
+    p, mu, counts = args
+    return mu, weight_space_dims(mu, p, counts)
 
 
-def m_matrix(n: int, p: int, jobs: int = 1):
+def m_matrix(n: int, p: int, counts, jobs: int = 1):
     """m[lam][mu] = dim of the mu-weight space of D(lam), lam and mu running
-    over the p-restricted partitions of n in canonical order.  Columns whose
-    mu fails the ladder-length bound (possible only for n >= p*p) are None.
-    At most min(jobs, columns, CPUs) worker processes are started.  The
-    class-size cap is checked first, before any partition is listed."""
+    over the p-restricted partitions of n in canonical order, with
+    ``counts[mu]`` passed to ``weight_space_dims`` for column mu.  Columns
+    whose mu fails the ladder-length bound (possible only for n >= p*p) are
+    None.  At most min(jobs, columns, CPUs) worker processes are started.
+    The class-size cap is checked first, before any partition is listed."""
     check_class_cap(n)
     order = restricted_partitions(n, p)
     valid = [mu for mu in order if validate_ladder_lengths(mu, p)]
-    tasks = [(p, mu) for mu in valid]
+    tasks = [(p, mu, counts[mu]) for mu in valid]
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
@@ -102,9 +106,12 @@ def m_matrix(n: int, p: int, jobs: int = 1):
 
 def conjecture_check(n: int, p: int, jobs: int = 1) -> VerificationReport:
     """Evaluate every delta identity for (n, p) and assemble the report."""
-    mmat = m_matrix(n, p, jobs=jobs)
-    order = restricted_partitions(n, p)
+    check_class_cap(n)
     table = llt_canonical(n, p)
+    order = table.order
+    mmat = m_matrix(n, p, {mu: {tau: evaluate_at_one(c)
+                                for tau, c in a.terms.items()}
+                           for mu, a in table.A.items()}, jobs=jobs)
     nmat1 = tuple(tuple(row) for row in nmat_at_one(table))
     amat = tuple(tuple(row) for row in invert_unitriangular(nmat1))
     idx = {mu: k for k, mu in enumerate(order)}

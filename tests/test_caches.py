@@ -1,29 +1,31 @@
-"""The package keeps only caches that the benchmark workloads hit.
+"""The package keeps only caches that the benchmark workloads hit, each
+keyed by partitions or sizes only.
 
 Every ``functools`` cache in the ``spechtmod`` modules must be on the
 allow-list below and carry a comment, directly above its decorator, naming
 a workload of ``perfbench/workloads.json`` that hits it.  A cache added
-without a reason, or one left after its traffic is gone, fails here.
+without a reason, or one left after its traffic is gone, fails here.  A
+cache keyed by tableaux or vectors would grow with the work done, not with
+the sizes asked for, so none may hold such keys over a long session.
 """
 
+import gc
 import importlib
 import inspect
 import json
 import pathlib
 
-from spechtmod.fock import first_approximation
-from spechtmod.partitions import restricted_partitions
+from spechtmod.fock import FockVector
+from spechtmod.seminormal import SeminormalVector
 from spechtmod.verify import conjecture_check
 
 MODULES = ("partitions", "tableaux", "fock", "seminormal", "ranks", "verify",
            "cli")
 
 KEPT = {
-    "fock.first_approximation",
     "partitions.all_partitions",
     "partitions.ladder_decomposition",
     "partitions.restricted_partitions",
-    "seminormal.gamma",
     "tableaux.row_reading_tableau",
 }
 
@@ -66,11 +68,33 @@ def test_every_cache_names_a_workload_that_hits_it():
         assert any(w in comment for w in workloads), (name, comment)
 
 
-def test_first_approximation_holds_one_entry_per_mu_over_two_grid_points():
-    first_approximation.cache_clear()
+def cache_entries(fn) -> dict:
+    """The key -> result dict of a ``functools`` cache (CPython's C cache
+    holds it as the one referent dict besides the wrapper's __dict__)."""
+    found = [d for d in gc.get_referents(fn)
+             if type(d) is dict and d is not fn.__dict__]
+    assert len(found) == 1
+    return found[0]
+
+
+def leaves(key):
+    """The items of a cache key, with nested tuples flattened."""
+    if type(key) is tuple:
+        for item in key:
+            yield from leaves(item)
+    else:
+        yield key
+
+
+def test_caches_hold_no_tableau_or_vector_keys_over_two_grid_points():
+    for fn in package_caches().values():
+        fn.cache_clear()
     assert conjecture_check(7, 3).overall
     assert conjecture_check(8, 3).overall
-    mus = restricted_partitions(7, 3) + restricted_partitions(8, 3)
-    info = first_approximation.cache_info()
-    assert info.currsize == len(mus)
-    assert info.misses == len(mus)
+    for name, fn in package_caches().items():
+        entries = cache_entries(fn)
+        assert len(entries) == fn.cache_info().currsize > 0, name
+        for key, value in entries.items():
+            assert all(type(x) is int for x in leaves(key)), (name, key)
+            assert not isinstance(value, (FockVector, SeminormalVector)), \
+                (name, key)

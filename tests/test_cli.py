@@ -99,6 +99,18 @@ class TestFockCommand:
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_class_cap_exits_before_any_listing(self, capsys, monkeypatch):
+        # the LLT recursion lists every partition of n, so fock takes the
+        # size bound of verify, with its message
+        def no_fock(n, p):
+            raise AssertionError("partitions listed before the class cap")
+
+        monkeypatch.setattr("spechtmod.tableaux._CLASS_CAP", 4)
+        monkeypatch.setattr("spechtmod.cli.llt_canonical", no_fock)
+        rc, out, err = run_cli(["fock", "--p", "3", "--n", "5"], capsys)
+        assert rc == 2 and out == ""
+        assert "tableau_class with n=5 > 4 needs allow_large=True" in err
+
 
 class TestRankCommand:
     def test_worked_pair_report(self, capsys):
@@ -276,8 +288,8 @@ class TestVerifyCommand:
             {"lam": "1,1", "mu": "2", "value": -1}]
 
     def test_class_cap_exits_before_the_fock_side(self, capsys, monkeypatch):
-        # the Gram side runs first, so a refused class enumeration exits 2
-        # without waiting for the LLT recursion
+        # the class cap is checked first, so a refused class enumeration
+        # exits 2 without waiting for the LLT recursion
         def no_fock(n, p):
             raise AssertionError("Fock side ran before the class cap")
 
@@ -330,6 +342,17 @@ class TestValidation:
     def test_p_must_be_an_odd_prime(self, capsys, p):
         rc, _, err = run_cli(["fock", "--p", p, "--n", "3"], capsys)
         assert rc == 2 and "odd prime" in err
+
+    @pytest.mark.parametrize("p", [2 ** 31, 2 ** 61 - 1])
+    def test_p_is_bounded_before_trial_division(self, capsys, monkeypatch, p):
+        # 2^61 - 1 is prime: trial division would run for minutes
+        def no_trial_division(q):
+            raise AssertionError("trial division ran on an unbounded --p")
+
+        monkeypatch.setattr("spechtmod.cli._is_prime", no_trial_division)
+        rc, out, err = run_cli(["fock", "--p", str(p), "--n", "3"], capsys)
+        assert rc == 2 and out == ""
+        assert "--p must be below 2^31" in err
 
     def test_bad_partition_is_exit_2(self, capsys):
         rc, _, err = run_cli(["oracle", "--p", "3", "--tau", "1,2"], capsys)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from spechtmod.fock import FockVector, evaluate_at_one, first_approximation
+from spechtmod.fock import evaluate_at_one, first_approximation
 from spechtmod.partitions import (all_partitions, ladder_decomposition,
                                   restricted_partitions,
                                   validate_ladder_lengths)
@@ -20,7 +20,7 @@ from spechtmod.ranks import (
     phi_chain_basis,
     weight_space_dims,
 )
-from spechtmod.seminormal import SeminormalVector, act_by_word
+from spechtmod.seminormal import SeminormalVector, act_by_word, inner_product
 from spechtmod.tableaux import (StandardTableau, ladder_class_of_shape,
                                 ladder_classes_by_shape, reduced_word)
 
@@ -93,6 +93,17 @@ def test_pre_symmetrization_basis_p3_n_le_7():
                 if basis:
                     gram = gram_matrix(basis)
                     assert q_rank(gram) == len(basis)
+
+
+def test_gram_matrix_is_pairwise_inner_products_n_le_7():
+    for p in (3, 5):
+        for n in range(1, 8):
+            for mu in restricted_partitions(n, p):
+                for tau in all_partitions(n):
+                    basis = gram_report(mu, tau, p).basis
+                    assert gram_matrix(basis) == tuple(
+                        tuple(inner_product(u, v) for v in basis)
+                        for u in basis)
 
 
 def test_p_integrality_n_le_8():
@@ -228,6 +239,12 @@ def test_orbit_chains_match_full_family_reference():
                         assert ratio != 0 and u == v.scale(ratio)
 
 
+def counts_at_one(mu, p):
+    """tau -> the coefficient of tau in A(mu) at q = 1."""
+    return {tau: evaluate_at_one(c)
+            for tau, c in first_approximation(mu, p).terms.items()}
+
+
 def test_weight_space_dims_match_per_pair_ranks():
     """One class enumeration per mu gives the per-pair ranks, in order."""
     for p, top in ((3, 9), (5, 11)):
@@ -236,22 +253,19 @@ def test_weight_space_dims_match_per_pair_ranks():
             for mu in taus:
                 if not validate_ladder_lengths(mu, p):
                     continue
-                assert weight_space_dims(mu, p) == \
+                assert weight_space_dims(mu, p, counts_at_one(mu, p)) == \
                     tuple(dim_e_tilde_D(mu, tau, p) for tau in taus)
 
 
-def test_weight_space_dims_checks_empty_shapes(monkeypatch):
+def test_weight_space_dims_checks_empty_shapes():
     """A shape with no class members still gets the weight-space count
     cross-check: a nonzero Fock-side count there is an error naming it."""
     mu, tau, p = (3, 2), (1, 1, 1, 1, 1), 3
     assert tau not in ladder_classes_by_shape(mu, p)
-    real = first_approximation
-    monkeypatch.setattr(
-        "spechtmod.ranks.first_approximation",
-        lambda m, q: real(m, q) + FockVector.basis(tau) if m == mu
-        else real(m, q))
+    counts = counts_at_one(mu, p)
+    assert tau not in counts
     with pytest.raises(AssertionError) as excinfo:
-        weight_space_dims(mu, p)
+        weight_space_dims(mu, p, {**counts, tau: 1})
     message = str(excinfo.value)
     assert f"mu={mu}" in message and f"tau={tau}" in message
     assert "size 0" in message and "expects 1" in message
@@ -259,4 +273,4 @@ def test_weight_space_dims_checks_empty_shapes(monkeypatch):
 
 def test_weight_space_dims_rejects_bad_input():
     with pytest.raises(ValueError):
-        weight_space_dims((4, 1), 3)        # not 3-restricted
+        weight_space_dims((4, 1), 3, {})    # not 3-restricted

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +44,16 @@ def test_standard_tableau_accessors():
     assert t.entry_at((1, 3)) == 5
     assert t.content(2) == -1
     assert t.content(5) == 2
+
+
+def test_standard_tableau_pickle_round_trip():
+    for t in standard_tableaux((3, 2, 1)):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            u = pickle.loads(pickle.dumps(t, protocol))
+            assert u == t and hash(u) == hash(t)
+            assert u.rows == t.rows
+            assert all(u.position_of(k) == t.position_of(k)
+                       for k in range(1, t.n + 1))
 
 
 def test_from_rows_rejects_bad_fillings():

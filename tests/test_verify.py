@@ -4,6 +4,8 @@ identities, decomposition numbers, and the full-Gram dimension oracle."""
 import pytest
 
 import oracles
+from spechtmod import fock
+from spechtmod.fock import evaluate_at_one, llt_canonical
 from spechtmod.partitions import (all_partitions, dominates,
                                   restricted_partitions,
                                   standard_tableau_count)
@@ -40,18 +42,26 @@ def identity_matrix(k):
     return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
 
+def counts_at_one(n, p):
+    """mu -> tau -> the coefficient of tau in A(mu) at q = 1."""
+    table = llt_canonical(n, p)
+    return {mu: {tau: evaluate_at_one(c) for tau, c in a.terms.items()}
+            for mu, a in table.A.items()}
+
+
 class TestMMatrix:
     def test_single_box(self):
-        assert m_matrix(1, 3) == ((1,),)
+        assert m_matrix(1, 3, counts_at_one(1, 3)) == ((1,),)
 
     def test_two_boxes(self):
-        assert m_matrix(2, 3) == identity_matrix(2)
+        assert m_matrix(2, 3, counts_at_one(2, 3)) == identity_matrix(2)
 
     def test_n5_p3_is_identity(self):
-        assert m_matrix(5, 3) == identity_matrix(5)
+        assert m_matrix(5, 3, counts_at_one(5, 3)) == identity_matrix(5)
 
     def test_jobs_do_not_change_the_answer(self):
-        assert m_matrix(4, 3, jobs=2) == m_matrix(4, 3, jobs=1)
+        counts = counts_at_one(4, 3)
+        assert m_matrix(4, 3, counts, jobs=2) == m_matrix(4, 3, counts, jobs=1)
 
     @pytest.mark.parametrize("cpus, started", [(4, [4]), (64, [5]),
                                                (None, []), (1, [])])
@@ -75,14 +85,15 @@ class TestMMatrix:
         monkeypatch.setattr("spechtmod.verify.multiprocessing.Pool", FakePool)
         monkeypatch.setattr("spechtmod.verify.os.cpu_count", lambda: cpus)
         # five 3-restricted partitions of 5, so five column tasks
-        assert m_matrix(5, 3, jobs=10**6) == identity_matrix(5)
+        assert m_matrix(5, 3, counts_at_one(5, 3), jobs=10**6) == \
+            identity_matrix(5)
         assert requested == started
 
     def test_rows_are_simples_columns_are_weights(self):
         # ties the matrix layout to the Fitting oracle, entry by entry
         for n in (4, 5):
             order = restricted_partitions(n, 3)
-            mat = m_matrix(n, 3)
+            mat = m_matrix(n, 3, counts_at_one(n, 3))
             for a, lam in enumerate(order):
                 for b, mu in enumerate(order):
                     assert mat[a][b] == oracles.dim_e_tilde_D_oracle(mu, lam, 3)
@@ -121,6 +132,26 @@ class TestConjectureCheck:
             assert r.overall
             assert not r.outside_region
             assert all(v["pass"] is True for v in r.checks.values())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_first_approximation_is_computed_once(self, monkeypatch,
+                                                       jobs):
+        # the Gram side only reads the counts the Fock side passes it
+        def no_gram_side_fock(mu, p):
+            raise AssertionError(f"the Gram side computed A({mu})")
+
+        calls = []
+        real = fock.first_approximation
+
+        def counted(mu, p):
+            calls.append(mu)
+            return real(mu, p)
+
+        monkeypatch.setattr("spechtmod.ranks.first_approximation",
+                            no_gram_side_fock)
+        monkeypatch.setattr("spechtmod.fock.first_approximation", counted)
+        assert conjecture_check(8, 3, jobs=jobs).overall
+        assert sorted(calls) == sorted(restricted_partitions(8, 3))
 
     def test_overall_small_p5(self):
         for n in range(1, 7):
