@@ -3,20 +3,24 @@ r"""Eigenspace bases of Specht modules and mod-p Gram ranks.
 For a p-restricted mu (all ladder lengths < p) and any tau of the same size,
 the pipeline runs:
 
-1. enumerate T_{mu,tau}, the standard tableaux of shape tau whose residue
-   sequence equals that of the ladder tableau of mu.  ``weight_space_dims``
-   enumerates the class of mu once and groups it by shape; a shape with no
-   members has rank 0, after the weight-space count is checked to be 0 too;
-2. factor d(s) into a reduced word for each member s kept in step 3;
-3. for one member s per ladder-group orbit, the one whose entries in each
-   ladder interval go down the rows in increasing order, apply the chain
-   phi_{i_k} ... phi_{i_1} of d(s) to the seminormal vector of the
-   row-reading tableau of tau (rightmost letter first).  Entries of one
-   interval share a residue and number fewer than p, so they lie in distinct
-   rows and columns and the ladder group acts freely on T_{mu,tau};
+1. enumerate one member per ladder-group orbit of T_{mu,tau}, the standard
+   tableaux of shape tau whose residue sequence equals that of the ladder
+   tableau of mu: the member whose entries in each ladder interval go down
+   the rows.  Entries of one interval share a residue and number fewer than
+   p, so they lie in distinct rows and columns and the ladder group acts
+   freely on T_{mu,tau}.  ``weight_space_dims`` enumerates every shape at
+   once; a shape with no representative has rank 0, after the weight-space
+   count is checked to be 0 too;
+2. factor d(s) into a reduced word for each representative s;
+3. apply the chain phi_{i_k} ... phi_{i_1} of d(s) to the seminormal vector
+   of the row-reading tableau of tau (rightmost letter first), in the integer
+   form of :mod:`spechtmod.seminormal`: integer numerators over one common
+   denominator, reduced by one gcd per chain;
 4. symmetrize over the ladder group: on each interval a..b of m entries,
    average over its symmetric group as a product of coset sums, m(m-1)/2
-   generator applications;
+   generator applications, still in integer form and reduced by one gcd per
+   coset sum; each symmetrized vector becomes a rational
+   ``SeminormalVector`` once, and a maximal independent subset is kept;
 5. form the Gram matrix of the invariant form, whose entries must be
    p-integral;
 6. reduce mod p and take the rank.
@@ -34,9 +38,10 @@ from .fock import evaluate_at_one, first_approximation
 from .partitions import (Partition, check_partition, is_p_restricted,
                          ladder_decomposition, restricted_partitions,
                          validate_ladder_lengths)
-from .seminormal import SeminormalVector, gamma, phi_action, sigma_action
+from .seminormal import (SeminormalVector, apply_word, gamma,
+                         reduce_numerators, seminormal_step)
 from .tableaux import (StandardTableau, d_reduced_word, ladder_class_of_shape,
-                       ladder_classes_by_shape, row_reading_tableau)
+                       ladder_orbit_representatives, row_reading_tableau)
 
 
 @dataclass(frozen=True)
@@ -62,16 +67,12 @@ def _require_valid_mu(mu: Partition, p: int) -> Partition:
     return mu
 
 
-def _phi_chains(members, tau: Partition, p: int, word_strategy: str) -> tuple:
-    """One intertwiner-chain vector per given member of T_{mu,tau}."""
-    start = SeminormalVector.unit(row_reading_tableau(tau))
-    out = []
-    for s in members:
-        v = start
-        for i in reversed(d_reduced_word(s, word_strategy).word):
-            v = phi_action(i, v, p)
-        out.append(v)
-    return tuple(out)
+def _phi_chains(members, tau: Partition, p: int, word_strategy: str) -> list:
+    """One intertwiner-chain vector per given member of T_{mu,tau}, each as
+    (numerators, denominator) reduced by one gcd."""
+    start = {row_reading_tableau(tau).sort_key(): 1}
+    return [apply_word(d_reduced_word(s, word_strategy).word, start, 1, p)
+            for s in members]
 
 
 def phi_chain_basis(mu: Partition, tau: Partition, p: int,
@@ -80,21 +81,35 @@ def phi_chain_basis(mu: Partition, tau: Partition, p: int,
     """The intertwiner-chain vectors, one per member of T_{mu,tau}."""
     mu, tau = _require_valid_mu(mu, p), check_partition(tau)
     members = ladder_class_of_shape(mu, tau, p, allow_large=allow_large)
-    return _phi_chains(members, tau, p, word_strategy)
+    return tuple(SeminormalVector.from_numerators(tau, v, den)
+                 for v, den in _phi_chains(members, tau, p, word_strategy))
 
 
-def _interval_symmetrizer(v: SeminormalVector, a: int,
-                          b: int) -> SeminormalVector:
+def _interval_symmetrizer(v: dict, den: int, a: int, b: int) -> tuple:
     """The average over the symmetric group on positions a..b, as the
     product of coset sums D_b ... D_{a+1}, D_j = 1 + s_j + s_{j-1} s_j + ...
-    + s_{a+1} ... s_j summing the cosets of Sym(a..j-1) in Sym(a..j)."""
+    + s_{a+1} ... s_j summing the cosets of Sym(a..j-1) in Sym(a..j), on
+    (numerators, denominator) and reduced by one gcd per coset sum."""
     for j in range(a + 1, b + 1):
-        term = acc = v
+        term, acc = v, dict(v)
         for i in range(j, a, -1):
-            term = sigma_action(i, term)
-            acc = acc + term
-        v = acc
-    return v.scale(Fraction(1, math.factorial(b - a + 1)))
+            term, scale = seminormal_step(i, term)
+            if scale != 1:
+                acc = {s: c * scale for s, c in acc.items()}
+                den *= scale
+            for s, c in term.items():
+                acc[s] = acc.get(s, 0) + c
+        v, den = reduce_numerators(acc, den)
+    return v, den * math.factorial(b - a + 1)
+
+
+def _symmetrize(v: dict, den: int, shape: Partition,
+                intervals) -> SeminormalVector:
+    """The ladder-group average of the integer-form vector ``v / den``."""
+    for a, b in intervals:
+        if b > a:
+            v, den = _interval_symmetrizer(v, den, a, b)
+    return SeminormalVector.from_numerators(shape, v, den)
 
 
 def independent_subset(vectors) -> tuple:
@@ -132,13 +147,8 @@ def ladder_symmetrize(mu: Partition, basis, p: int) -> tuple:
     multiples of each other (not equal), so at most one per orbit is kept."""
     mu = _require_valid_mu(mu, p)
     intervals = ladder_decomposition(mu, p).ladder_group_intervals
-    symmetrized = []
-    for v in basis:
-        for a, b in intervals:
-            if b > a:
-                v = _interval_symmetrizer(v, a, b)
-        symmetrized.append(v)
-    return independent_subset(symmetrized)
+    return independent_subset([_symmetrize(*v.numerators(), v.shape, intervals)
+                               for v in basis])
 
 
 def gram_matrix(basis) -> tuple:
@@ -199,21 +209,20 @@ def _check_weight_space_count(mu: Partition, tau: Partition, expected: int,
             f"weight-space count expects {expected}")
 
 
-def _gram_report(mu: Partition, tau: Partition, p: int, members,
+def _gram_report(mu: Partition, tau: Partition, p: int, representatives,
                  word_strategy: str, count: int) -> GramReport:
-    """Steps 2-6 for the given members of T_{mu,tau}, in sort_key order."""
-    # one member per ladder-group orbit: interval entries go down the rows
-    intervals = ladder_decomposition(mu, p).ladder_group_intervals
-    representatives = [s for s in members if all(
-        s.position_of(k)[0] < s.position_of(k + 1)[0]
-        for a, b in intervals for k in range(a, b))]
-    chains = _phi_chains(representatives, tau, p, word_strategy)
-    sym = ladder_symmetrize(mu, chains, p)
+    """Steps 2-6 for the orbit representatives of T_{mu,tau}, in sort_key
+    order."""
+    ld = ladder_decomposition(mu, p)
+    sym = independent_subset([
+        _symmetrize(v, den, tau, ld.ladder_group_intervals)
+        for v, den in _phi_chains(representatives, tau, p, word_strategy)])
     _check_weight_space_count(mu, tau, count, len(sym))
     gram = gram_matrix(sym)
     gram_p, rank = modp_rank(gram, p)
     return GramReport(mu=mu, tau=tau, p=p,
-                      basis_size_before_symmetrization=len(members),
+                      basis_size_before_symmetrization=(
+                          len(representatives) * ld.ladder_group_order()),
                       basis_size=len(sym), basis=sym, gram=gram,
                       gram_mod_p=gram_p, rank=rank)
 
@@ -222,28 +231,29 @@ def gram_report(mu: Partition, tau: Partition, p: int,
                 word_strategy: str = "canonical",
                 allow_large: bool = False) -> GramReport:
     """Run steps 1-6 and package the result."""
-    mu, tau = check_partition(mu), check_partition(tau)
-    members = ladder_class_of_shape(_require_valid_mu(mu, p), tau, p,
-                                    allow_large=allow_large)
+    mu, tau = _require_valid_mu(mu, p), check_partition(tau)
+    representatives = ladder_orbit_representatives(
+        mu, p, tau, allow_large=allow_large).get(tau, ())
     count = evaluate_at_one(first_approximation(mu, p).coefficient(tau))
-    return _gram_report(mu, tau, p, members, word_strategy, count)
+    return _gram_report(mu, tau, p, representatives, word_strategy, count)
 
 
 def weight_space_dims(mu: Partition, p: int, counts) -> tuple:
     """dim_e_tilde_D(mu, tau, p) for each tau of restricted_partitions(|mu|,
-    p), enumerating the class of mu once; a shape without members gets rank
-    0.  ``counts`` maps tau to the coefficient of tau in A(mu) at q = 1, as
-    the Fock side computed it (absent means 0).  It is read only by the
-    weight-space count cross-check and decides nothing computed here: every
-    shape is enumerated and every orbit representative chained."""
+    p), enumerating the orbit representatives of every shape once; a shape
+    without any gets rank 0.  ``counts`` maps tau to the coefficient of tau
+    in A(mu) at q = 1, as the Fock side computed it (absent means 0).  It is
+    read only by the weight-space count cross-check and decides nothing
+    computed here: every shape is enumerated and every orbit representative
+    chained."""
     mu = _require_valid_mu(mu, p)
-    classes = ladder_classes_by_shape(mu, p)
+    representatives = ladder_orbit_representatives(mu, p)
     dims = []
     for tau in restricted_partitions(sum(mu), p):
-        members = classes.get(tau)
+        reps = representatives.get(tau)
         count = counts.get(tau, 0)
-        if members:
-            dims.append(_gram_report(mu, tau, p, members, "canonical",
+        if reps:
+            dims.append(_gram_report(mu, tau, p, reps, "canonical",
                                      count).rank)
         else:
             _check_weight_space_count(mu, tau, count, 0)

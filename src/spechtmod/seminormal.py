@@ -22,12 +22,22 @@ and differ only in the diagonal rule d(h):
 phi_i moves vectors between tableau classes (equal residue sequences mod p).
 The invariant bilinear form is diagonal, <xi_s, xi_t> = delta_st gamma_s,
 where gamma_s is a product of hook quotients over the entry-truncations of s.
+
+Every step runs in integer form: a vector is a dict of integer numerators
+keyed by entry-position tuples (``StandardTableau.sort_key``) over one common
+denominator.  ``seminormal_step`` scales the numerators by the lcm of the
+step's denominators (h for d(h), h^2 for e(h) with h < -1) and reports that
+factor, so no rational is formed and no tableau is built; sigma_i s is a swap
+of two positions.  ``apply_word`` runs a word of steps and reduces the result
+by one gcd.  ``SeminormalVector.numerators`` and ``from_numerators`` convert
+at the edges, and ``sigma_action``, ``phi_action`` and ``act_by_word`` are
+thin wrappers that convert once per call.
 """
 
+import math
 from fractions import Fraction
 
-from .tableaux import (StandardTableau, ResidueSequence, residue_sequence,
-                       swap_entries)
+from .tableaux import StandardTableau, ResidueSequence, residue_sequence
 
 Rational = Fraction
 
@@ -49,6 +59,21 @@ class SeminormalVector:
     @classmethod
     def unit(cls, t: StandardTableau) -> "SeminormalVector":
         return cls(t.shape, {t: Fraction(1)})
+
+    @classmethod
+    def from_numerators(cls, shape, coeffs: dict,
+                        den: int) -> "SeminormalVector":
+        """The vector with coefficient ``c / den`` at the tableau with
+        entry-position tuple ``s``, for each item ``s: c`` of ``coeffs``."""
+        return cls(shape, {StandardTableau.from_positions(s): Fraction(c, den)
+                           for s, c in coeffs.items()})
+
+    def numerators(self) -> tuple:
+        """(integer numerators keyed by entry-position tuples, their common
+        denominator): the integer form of this vector."""
+        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        return ({t.sort_key(): c.numerator * (den // c.denominator)
+                 for t, c in self.coeffs.items()}, den)
 
     def coefficient(self, t: StandardTableau) -> Rational:
         return self.coeffs.get(t, Fraction(0))
@@ -103,24 +128,65 @@ def gamma(t: StandardTableau) -> Rational:
     return Fraction(num, den)
 
 
-def _step(i: int, v: SeminormalVector, diagonal) -> SeminormalVector:
-    """xi_s -> diagonal(h) xi_s + e(h) xi_{sigma_i s}, extended linearly."""
+def seminormal_step(i: int, coeffs: dict, p=None) -> tuple:
+    """One step xi_s -> d(h) xi_s + e(h) xi_{sigma_i s} on integer numerators
+    keyed by entry-position tuples: sigma_i when ``p`` is None, phi_i for the
+    prime ``p`` otherwise.  Returns ``(numerators, scale)``: the image is the
+    returned numerators over ``scale`` times the input's denominator, where
+    ``scale`` is the lcm of the denominators d(h) and e(h) take here."""
+    hs = []
+    scale = 1
+    for s in coeffs:
+        (a, b), (c, d) = s[i - 2], s[i - 1]
+        h = b - a - d + c
+        hs.append(h)
+        den = h * h if h < -1 else abs(h) if p is None or h % p == 0 else 1
+        if scale % den:
+            scale = math.lcm(scale, den)
     out = {}
-    for s, c in v.coeffs.items():
-        h = s.content(i - 1) - s.content(i)
-        d = diagonal(h)
-        if d:
-            out[s] = out.get(s, 0) + c * d
+    for (s, c), h in zip(coeffs.items(), hs):
+        if p is None:
+            diag = -c * (scale // h)
+        elif h % p == 0:
+            diag = c * (h - 1) * (scale // h)
+        else:
+            diag = 0
+        if diag:
+            out[s] = out.get(s, 0) + diag
         if h > 1 or h < -1:
-            t = swap_entries(s, i)
+            t = s[:i - 2] + (s[i - 1], s[i - 2]) + s[i:]
             out[t] = out.get(t, 0) + (
-                c if h > 1 else c * Fraction(h * h - 1, h * h))
-    return SeminormalVector(v.shape, out)
+                c * scale if h > 1 else c * (h * h - 1) * (scale // (h * h)))
+    return {s: c for s, c in out.items() if c}, scale
+
+
+def reduce_numerators(coeffs: dict, den: int) -> tuple:
+    """Drop zero numerators and divide the rest and ``den`` by their gcd."""
+    g = math.gcd(den, *coeffs.values())
+    return {s: c // g for s, c in coeffs.items() if c}, den // g
+
+
+def apply_word(word, coeffs: dict, den: int, p=None) -> tuple:
+    """The integer-form vector ``coeffs / den`` acted on by a word in product
+    order (rightmost letter first), by sigma_i or, for a prime ``p``, by
+    phi_i; the result is reduced by one gcd."""
+    for i in reversed(word):
+        coeffs, scale = seminormal_step(i, coeffs, p)
+        den *= scale
+    return reduce_numerators(coeffs, den)
+
+
+def act_by_word(word, v: SeminormalVector, p=None) -> SeminormalVector:
+    """Apply a product of generators given as a word in product order; the
+    rightmost factor acts first, so letters are consumed in reverse.  The
+    generators are sigma_i, or phi_i for the prime ``p`` when it is given."""
+    return SeminormalVector.from_numerators(
+        v.shape, *apply_word(word, *v.numerators(), p))
 
 
 def sigma_action(i: int, v: SeminormalVector) -> SeminormalVector:
     """The seminormal action of sigma_i = (i-1, i), extended linearly."""
-    return _step(i, v, lambda h: Fraction(-1, h))
+    return act_by_word((i,), v)
 
 
 def jm_action(k: int, v: SeminormalVector) -> SeminormalVector:
@@ -133,15 +199,7 @@ def jm_action(k: int, v: SeminormalVector) -> SeminormalVector:
 def phi_action(i: int, v: SeminormalVector, p: int) -> SeminormalVector:
     """The intertwiner phi_i = sigma_i + 1/(L_{i-1} - L_i), extended linearly;
     the regular/singular split is decided termwise by p | h."""
-    return _step(i, v, lambda h: Fraction(h - 1, h) if h % p == 0 else 0)
-
-
-def act_by_word(word, v: SeminormalVector) -> SeminormalVector:
-    """Apply a product of generators given as a word in product order; the
-    rightmost factor acts first, so letters are consumed in reverse."""
-    for i in reversed(word):
-        v = sigma_action(i, v)
-    return v
+    return act_by_word((i,), v, p)
 
 
 def inner_product(u: SeminormalVector, v: SeminormalVector) -> Rational:

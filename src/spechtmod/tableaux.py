@@ -1,4 +1,5 @@
-"""Standard tableaux, residue sequences, tableau classes, and reduced words.
+"""Standard tableaux, residue sequences, tableau classes, orbit
+representatives, and reduced words.
 
 Tableaux are stored row-wise as tuples of tuples.  All tableau orderings are
 lexicographic on the entry-position sequence (the node of 1, then of 2, ...),
@@ -11,6 +12,14 @@ prescribed residue in every possible way.  ``ladder_class_of_shape`` specializes
 the class of the ladder tableau of mu to members of a fixed shape, the index set
 T_{mu,lambda} of the eigenspace algorithm.
 
+The ladder group of mu permutes the entries within each ladder interval and
+acts freely on that class.  ``ladder_orbit_representatives`` lists one member
+per orbit, the one whose interval entries go down the rows, without listing
+the class: at interval k of m entries it fills an m-subset of the addable
+nodes of residue iota_k, top to bottom.  Adding an i-node creates and destroys
+no other addable i-node (p >= 3), so these subsets are all the choices; this
+is the subset form of the divided power f_i^(m).
+
 Permutations act on tableaux on the left by place permutation: applying g
 replaces entry k by g(k).  The permutation d(t) with d(t) t^lam = t (t^lam the
 row-reading tableau) is factored into adjacent transpositions
@@ -19,6 +28,7 @@ sigma_i = (i-1, i), 2 <= i <= n, by a deterministic bubble sort.
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
 from .partitions import (Partition, Node, check_partition, addable_nodes,
                          all_addable_nodes, add_node, ladder_decomposition)
@@ -41,9 +51,24 @@ class StandardTableau:
     def shape(self) -> Partition:
         return tuple(len(row) for row in self.rows)
 
+    @classmethod
+    def from_positions(cls, node_seq) -> "StandardTableau":
+        """The tableau with entry k at ``node_seq[k-1]``, for the
+        entry-position sequence of a standard tableau (its ``sort_key``);
+        not checked."""
+        rows = []
+        for k, (i, _j) in enumerate(node_seq, start=1):
+            if i > len(rows):
+                rows.append([])
+            rows[i - 1].append(k)
+        t = cls.__new__(cls)
+        t.rows = tuple(map(tuple, rows))
+        t._positions = dict(enumerate(node_seq, start=1))
+        return t
+
     @property
     def n(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return len(self._positions)
 
     def position_of(self, k: int) -> Node:
         return self._positions[k]
@@ -57,7 +82,8 @@ class StandardTableau:
         return j - i
 
     def sort_key(self) -> tuple:
-        return tuple(self._positions[k] for k in range(1, self.n + 1))
+        return tuple(map(self._positions.__getitem__,
+                         range(1, len(self._positions) + 1)))
 
     def __eq__(self, other):
         return isinstance(other, StandardTableau) and self.rows == other.rows
@@ -124,28 +150,19 @@ def standard_tableaux(lam: Partition) -> tuple:
     def grow(node_seq, shape):
         k = len(node_seq)
         if k == n:
-            out.append(_tableau_from_nodes(node_seq))
+            out.append(StandardTableau.from_positions(node_seq))
             return
-        for g in _addable_within(shape, lam):
+        for g in _inside(all_addable_nodes(shape), lam):
             grow(node_seq + (g,), add_node(shape, g))
 
     grow((), ())
     return tuple(out)
 
 
-def _addable_within(shape: Partition, target: Partition) -> tuple:
-    """Addable nodes of ``shape`` that stay inside ``target``, by row."""
-    return tuple(g for g in all_addable_nodes(shape)
+def _inside(nodes, target) -> tuple:
+    """The given nodes that lie in the diagram of ``target``."""
+    return tuple(g for g in nodes
                  if g[0] <= len(target) and g[1] <= target[g[0] - 1])
-
-
-def _tableau_from_nodes(node_seq) -> StandardTableau:
-    by_row = {}
-    for k, (i, j) in enumerate(node_seq, start=1):
-        by_row.setdefault(i, {})[j] = k
-    rows = tuple(tuple(by_row[i][j] for j in sorted(by_row[i]))
-                 for i in sorted(by_row))
-    return StandardTableau(rows)
 
 
 @dataclass(frozen=True)
@@ -171,10 +188,16 @@ def residue_sequence(t: StandardTableau, p: int) -> ResidueSequence:
 _CLASS_CAP = 40
 
 
-def check_class_cap(n: int, allow_large: bool = False,
+def check_class_cap(n: int, allow_large=None,
                     what: str = "tableau_class") -> None:
-    """Refuse a class enumeration of size n > _CLASS_CAP unless allowed."""
+    """Refuse a class enumeration of size n > _CLASS_CAP unless allowed.
+
+    ``allow_large=None`` marks a caller with no override to offer (``verify``,
+    ``fock``), so its message names the cap only."""
     if n > _CLASS_CAP and not allow_large:
+        if allow_large is None:
+            raise ValueError(
+                f"class enumeration is capped at n = {_CLASS_CAP}, got n={n}")
         raise ValueError(
             f"{what} with n={n} > {_CLASS_CAP} needs allow_large=True")
 
@@ -203,12 +226,48 @@ def ladder_class_of_shape(mu: Partition, lam: Partition, p: int,
     return _class_members(rs, lam)
 
 
-def ladder_classes_by_shape(mu: Partition, p: int,
-                            allow_large: bool = False) -> dict:
-    """The full class of the ladder tableau of mu, grouped by shape."""
-    rs = ladder_decomposition(mu, p).ladder_residue_sequence
+def ladder_orbit_representatives(mu: Partition, p: int, target=None,
+                                 allow_large: bool = False) -> dict:
+    """One member per ladder-group orbit of the class of the ladder tableau of
+    mu, grouped by shape (shape ``target`` only, when given), each group in
+    ``sort_key`` order.
+
+    The representative of an orbit is its member whose entries in each ladder
+    interval go down the rows.  Interval k takes each ``|L_k|``-subset of the
+    addable nodes of residue iota_k, filled top to bottom, memoized on the
+    pair (interval index, shape) as ``_class_members`` memoizes on (entry
+    index, shape).  Subsets come out in lexicographic order of their nodes,
+    so the members come out in ``sort_key`` order with no sort.
+    """
+    mu = check_partition(mu)
+    if target is not None and sum(target) != sum(mu):
+        raise ValueError(f"size mismatch: {mu} vs {target}")
+    ld = ladder_decomposition(mu, p)
+    check_class_cap(sum(mu), allow_large, "class enumeration")
+    steps = tuple(zip(ld.residues, ld.sizes))
+    memo = {}
+
+    def completions(k, shape):
+        # node sequences for intervals k, k+1, ... starting from ``shape``
+        if k == len(steps):
+            return ((),)
+        key = (k, shape)
+        if key not in memo:
+            residue, m = steps[k]
+            nodes = addable_nodes(shape, residue, p)
+            if target is not None:
+                nodes = _inside(nodes, target)
+            out = []
+            for subset in combinations(nodes, m):
+                grown = shape
+                for g in subset:
+                    grown = add_node(grown, g)
+                out.extend(subset + rest for rest in completions(k + 1, grown))
+            memo[key] = tuple(out)
+        return memo[key]
+
     grouped = {}
-    for t in tableau_class(rs, allow_large=allow_large):
+    for t in map(StandardTableau.from_positions, completions(0, ())):
         grouped.setdefault(t.shape, []).append(t)
     return {shape: tuple(ts) for shape, ts in grouped.items()}
 
@@ -226,16 +285,13 @@ def _class_members(rs: ResidueSequence, target) -> tuple:
         if key not in memo:
             nodes = addable_nodes(shape, rs.values[k], p)
             if target is not None:
-                nodes = tuple(g for g in nodes
-                              if g[0] <= len(target) and g[1] <= target[g[0] - 1])
+                nodes = _inside(nodes, target)
             memo[key] = tuple((g,) + rest
                               for g in nodes
                               for rest in completions(k + 1, add_node(shape, g)))
         return memo[key]
 
-    if n == 0:
-        return (StandardTableau(()),)
-    return tuple(map(_tableau_from_nodes, completions(0, ())))
+    return tuple(map(StandardTableau.from_positions, completions(0, ())))
 
 
 @dataclass(frozen=True)
@@ -296,17 +352,3 @@ def d_reduced_word(t: StandardTableau, strategy: str = "canonical") -> Permutati
     word = reduced_word(one_line, strategy)
     assert len(word) == inversions(one_line)
     return PermutationWord(one_line, word)
-
-
-def swap_entries(t: StandardTableau, i: int):
-    """sigma_i . t (entries i-1 and i exchanged), or None when not standard.
-
-    Requires ``t`` standard and ``2 <= i <= t.n``.  Then sigma_i t is standard
-    exactly when i-1 and i share neither a row nor a column, so only those two
-    positions are read."""
-    (a, b), (c, d) = t._positions[i - 1], t._positions[i]
-    if a == c or b == d:
-        return None
-    rows = [list(row) for row in t.rows]
-    rows[a - 1][b - 1], rows[c - 1][d - 1] = i, i - 1
-    return StandardTableau(rows)

@@ -549,6 +549,84 @@ def gamma_by_truncations(rows):
     return out
 
 
+# ------------------------------------ tableau classes and seminormal steps
+
+def _positions(rows):
+    """The entry-position sequence of a filling: the node of 1, of 2, ..."""
+    pos = {e: (i, j) for i, row in enumerate(rows, 1)
+           for j, e in enumerate(row, 1)}
+    return tuple(pos[k] for k in range(1, len(pos) + 1))
+
+
+def _rows_of(nodes):
+    rows = {}
+    for k, (i, j) in enumerate(nodes, 1):
+        rows.setdefault(i, {})[j] = k
+    return tuple(tuple(rows[i][j] for j in sorted(rows[i]))
+                 for i in sorted(rows))
+
+
+def ladder_class_representatives(mu, p):
+    """The former package enumerator: the whole class of the ladder tableau
+    of mu, grown one entry at a time through every addable node of the next
+    residue, then filtered to one member per ladder-group orbit (the member
+    whose entries in each ladder interval go down the rows).  Returns
+    {shape: [rows, ...]} with each list sorted by entry positions."""
+    word = ladder_residues(mu, p)
+    limits = list(itertools.accumulate(ladder_sizes(mu, p)))
+    intervals = [(b - m + 1, b) for b, m in zip(limits, ladder_sizes(mu, p))]
+    members = []
+
+    def grow(nodes, shape):
+        k = len(nodes)
+        if k == len(word):
+            members.append(nodes)
+            return
+        for r in range(len(shape) + 1):
+            length = shape[r] if r < len(shape) else 0
+            if r and shape[r - 1] <= length:
+                continue
+            node = (r + 1, length + 1)
+            if (node[1] - node[0]) % p == word[k]:
+                grown = list(shape) + [0] * (r == len(shape))
+                grown[r] += 1
+                grow(nodes + (node,), tuple(grown))
+
+    grow((), ())
+    out = {}
+    for nodes in sorted(members):
+        if all(nodes[k - 1][0] < nodes[k][0]
+               for a, b in intervals for k in range(a, b)):
+            rows = _rows_of(nodes)
+            out.setdefault(tuple(map(len, rows)), []).append(rows)
+    return out
+
+
+def seminormal_step_reference(i, vec, p=None):
+    """The former package step over Fractions, on {rows: Fraction}:
+    xi_s -> d(h) xi_s + e(h) xi_{sigma_i s} with h = c_s(i-1) - c_s(i),
+    e(h) = 1 for h > 1, (h^2-1)/h^2 for h < -1, 0 for |h| = 1, and
+    d(h) = -1/h for sigma_i (p None) or, for phi_i, (h-1)/h when p | h and
+    0 otherwise."""
+    out = {}
+    for rows, c in vec.items():
+        pos = _positions(rows)
+        (a, b), (r, s) = pos[i - 2], pos[i - 1]
+        h = (b - a) - (s - r)
+        if p is None:
+            d = Fraction(-1, h)
+        else:
+            d = Fraction(h - 1, h) if h % p == 0 else 0
+        if d:
+            out[rows] = out.get(rows, 0) + c * d
+        if abs(h) > 1:
+            swapped = tuple(tuple({i - 1: i, i: i - 1}.get(e, e) for e in row)
+                            for row in rows)
+            e = 1 if h > 1 else Fraction(h * h - 1, h * h)
+            out[swapped] = out.get(swapped, 0) + c * e
+    return {rows: c for rows, c in out.items() if c}
+
+
 # -------------------------------------------------- canonical-basis solver
 
 def llt_solve(a_map, order):

@@ -109,7 +109,7 @@ class TestFockCommand:
         monkeypatch.setattr("spechtmod.cli.llt_canonical", no_fock)
         rc, out, err = run_cli(["fock", "--p", "3", "--n", "5"], capsys)
         assert rc == 2 and out == ""
-        assert "tableau_class with n=5 > 4 needs allow_large=True" in err
+        assert "class enumeration is capped at n = 4, got n=5" in err
 
 
 class TestRankCommand:
@@ -297,7 +297,7 @@ class TestVerifyCommand:
         monkeypatch.setattr("spechtmod.verify.llt_canonical", no_fock)
         rc, out, err = run_cli(["verify", "--p", "3", "--n", "5"], capsys)
         assert rc == 2 and out == ""
-        assert "n=5 > 4 needs allow_large=True" in err
+        assert "class enumeration is capped at n = 4, got n=5" in err
 
 
     def test_class_cap_exits_before_ladder_checks(self, capsys, monkeypatch):
@@ -311,7 +311,7 @@ class TestVerifyCommand:
                             no_ladders)
         rc, out, err = run_cli(["verify", "--p", "3", "--n", "5"], capsys)
         assert rc == 2 and out == ""
-        assert "tableau_class with n=5 > 4 needs allow_large=True" in err
+        assert "class enumeration is capped at n = 4, got n=5" in err
 
 
 class TestOracleCommand:

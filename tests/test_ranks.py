@@ -22,7 +22,7 @@ from spechtmod.ranks import (
 )
 from spechtmod.seminormal import SeminormalVector, act_by_word, inner_product
 from spechtmod.tableaux import (StandardTableau, ladder_class_of_shape,
-                                ladder_classes_by_shape, reduced_word)
+                                ladder_orbit_representatives, reduced_word)
 
 
 def q_rank(mat):
@@ -230,6 +230,10 @@ def test_orbit_chains_match_full_family_reference():
                     assert rep.basis == independent_subset(full)
                     assert rep.basis_size * ld.ladder_group_order() \
                         == len(members)
+                    representatives = ladder_orbit_representatives(
+                        mu, p, tau).get(tau, ())
+                    assert len(representatives) * ld.ladder_group_order() \
+                        == len(members)
                     image = dict(zip(members, full))
                     for s in members:
                         u = image[s]
@@ -261,7 +265,7 @@ def test_weight_space_dims_checks_empty_shapes():
     """A shape with no class members still gets the weight-space count
     cross-check: a nonzero Fock-side count there is an error naming it."""
     mu, tau, p = (3, 2), (1, 1, 1, 1, 1), 3
-    assert tau not in ladder_classes_by_shape(mu, p)
+    assert tau not in ladder_orbit_representatives(mu, p)
     counts = counts_at_one(mu, p)
     assert tau not in counts
     with pytest.raises(AssertionError) as excinfo:

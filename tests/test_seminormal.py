@@ -13,10 +13,13 @@ from spechtmod.seminormal import (
     inner_product,
     jm_action,
     phi_action,
+    seminormal_step,
     sigma_action,
 )
 from spechtmod.tableaux import (
     StandardTableau,
+    from_rows,
+    is_standard_rows,
     residue_sequence,
     row_reading_tableau,
     standard_tableaux,
@@ -259,3 +262,56 @@ def test_sigma_matches_tabloid_model():
         for a, u in enumerate(xs):
             for b, w in enumerate(xs):
                 assert inner_product(u, w) == scale * gram_model[a][b]
+
+
+def test_integer_step_matches_fraction_reference_n_le_7():
+    """sigma_action and phi_action (integer numerators over a common
+    denominator) agree exactly with the former Fraction step on random
+    vectors of every shape, singular (p | h) and h < -1 steps included."""
+    rng = random.Random(20261018)
+    seen = {"singular": 0, "h < -1": 0}
+    for p in (3, 5):
+        for lam in shapes_up_to(7):
+            tabs = standard_tableaux(lam)
+            for _ in range(3):
+                support = rng.sample(tabs, rng.randint(1, len(tabs)))
+                v = SeminormalVector(lam, {
+                    t: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                    for t in support})
+                rows_of = {t.rows: c for t, c in v.coeffs.items()}
+                for i in range(2, sum(lam) + 1):
+                    for t in v.coeffs:
+                        h = t.content(i - 1) - t.content(i)
+                        seen["singular"] += h % p == 0
+                        seen["h < -1"] += h < -1
+                    for got, ref in (
+                            (sigma_action(i, v),
+                             oracles.seminormal_step_reference(i, rows_of)),
+                            (phi_action(i, v, p),
+                             oracles.seminormal_step_reference(i, rows_of,
+                                                               p))):
+                        assert got.shape == lam
+                        assert {t.rows: c for t, c in got.coeffs.items()} \
+                            == ref
+    assert all(seen.values())
+
+
+def test_step_swaps_to_exactly_the_standard_fillings_n_le_8():
+    """The step's off-diagonal term goes to sigma_i s exactly when swapping
+    i-1 and i in s leaves a standard filling, which it then is; e.g. in
+    ((1, 2), (3, 4)) entries 2, 3 swap and entries 1, 2 do not."""
+    t = StandardTableau(((1, 2), (3, 4)))
+    out, _ = seminormal_step(3, {t.sort_key(): 1})
+    assert [StandardTableau.from_positions(s).rows for s in out] == \
+        [((1, 2), (3, 4)), ((1, 3), (2, 4))]
+    assert list(seminormal_step(2, {t.sort_key(): 1})[0]) == [t.sort_key()]
+    for lam in shapes_up_to(8):
+        for t in standard_tableaux(lam):
+            for i in range(2, t.n + 1):
+                rows = tuple(tuple(i - 1 if e == i else i if e == i - 1
+                                   else e for e in row) for row in t.rows)
+                out, _ = seminormal_step(i, {t.sort_key(): 1})
+                moved = [StandardTableau.from_positions(s)
+                         for s in out if s != t.sort_key()]
+                assert moved == ([from_rows(rows)] if is_standard_rows(rows)
+                                 else [])

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from spechtmod.partitions import all_partitions, restricted_partitions
+from spechtmod.partitions import (all_partitions, ladder_decomposition,
+                                  restricted_partitions)
 from spechtmod.tableaux import (
     StandardTableau,
     d_permutation,
@@ -13,12 +14,11 @@ from spechtmod.tableaux import (
     inversions,
     is_standard_rows,
     ladder_class_of_shape,
-    ladder_classes_by_shape,
+    ladder_orbit_representatives,
     reduced_word,
     residue_sequence,
     row_reading_tableau,
     standard_tableaux,
-    swap_entries,
     tableau_class,
 )
 
@@ -117,15 +117,35 @@ def test_ladder_class_diagonal_is_ladder_tableau():
                 assert ladder_decomposition(mu, p).ladder_tableau in cls
 
 
-def test_ladder_classes_by_shape_partitions_the_class():
+def test_ladder_orbit_representatives_tile_the_class():
+    """Each representative's orbit has ladder_group_order() members, all
+    in the class, so the representatives account for the whole class."""
     from spechtmod.partitions import ladder_decomposition
-    for mu in restricted_partitions(6, 3):
-        rs = ladder_decomposition(mu, 3).ladder_residue_sequence
-        by_shape = ladder_classes_by_shape(mu, 3)
-        assert sum(len(v) for v in by_shape.values()) == \
-            len(tableau_class(rs))
-        for shape, members in by_shape.items():
-            assert members == ladder_class_of_shape(mu, shape, 3)
+    for p, n in ((3, 6), (5, 8)):
+        for mu in restricted_partitions(n, p):
+            ld = ladder_decomposition(mu, p)
+            by_shape = ladder_orbit_representatives(mu, p)
+            assert sum(len(v) for v in by_shape.values()) \
+                * ld.ladder_group_order() \
+                == len(tableau_class(ld.ladder_residue_sequence))
+            for shape, reps in by_shape.items():
+                assert set(reps) <= set(ladder_class_of_shape(mu, shape, p))
+                assert ladder_orbit_representatives(mu, p, shape) == \
+                    {shape: reps}
+
+
+def test_ladder_orbit_representatives_match_class_filter_reference():
+    """The subset enumerator gives exactly the former full class filtered to
+    one member per orbit, shape by shape and in sort_key order."""
+    classes = 0
+    for p, top in ((3, 9), (5, 14), (7, 12)):
+        for n in range(top + 1):
+            for mu in restricted_partitions(n, p):
+                got = {shape: [t.rows for t in reps] for shape, reps
+                       in ladder_orbit_representatives(mu, p).items()}
+                assert got == oracles.ladder_class_representatives(mu, p)
+                classes += 1
+    assert classes == 712
 
 
 def test_classes_come_out_in_sort_key_order():
@@ -191,31 +211,12 @@ def test_d_word_worked_examples():
     assert d_reduced_word(s).word == (3, 5, 4)
 
 
-def test_swap_entries_standardness():
-    t = StandardTableau(((1, 2), (3, 4)))
-    assert swap_entries(t, 3).rows == ((1, 3), (2, 4))
-    # swapping 2,1 in the same row never yields a standard tableau
-    assert swap_entries(t, 2) is None
-
-
-def test_swap_entries_involution():
-    # every standard tableau with n <= 8: the two-position test agrees with
-    # the full standardness check, and a standard swap undoes itself
-    for n in range(1, 9):
-        for lam in all_partitions(n):
-            for t in standard_tableaux(lam):
-                for i in range(2, n + 1):
-                    rows = tuple(tuple(i - 1 if e == i else i if e == i - 1
-                                       else e for e in row) for row in t.rows)
-                    s = swap_entries(t, i)
-                    assert s == (from_rows(rows) if is_standard_rows(rows)
-                                 else None)
-                    if s is not None:
-                        assert swap_entries(s, i) == t
-
-
 def test_class_cap_guard():
     # class enumeration at large n needs the explicit override flag
     mu = (2,) + (1,) * 39
     with pytest.raises(ValueError):
         ladder_class_of_shape(mu, mu, 3)
+    with pytest.raises(ValueError):
+        ladder_orbit_representatives(mu, 3)
+    assert ladder_orbit_representatives(mu, 3, mu, allow_large=True)[mu] \
+        == (ladder_decomposition(mu, 3).ladder_tableau,)
