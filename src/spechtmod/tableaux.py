@@ -352,3 +352,17 @@ def d_reduced_word(t: StandardTableau, strategy: str = "canonical") -> Permutati
     word = reduced_word(one_line, strategy)
     assert len(word) == inversions(one_line)
     return PermutationWord(one_line, word)
+
+
+def swap_entries(t: StandardTableau, i: int):
+    """sigma_i . t (entries i-1 and i exchanged), or None when not standard.
+
+    Requires ``t`` standard and ``2 <= i <= t.n``.  Then sigma_i t is standard
+    exactly when i-1 and i share neither a row nor a column, so only those two
+    positions are read."""
+    (a, b), (c, d) = t._positions[i - 1], t._positions[i]
+    if a == c or b == d:
+        return None
+    rows = [list(row) for row in t.rows]
+    rows[a - 1][b - 1], rows[c - 1][d - 1] = i, i - 1
+    return StandardTableau(rows)

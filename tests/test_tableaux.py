@@ -19,6 +19,7 @@ from spechtmod.tableaux import (
     residue_sequence,
     row_reading_tableau,
     standard_tableaux,
+    swap_entries,
     tableau_class,
 )
 
@@ -209,6 +210,29 @@ def test_d_word_worked_examples():
     s = StandardTableau(((1, 3, 5), (2, 4)))
     # d(s) = sigma_3 sigma_5 sigma_4 in product order
     assert d_reduced_word(s).word == (3, 5, 4)
+
+
+def test_swap_entries_standardness():
+    t = StandardTableau(((1, 2), (3, 4)))
+    assert swap_entries(t, 3).rows == ((1, 3), (2, 4))
+    # swapping 2,1 in the same row never yields a standard tableau
+    assert swap_entries(t, 2) is None
+
+
+def test_swap_entries_involution():
+    # every standard tableau with n <= 8: the two-position test agrees with
+    # the full standardness check, and a standard swap undoes itself
+    for n in range(1, 9):
+        for lam in all_partitions(n):
+            for t in standard_tableaux(lam):
+                for i in range(2, n + 1):
+                    rows = tuple(tuple(i - 1 if e == i else i if e == i - 1
+                                       else e for e in row) for row in t.rows)
+                    s = swap_entries(t, i)
+                    assert s == (from_rows(rows) if is_standard_rows(rows)
+                                 else None)
+                    if s is not None:
+                        assert swap_entries(s, i) == t
 
 
 def test_class_cap_guard():
