@@ -77,10 +77,9 @@ def seminormal_vector_json(v) -> dict:
     """Shape string plus one {tableau, numerator, denominator} per term."""
     return {
         "shape": partition_str(v.shape),
-        "terms": [{"tableau": t.rows,
-                   "numerator": _jint(v.coeffs[t].numerator),
-                   "denominator": _jint(v.coeffs[t].denominator)}
-                  for t in v.support()],
+        "terms": [{"tableau": t.rows, "numerator": _jint(c.numerator),
+                   "denominator": _jint(c.denominator)}
+                  for t, c in sorted(v.coeffs.items())],
     }
 
 

@@ -13,16 +13,17 @@ the pipeline runs:
    count is checked to be 0 too;
 2. factor d(s) into a reduced word for each representative s;
 3. apply the chain phi_{i_k} ... phi_{i_1} of d(s) to the seminormal vector
-   of the row-reading tableau of tau (rightmost letter first), in the integer
-   form of :mod:`spechtmod.seminormal`: integer numerators over one common
-   denominator, reduced by one gcd per chain;
+   of the row-reading tableau of tau (rightmost letter first), with
+   ``act_by_word``: integer numerators over one common denominator, reduced
+   by one gcd per chain;
 4. symmetrize over the ladder group: on each interval a..b of m entries,
    average over its symmetric group as a product of coset sums, m(m-1)/2
-   generator applications, still in integer form and reduced by one gcd per
-   coset sum; each symmetrized vector becomes a rational
-   ``SeminormalVector`` once, and a maximal independent subset is kept;
-5. form the Gram matrix of the invariant form, whose entries must be
-   p-integral;
+   generator applications on the numerators, reduced by one gcd per coset
+   sum; a maximal independent subset is kept, by elimination on the
+   numerators;
+5. form the Gram matrix of the invariant form from the numerators weighted
+   by the norms over one common denominator, one ``Fraction`` per entry;
+   the entries must be p-integral;
 6. reduce mod p and take the rank.
 
 The resulting rank is the dimension of the mu-weight space of the simple
@@ -38,9 +39,9 @@ from .fock import evaluate_at_one, first_approximation
 from .partitions import (Partition, check_partition, is_p_restricted,
                          ladder_decomposition, restricted_partitions,
                          validate_ladder_lengths)
-from .seminormal import (SeminormalVector, apply_word, gamma,
-                         reduce_numerators, seminormal_step)
-from .tableaux import (StandardTableau, d_reduced_word, ladder_class_of_shape,
+from .seminormal import (SeminormalVector, act_by_word, norm,
+                         seminormal_step)
+from .tableaux import (d_reduced_word, ladder_class_of_shape,
                        ladder_orbit_representatives, row_reading_tableau)
 
 
@@ -68,10 +69,9 @@ def _require_valid_mu(mu: Partition, p: int) -> Partition:
 
 
 def _phi_chains(members, tau: Partition, p: int, word_strategy: str) -> list:
-    """One intertwiner-chain vector per given member of T_{mu,tau}, each as
-    (numerators, denominator) reduced by one gcd."""
-    start = {row_reading_tableau(tau).sort_key(): 1}
-    return [apply_word(d_reduced_word(s, word_strategy).word, start, 1, p)
+    """One intertwiner-chain vector per given member of T_{mu,tau}."""
+    start = SeminormalVector.unit(row_reading_tableau(tau))
+    return [act_by_word(d_reduced_word(s, word_strategy).word, start, p)
             for s in members]
 
 
@@ -81,63 +81,53 @@ def phi_chain_basis(mu: Partition, tau: Partition, p: int,
     """The intertwiner-chain vectors, one per member of T_{mu,tau}."""
     mu, tau = _require_valid_mu(mu, p), check_partition(tau)
     members = ladder_class_of_shape(mu, tau, p, allow_large=allow_large)
-    return tuple(SeminormalVector.from_numerators(tau, v, den)
-                 for v, den in _phi_chains(members, tau, p, word_strategy))
+    return tuple(_phi_chains(members, tau, p, word_strategy))
 
 
-def _interval_symmetrizer(v: dict, den: int, a: int, b: int) -> tuple:
-    """The average over the symmetric group on positions a..b, as the
-    product of coset sums D_b ... D_{a+1}, D_j = 1 + s_j + s_{j-1} s_j + ...
-    + s_{a+1} ... s_j summing the cosets of Sym(a..j-1) in Sym(a..j), on
-    (numerators, denominator) and reduced by one gcd per coset sum."""
-    for j in range(a + 1, b + 1):
-        term, acc = v, dict(v)
-        for i in range(j, a, -1):
-            term, scale = seminormal_step(i, term)
-            if scale != 1:
-                acc = {s: c * scale for s, c in acc.items()}
-                den *= scale
-            for s, c in term.items():
-                acc[s] = acc.get(s, 0) + c
-        v, den = reduce_numerators(acc, den)
-    return v, den * math.factorial(b - a + 1)
-
-
-def _symmetrize(v: dict, den: int, shape: Partition,
-                intervals) -> SeminormalVector:
-    """The ladder-group average of the integer-form vector ``v / den``."""
+def _symmetrize(v: SeminormalVector, intervals) -> SeminormalVector:
+    """The ladder-group average of v: on each interval a..b, the average over
+    its symmetric group as the product of coset sums D_b ... D_{a+1}, D_j =
+    1 + s_j + s_{j-1} s_j + ... + s_{a+1} ... s_j summing the j - a + 1
+    cosets of Sym(a..j-1) in Sym(a..j), each divided by that count."""
     for a, b in intervals:
-        if b > a:
-            v, den = _interval_symmetrizer(v, den, a, b)
-    return SeminormalVector.from_numerators(shape, v, den)
+        for j in range(a + 1, b + 1):
+            term, acc, den = v.nums, dict(v.nums), v.den
+            for i in range(j, a, -1):
+                term, scale = seminormal_step(i, term)
+                if scale != 1:
+                    acc = {s: c * scale for s, c in acc.items()}
+                    den *= scale
+                for s, c in term.items():
+                    acc[s] = acc.get(s, 0) + c
+            v = SeminormalVector.from_numerators(v.shape, acc,
+                                                 den * (j - a + 1))
+    return v
 
 
 def independent_subset(vectors) -> tuple:
     """Maximal Q-linearly independent subset, greedily in input order.
 
-    Gaussian elimination with tableau-indexed pivots; every stored pivot
-    vector is supported on its pivot position and later ones, so each
-    elimination step strictly advances the leading position and terminates.
+    Fraction-free Gaussian elimination on the numerators, pivoting on the
+    least position tuple (``sort_key`` order); every stored pivot row is
+    supported on its pivot position and later ones, so each elimination step
+    strictly advances the leading position and terminates.
     """
-    pivots = {}   # leading tableau -> normalized coeff dict
+    pivots = {}   # leading position -> numerators of the row led there
     kept = []
     for v in vectors:
-        work = dict(v.coeffs)
-        while True:
-            nonzero = [t for t, c in work.items() if c]
-            if not nonzero:
-                break    # v is dependent on the kept vectors
-            t = min(nonzero, key=StandardTableau.sort_key)
-            if t in pivots:
-                f = work.pop(t)
-                for u, c in pivots[t].items():
-                    if u != t:
-                        work[u] = work.get(u, Fraction(0)) - f * c
-            else:
-                lead = work[t]
-                pivots[t] = {u: c / lead for u, c in work.items() if c}
+        work = v.nums
+        while work:
+            s = min(work)
+            row = pivots.get(s)
+            if row is None:
+                pivots[s] = work
                 kept.append(v)
                 break
+            f, lead = work[s], row[s]
+            out = {u: c * lead for u, c in work.items()}
+            for u, c in row.items():
+                out[u] = out.get(u, 0) - f * c
+            work = {u: c for u, c in out.items() if c}
     return tuple(kept)
 
 
@@ -147,22 +137,26 @@ def ladder_symmetrize(mu: Partition, basis, p: int) -> tuple:
     multiples of each other (not equal), so at most one per orbit is kept."""
     mu = _require_valid_mu(mu, p)
     intervals = ladder_decomposition(mu, p).ladder_group_intervals
-    return independent_subset([_symmetrize(*v.numerators(), v.shape, intervals)
-                               for v in basis])
+    return independent_subset([_symmetrize(v, intervals) for v in basis])
 
 
 def gram_matrix(basis) -> tuple:
-    """Matrix of the invariant form on the given vectors (exact, symmetric);
-    each tableau's norm gamma is computed once per call."""
-    norms = {t: gamma(t) for t in {t for v in basis for t in v.coeffs}}
-    weighted = [{t: c * norms[t] for t, c in v.coeffs.items()} for v in basis]
+    """Matrix of the invariant form on the given vectors (exact, symmetric):
+    the numerators are weighted by the norms over one common denominator,
+    each position's norm computed once per call, and each entry is one
+    ``Fraction``."""
+    norms = {s: norm(s) for s in {s for v in basis for s in v.nums}}
+    common = math.lcm(*(d for _, d in norms.values()))
+    weighted = [{s: c * norms[s][0] * (common // norms[s][1])
+                 for s, c in v.nums.items()} for v in basis]
     k = len(basis)
-    g = [[Fraction(0)] * k for _ in range(k)]
+    g = [[None] * k for _ in range(k)]
     for a in range(k):
         for b in range(a, k):
-            small, big = sorted((basis[a].coeffs, weighted[b]), key=len)
-            g[a][b] = g[b][a] = sum(
-                (c * big[t] for t, c in small.items() if t in big), Fraction(0))
+            small, big = sorted((basis[a].nums, weighted[b]), key=len)
+            g[a][b] = g[b][a] = Fraction(
+                sum(c * big[s] for s, c in small.items() if s in big),
+                basis[a].den * basis[b].den * common)
     return tuple(tuple(row) for row in g)
 
 
@@ -215,8 +209,8 @@ def _gram_report(mu: Partition, tau: Partition, p: int, representatives,
     order."""
     ld = ladder_decomposition(mu, p)
     sym = independent_subset([
-        _symmetrize(v, den, tau, ld.ladder_group_intervals)
-        for v, den in _phi_chains(representatives, tau, p, word_strategy)])
+        _symmetrize(v, ld.ladder_group_intervals)
+        for v in _phi_chains(representatives, tau, p, word_strategy)])
     _check_weight_space_count(mu, tau, count, len(sym))
     gram = gram_matrix(sym)
     gram_p, rank = modp_rank(gram, p)

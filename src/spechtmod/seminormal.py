@@ -23,109 +23,123 @@ phi_i moves vectors between tableau classes (equal residue sequences mod p).
 The invariant bilinear form is diagonal, <xi_s, xi_t> = delta_st gamma_s,
 where gamma_s is a product of hook quotients over the entry-truncations of s.
 
-Every step runs in integer form: a vector is a dict of integer numerators
-keyed by entry-position tuples (``StandardTableau.sort_key``) over one common
-denominator.  ``seminormal_step`` scales the numerators by the lcm of the
-step's denominators (h for d(h), h^2 for e(h) with h < -1) and reports that
-factor, so no rational is formed and no tableau is built; sigma_i s is a swap
-of two positions.  ``apply_word`` runs a word of steps and reduces the result
-by one gcd.  ``SeminormalVector.numerators`` and ``from_numerators`` convert
-at the edges, and ``sigma_action``, ``phi_action`` and ``act_by_word`` are
-thin wrappers that convert once per call.
+A vector is held in integer form only: integer numerators keyed by
+entry-position tuples (``StandardTableau.sort_key``) over one positive common
+denominator, reduced by their gcd, so equal vectors have equal forms.  Its
+``coeffs``, ``{StandardTableau: Fraction}``, is a view built when read.
+``seminormal_step`` scales the numerators by the lcm of the step's
+denominators (h for d(h), h^2 for e(h) with h < -1) and reports that factor,
+so no rational is formed and no tableau is built; sigma_i s is a swap of two
+positions.  ``act_by_word`` runs a word of steps and reduces the result by one
+gcd, and ``sigma_action`` and ``phi_action`` are one-letter words.  ``norm``
+gives gamma as an integer pair from the position tuple.
 """
 
 import math
 from fractions import Fraction
 
-from .tableaux import StandardTableau, ResidueSequence, residue_sequence
+from .tableaux import StandardTableau, ResidueSequence
 
 Rational = Fraction
 
 
 class SeminormalVector:
-    """Sparse rational combination of seminormal basis vectors of one shape."""
+    """Sparse rational combination of seminormal basis vectors of one shape:
+    numerators ``nums`` keyed by entry-position tuples over ``den``."""
 
-    __slots__ = ("shape", "coeffs")
+    __slots__ = ("shape", "nums", "den")
 
     def __init__(self, shape, coeffs=None):
         self.shape = tuple(shape)
-        self.coeffs = {}
-        for t, c in (coeffs or {}).items():
-            if c:
-                if t.shape != self.shape:
-                    raise ValueError(f"{t} is not of shape {self.shape}")
-                self.coeffs[t] = Fraction(c)
+        coeffs = {t: Fraction(c) for t, c in (coeffs or {}).items() if c}
+        for t in coeffs:
+            if t.shape != self.shape:
+                raise ValueError(f"{t} is not of shape {self.shape}")
+        # over the lcm of lowest-terms denominators the gcd is already 1
+        self.den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self.nums = {t.sort_key(): c.numerator * (self.den // c.denominator)
+                     for t, c in coeffs.items()}
 
     @classmethod
     def unit(cls, t: StandardTableau) -> "SeminormalVector":
-        return cls(t.shape, {t: Fraction(1)})
+        return cls.from_numerators(t.shape, {t.sort_key(): 1}, 1)
 
     @classmethod
-    def from_numerators(cls, shape, coeffs: dict,
+    def from_numerators(cls, shape, nums: dict,
                         den: int) -> "SeminormalVector":
-        """The vector with coefficient ``c / den`` at the tableau with
-        entry-position tuple ``s``, for each item ``s: c`` of ``coeffs``."""
-        return cls(shape, {StandardTableau.from_positions(s): Fraction(c, den)
-                           for s, c in coeffs.items()})
+        """The vector with coefficient ``c / den`` (``den > 0``) at the
+        tableau with entry-position tuple ``s``, for each item ``s: c`` of
+        ``nums``; zeros are dropped and the rest reduced by one gcd."""
+        g = math.gcd(den, *nums.values())
+        v = cls.__new__(cls)
+        v.shape, v.den = tuple(shape), den // g
+        v.nums = {s: c // g for s, c in nums.items() if c}
+        return v
 
-    def numerators(self) -> tuple:
-        """(integer numerators keyed by entry-position tuples, their common
-        denominator): the integer form of this vector."""
-        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        return ({t.sort_key(): c.numerator * (den // c.denominator)
-                 for t, c in self.coeffs.items()}, den)
+    @property
+    def coeffs(self) -> dict:
+        """The rational view ``{StandardTableau: Fraction}``, built anew."""
+        return {StandardTableau.from_positions(s): Fraction(c, self.den)
+                for s, c in self.nums.items()}
 
     def coefficient(self, t: StandardTableau) -> Rational:
-        return self.coeffs.get(t, Fraction(0))
+        return Fraction(self.nums.get(t.sort_key(), 0), self.den)
 
     def support(self) -> tuple:
-        return tuple(sorted(self.coeffs, key=StandardTableau.sort_key))
+        return tuple(map(StandardTableau.from_positions, sorted(self.nums)))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other):
         return (isinstance(other, SeminormalVector) and self.shape == other.shape
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.nums == other.nums)
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        out = dict(self.coeffs)
-        for t, c in other.coeffs.items():
-            out[t] = out.get(t, Fraction(0)) + c
-        return SeminormalVector(self.shape, out)
+        den = math.lcm(self.den, other.den)
+        out = {s: c * (den // self.den) for s, c in self.nums.items()}
+        for s, c in other.nums.items():
+            out[s] = out.get(s, 0) + c * (den // other.den)
+        return SeminormalVector.from_numerators(self.shape, out, den)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, a) -> "SeminormalVector":
-        return SeminormalVector(self.shape,
-                                {t: c * a for t, c in self.coeffs.items()})
+        a = Fraction(a)
+        return SeminormalVector.from_numerators(
+            self.shape, {s: c * a.numerator for s, c in self.nums.items()},
+            self.den * a.denominator)
 
     def __repr__(self):
         parts = [f"({c})*xi{list(map(list, t.rows))}"
-                 for t, c in sorted(self.coeffs.items(),
-                                    key=lambda kv: kv[0].sort_key())]
+                 for t, c in sorted(self.coeffs.items())]
         return " + ".join(parts) if parts else "0"
 
 
-def gamma(t: StandardTableau) -> Rational:
-    """The seminormal norm <xi_t, xi_t>: over each entry-truncation of t,
-    the product of h/(h-1) along the row of the largest entry, hooks of
-    length one omitted.  E.g. gamma of any row-reading tableau telescopes
-    to the product of the row factorials."""
+def norm(positions) -> tuple:
+    """The seminormal norm <xi_t, xi_t> as a lowest-terms pair (numerator,
+    denominator), for the tableau t with entry-position tuple ``positions``:
+    over each entry-truncation of t, the product of h/(h-1) along the row of
+    the largest entry, hooks of length one omitted."""
     num = den = 1
-    col = [0] * (t.n + 1)        # column lengths of the truncation to 1..k
-    for k in range(1, t.n + 1):
-        c = t.position_of(k)[1]
-        col[c] += 1
-        r = col[c]
+    col = [0] * (len(positions) + 1)  # column lengths of the truncation
+    for r, c in positions:
+        col[c] = r
         for j in range(1, c):
             h = c - j + col[j] - r + 1
             num *= h
             den *= h - 1
-    return Fraction(num, den)
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def gamma(t: StandardTableau) -> Rational:
+    """The seminormal norm <xi_t, xi_t> (see ``norm``).  E.g. gamma of any
+    row-reading tableau telescopes to the product of the row factorials."""
+    return Fraction(*norm(t.sort_key()))
 
 
 def seminormal_step(i: int, coeffs: dict, p=None) -> tuple:
@@ -160,28 +174,15 @@ def seminormal_step(i: int, coeffs: dict, p=None) -> tuple:
     return {s: c for s, c in out.items() if c}, scale
 
 
-def reduce_numerators(coeffs: dict, den: int) -> tuple:
-    """Drop zero numerators and divide the rest and ``den`` by their gcd."""
-    g = math.gcd(den, *coeffs.values())
-    return {s: c // g for s, c in coeffs.items() if c}, den // g
-
-
-def apply_word(word, coeffs: dict, den: int, p=None) -> tuple:
-    """The integer-form vector ``coeffs / den`` acted on by a word in product
-    order (rightmost letter first), by sigma_i or, for a prime ``p``, by
-    phi_i; the result is reduced by one gcd."""
-    for i in reversed(word):
-        coeffs, scale = seminormal_step(i, coeffs, p)
-        den *= scale
-    return reduce_numerators(coeffs, den)
-
-
 def act_by_word(word, v: SeminormalVector, p=None) -> SeminormalVector:
     """Apply a product of generators given as a word in product order; the
     rightmost factor acts first, so letters are consumed in reverse.  The
     generators are sigma_i, or phi_i for the prime ``p`` when it is given."""
-    return SeminormalVector.from_numerators(
-        v.shape, *apply_word(word, *v.numerators(), p))
+    nums, den = v.nums, v.den
+    for i in reversed(word):
+        nums, scale = seminormal_step(i, nums, p)
+        den *= scale
+    return SeminormalVector.from_numerators(v.shape, nums, den)
 
 
 def sigma_action(i: int, v: SeminormalVector) -> SeminormalVector:
@@ -192,8 +193,9 @@ def sigma_action(i: int, v: SeminormalVector) -> SeminormalVector:
 def jm_action(k: int, v: SeminormalVector) -> SeminormalVector:
     """The Jucys-Murphy element L_k, diagonal with content eigenvalues
     (the k = 1 convention L_1 = 0 is the content of the (1,1) node)."""
-    return SeminormalVector(v.shape,
-                            {t: c * t.content(k) for t, c in v.coeffs.items()})
+    return SeminormalVector.from_numerators(
+        v.shape, {s: c * (s[k - 1][1] - s[k - 1][0])
+                  for s, c in v.nums.items()}, v.den)
 
 
 def phi_action(i: int, v: SeminormalVector, p: int) -> SeminormalVector:
@@ -203,11 +205,11 @@ def phi_action(i: int, v: SeminormalVector, p: int) -> SeminormalVector:
 
 
 def inner_product(u: SeminormalVector, v: SeminormalVector) -> Rational:
-    """The invariant form, diagonal on the seminormal basis with norms gamma."""
+    """The invariant form, diagonal on the seminormal basis with norms gamma,
+    summed over the rational views: the reference for ``ranks.gram_matrix``."""
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    small, big = (u.coeffs, v.coeffs) if len(u.coeffs) <= len(v.coeffs) \
-        else (v.coeffs, u.coeffs)
+    small, big = sorted((u.coeffs, v.coeffs), key=len)
     out = Fraction(0)
     for t, c in small.items():
         d = big.get(t)
@@ -218,6 +220,6 @@ def inner_product(u: SeminormalVector, v: SeminormalVector) -> Rational:
 
 def class_project(rs: ResidueSequence, v: SeminormalVector) -> SeminormalVector:
     """Restrict to the basis vectors whose residue sequence equals rs."""
-    return SeminormalVector(v.shape,
-                            {t: c for t, c in v.coeffs.items()
-                             if residue_sequence(t, rs.p) == rs})
+    return SeminormalVector.from_numerators(
+        v.shape, {s: c for s, c in v.nums.items()
+                  if tuple((j - i) % rs.p for i, j in s) == rs.values}, v.den)

@@ -199,7 +199,8 @@ def check_class_cap(n: int, allow_large=None,
             raise ValueError(
                 f"class enumeration is capped at n = {_CLASS_CAP}, got n={n}")
         raise ValueError(
-            f"{what} with n={n} > {_CLASS_CAP} needs allow_large=True")
+            f"{what} with n={n} > {_CLASS_CAP} needs allow_large=True "
+            "(--allow-large)")
 
 
 def tableau_class(rs: ResidueSequence, allow_large: bool = False) -> tuple:
@@ -317,10 +318,11 @@ def reduced_word(one_line: tuple, strategy: str = "canonical") -> tuple:
     """
     if strategy not in ("canonical", "reverse"):
         raise ValueError(f"unknown word strategy {strategy!r}")
-    w = list(one_line)
-    n = len(w)
+    if sorted(one_line) != list(range(1, len(one_line) + 1)):
+        raise ValueError(f"{one_line} is not a permutation of 1..n")
+    n = len(one_line)
     pos = [0] * (n + 1)
-    for idx, val in enumerate(w):
+    for idx, val in enumerate(one_line):
         pos[val] = idx
     word = []
     while True:
@@ -333,10 +335,7 @@ def reduced_word(one_line: tuple, strategy: str = "canonical") -> tuple:
         if found is None:
             break
         word.append(found)
-        a, b = pos[found - 1], pos[found]
-        w[a], w[b] = w[b], w[a]
-        pos[found - 1], pos[found] = b, a
-    assert w == list(range(1, n + 1))
+        pos[found - 1], pos[found] = pos[found], pos[found - 1]
     return tuple(word)
 
 

@@ -162,7 +162,8 @@ def gram_oracle_dimD(tau: Partition, p: int, allow_large: bool = False) -> int:
     size = standard_tableau_count(tau)
     if size > _ORACLE_CAP and not allow_large:
         raise ValueError(
-            f"|Std({tau})| = {size} > {_ORACLE_CAP} needs allow_large=True")
+            f"|Std({tau})| = {size} > {_ORACLE_CAP} needs allow_large=True "
+            "(--allow-large)")
     start = SeminormalVector.unit(row_reading_tableau(tau))
     basis = [act_by_word(d_reduced_word(t).word, start)
              for t in standard_tableaux(tau)]

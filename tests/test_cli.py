@@ -145,6 +145,18 @@ class TestRankCommand:
                               "--tau", "2,1"], capsys)
         assert rc == 2 and "restricted" in err
 
+    def test_class_cap_names_the_flag(self, capsys, monkeypatch):
+        # the refusal comes before the Fock side and names --allow-large
+        def no_fock(mu, p):
+            raise AssertionError("Fock side ran before the class cap")
+
+        monkeypatch.setattr("spechtmod.tableaux._CLASS_CAP", 4)
+        monkeypatch.setattr("spechtmod.ranks.first_approximation", no_fock)
+        rc, out, err = run_cli(["rank", "--p", "3", "--mu", "2,1^3",
+                                "--tau", "2,2,1"], capsys)
+        assert rc == 2 and out == ""
+        assert "--allow-large" in err
+
     @pytest.mark.parametrize("argv, digest", [
         (["--p", "5", "--mu", "6,3,1^3", "--tau", "7,3,1,1"],
          "a92d47cdbff321592b10c20938d06c5b1c781a63143d8485ea9cecb55f21e60c"),
@@ -335,6 +347,7 @@ class TestOracleCommand:
                                capsys)
         assert rc == 2 and out == ""
         assert "= 292864 > 20000 needs allow_large=True" in err
+        assert "--allow-large" in err
 
 
 class TestValidation:

@@ -146,6 +146,39 @@ def shapes_up_to(max_n):
         yield from all_partitions(n)
 
 
+def test_integer_form_is_canonical_n_le_6():
+    """nums over den is reduced with den > 0, zero is ({}, 1), the rational
+    view round-trips, and + - scale agree with Fraction arithmetic on the
+    views."""
+    rng = random.Random(20261019)
+    zero = SeminormalVector((2, 1), {})
+    assert (zero.nums, zero.den) == ({}, 1)
+    assert (SeminormalVector((2, 1)) - zero).nums == {}
+    for lam in shapes_up_to(6):
+        tabs = standard_tableaux(lam)
+        for _ in range(4):
+            u, v = (SeminormalVector(lam, {
+                t: Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+                for t in rng.sample(tabs, rng.randint(0, len(tabs)))})
+                for _ in range(2))
+            for w in (u, v, u + v, u - v, u - u, v.scale(Fraction(-3, 2))):
+                assert w.den > 0
+                assert math.gcd(w.den, *w.nums.values()) == 1
+                assert 0 not in w.nums.values()
+                assert SeminormalVector(w.shape, w.coeffs) == w
+                if not w:
+                    assert (w.nums, w.den) == ({}, 1)
+            assert (u == v) == (u.coeffs == v.coeffs)
+            assert u - u == SeminormalVector(lam)
+            for got, op in ((u + v, lambda a, b: a + b),
+                            (u - v, lambda a, b: a - b)):
+                want = {t: op(u.coefficient(t), v.coefficient(t))
+                        for t in tabs}
+                assert got.coeffs == {t: c for t, c in want.items() if c}
+            assert v.scale(Fraction(-3, 2)).coeffs == {
+                t: c * Fraction(-3, 2) for t, c in v.coeffs.items()}
+
+
 def test_coxeter_relations_n_le_6():
     for lam in shapes_up_to(6):
         n = sum(lam)

@@ -184,6 +184,13 @@ def test_reduced_word_letters_in_range(w):
             assert 2 <= i <= len(w)
 
 
+@pytest.mark.parametrize("one_line", [(1, 1, 2), (0, 1), (2, 3)])
+def test_reduced_word_rejects_non_permutations(one_line):
+    for strategy in ("canonical", "reverse"):
+        with pytest.raises(ValueError, match="not a permutation"):
+            reduced_word(one_line, strategy)
+
+
 @given(shape_strategy(max_n=7))
 @settings(max_examples=40)
 def test_d_permutation_sends_row_reading_to_t(lam):

@@ -8,7 +8,9 @@ from spechtmod import fock
 from spechtmod.fock import evaluate_at_one, llt_canonical
 from spechtmod.partitions import (all_partitions, dominates,
                                   restricted_partitions,
-                                  standard_tableau_count)
+                                  standard_tableau_count,
+                                  validate_ladder_lengths)
+from spechtmod.tableaux import StandardTableau, ladder_orbit_representatives
 from spechtmod.verify import (VerificationReport, conjecture_check,
                               consistency_check, gram_oracle_dimD, m_matrix)
 
@@ -97,6 +99,27 @@ class TestMMatrix:
             for a, lam in enumerate(order):
                 for b, mu in enumerate(order):
                     assert mat[a][b] == oracles.dim_e_tilde_D_oracle(mu, lam, 3)
+
+    def test_tableaux_built_only_for_orbit_representatives(self,
+                                                            monkeypatch):
+        # chains, symmetrization and Gram matrices run on position tuples,
+        # so the only StandardTableau objects built from positions are the
+        # orbit representatives themselves
+        counts = counts_at_one(16, 5)
+        reps = sum(len(ts) for mu in restricted_partitions(16, 5)
+                   if validate_ladder_lengths(mu, 5)
+                   for ts in ladder_orbit_representatives(mu, 5).values())
+        built = []
+        original = StandardTableau.from_positions.__func__
+
+        def counting(cls, node_seq):
+            built.append(node_seq)
+            return original(cls, node_seq)
+
+        monkeypatch.setattr(StandardTableau, "from_positions",
+                            classmethod(counting))
+        m_matrix(16, 5, counts)
+        assert len(built) == reps == 863
 
 
 class TestConjectureCheck:
