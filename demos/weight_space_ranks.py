@@ -8,7 +8,7 @@ transition matrix at q = 1.
 Run:  python3 demos/weight_space_ranks.py
 """
 
-from spechtmod.fock import evaluate_at_one, first_approximation
+from spechtmod.fock import evaluate_at_one, first_approximations
 from spechtmod.partitions import ladder_decomposition, restricted_partitions
 from spechtmod.ranks import gram_report, phi_chain_basis, weight_space_dims
 from spechtmod.tableaux import ladder_class_of_shape
@@ -50,10 +50,10 @@ for pair in (((3, 2), (4, 1)), ((2, 1, 1, 1), (2, 2, 1))):
 
 header("Weight-space dimension matrix for n = 5, p = 3")
 order = restricted_partitions(5, 3)
-# one column per weight mu, from one A(mu) and one enumeration of its class
+# one column per weight mu, from its A(mu) and one enumeration of its class
 columns = [weight_space_dims(mu, 3, {
-    tau: evaluate_at_one(c)
-    for tau, c in first_approximation(mu, 3).terms.items()}) for mu in order]
+    tau: evaluate_at_one(c) for tau, c in a.terms.items()})
+    for mu, a in first_approximations(order, 3).items()]
 print(" " * 14 + "  ".join(pstr(mu).rjust(11) for mu in order))
 for a, lam in enumerate(order):
     print(pstr(lam).ljust(14)

@@ -18,8 +18,9 @@ from .tableaux import (StandardTableau, ResidueSequence, d_reduced_word,
                        row_reading_tableau, standard_tableaux, tableau_class)
 from .fock import (CanonicalBasisTable, FockVector, LaurentPoly, bar,
                    divided_f, evaluate_at_one, f_action,
-                   first_approximation, gaussian, gaussian_factorial,
-                   invert_unitriangular, llt_canonical, nmat_at_one)
+                   first_approximation, first_approximations, gaussian,
+                   gaussian_factorial, invert_unitriangular, llt_canonical,
+                   nmat_at_one)
 from .seminormal import (Rational, SeminormalVector, class_project, gamma,
                          inner_product, jm_action, phi_action, sigma_action)
 from .ranks import (GramReport, dim_e_tilde_D, gram_matrix, gram_report,

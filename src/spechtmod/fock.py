@@ -27,10 +27,13 @@ powers applied to the vacuum,
 .. math::  A(\mu) = f_{\iota_m}^{(|L_m|)} \cdots f_{\iota_1}^{(|L_1|)}\,\emptyset ,
 
 a bar-invariant vector supported on partitions dominating mu with leading
-coefficient 1.  The canonical basis vector G(mu) is characterized by
-bar-invariance and G(mu) = mu mod qZ[q]; ``llt_canonical`` extracts it by
-subtracting bar-symmetric corrections n(q) G(nu) at dominance-greater nu,
-most dominant first, and records the transition matrix n.
+coefficient 1.  ``first_approximations`` builds the products of many mu in
+one walk: products that share a ladder prefix share its partial product,
+held on one path stack, so each distinct prefix costs one divided power.
+The canonical basis vector G(mu) is characterized by bar-invariance and
+G(mu) = mu mod qZ[q]; ``llt_canonical`` extracts it by subtracting
+bar-symmetric corrections n(q) G(nu) at dominance-greater nu, most dominant
+first, and records the transition matrix n.
 """
 
 from dataclasses import dataclass
@@ -244,30 +247,58 @@ def divided_f(i: int, k: int, v: FockVector, p: int) -> FockVector:
     Adding an i-node creates or destroys no other addable or removable i-node
     (p > 1), so along any ordering of S the f_i exponents sum to N(lam, S) +
     k(k-1)/2 - 2 (pairs added left-first); over all k! orderings that gives
-    q^N(lam, S) [k]_q!."""
+    q^N(lam, S) [k]_q!.  ``adds`` runs by increasing row, so the addable
+    i-nodes left of ``adds[j]`` are ``adds[j+1:]`` and N(lam, S) is the sum
+    of ``weight[j]`` over S less the k(k-1)/2 pairs inside S."""
     if k <= 0:
         raise ValueError("divided power needs k >= 1")
+    pairs = k * (k - 1) // 2
     out = {}
     for lam, c in v.terms.items():
         adds = addable_nodes(lam, i, p)
         rems = removable_nodes(lam, i, p)
-        for subset in combinations(adds, k):
-            npow = sum(sum(1 for a in adds if a[1] < g[1] and a not in subset)
-                       - sum(1 for r in rems if r[1] < g[1]) for g in subset)
-            mu = lam
-            for g in subset:
-                mu = add_node(mu, g)
-            out[mu] = out.get(mu, LaurentPoly.zero()) + c * LaurentPoly.q_power(npow)
-    return FockVector(v.n + k, out)
+        weight = [len(adds) - 1 - j - sum(1 for r in rems if r[1] < g[1])
+                  for j, g in enumerate(adds)]
+        for subset in combinations(range(len(adds)), k):
+            parts = list(lam) + [0]
+            for j in subset:
+                parts[adds[j][0] - 1] += 1
+            mu = tuple(parts) if parts[-1] else tuple(parts[:-1])
+            shift = sum(weight[j] for j in subset) - pairs
+            acc = out.setdefault(mu, {})
+            for e, x in c.coeffs.items():
+                acc[e + shift] = acc.get(e + shift, 0) + x
+    return FockVector(v.n + k,
+                      {mu: LaurentPoly(acc) for mu, acc in out.items()})
+
+
+def first_approximations(mus, p: int) -> dict:
+    """A(mu) for each mu in ``mus``, keyed in input order.
+
+    The mu are visited in sorted order of their (residue, ladder size) steps.
+    A path stack holds the products for the current prefix: pop back to the
+    prefix shared with the previous mu, push one divided power per remaining
+    step.  So each distinct prefix costs one ``divided_f`` call."""
+    steps = {}
+    for mu in mus:
+        ld = ladder_decomposition(check_partition(mu), p)
+        steps[ld.partition] = tuple(zip(ld.residues, ld.sizes))
+    out, path, prev = dict.fromkeys(steps), [FockVector.vacuum()], ()
+    for mu in sorted(steps, key=steps.get):
+        cur, d = steps[mu], 0
+        while d < min(len(prev), len(cur)) and prev[d] == cur[d]:
+            d += 1
+        del path[d + 1:]
+        for iota, m in cur[d:]:
+            path.append(divided_f(iota, m, path[-1], p))
+        out[mu], prev = path[-1], cur
+    return out
 
 
 def first_approximation(mu: Partition, p: int) -> FockVector:
     """The ladder product of divided powers applied to the vacuum vector."""
-    ld = ladder_decomposition(check_partition(mu), p)
-    v = FockVector.vacuum()
-    for m, iota in zip(ld.sizes, ld.residues):
-        v = divided_f(iota, m, v, p)
-    return v
+    (a,) = first_approximations((mu,), p).values()
+    return a
 
 
 @dataclass(frozen=True)
@@ -304,7 +335,9 @@ def _bar_symmetric_correction(c: LaurentPoly) -> LaurentPoly:
 def llt_canonical(n: int, p: int, order=None) -> CanonicalBasisTable:
     """Compute G(mu) and n(lam, mu) for every p-restricted mu of n.
 
-    Processing mu most dominant first, the current vector starts at A(mu) and
+    The A(mu) come from one ``first_approximations`` call, whose ladder
+    products share their prefixes through one path stack.  Processing mu
+    most dominant first, the current vector starts at A(mu) and
     bar-symmetric corrections n(q) G(nu) are subtracted at the most dominant
     nu != mu whose coefficient still has a term of non-positive degree; a
     subtraction can re-dirty strictly more dominant coefficients, but each
@@ -318,7 +351,7 @@ def llt_canonical(n: int, p: int, order=None) -> CanonicalBasisTable:
     if set(order) != set(restricted) or len(set(order)) != len(order):
         raise ValueError("order must enumerate the p-restricted partitions of n")
     pos = {mu: k for k, mu in enumerate(order)}
-    A = {mu: first_approximation(mu, p) for mu in order}
+    A = first_approximations(order, p)
     G, nmat = {}, {}
     cap = 1000 + 20 * len(order) * len(order)
     for mu in order:

@@ -102,6 +102,12 @@ def ladder_sizes(mu, p):
     return tuple(counts[b] for b in sorted(counts))
 
 
+def ladder_steps(mu, p):
+    """The (residue, size) of each nonempty ladder of mu, smallest first."""
+    word, sizes = ladder_residues(mu, p), ladder_sizes(mu, p)
+    return tuple((word[sum(sizes[:k])], m) for k, m in enumerate(sizes))
+
+
 # ------------------------------------------------------- permutation helpers
 
 def perm_sign(one_line):
@@ -625,6 +631,59 @@ def seminormal_step_reference(i, vec, p=None):
             e = 1 if h > 1 else Fraction(h * h - 1, h * h)
             out[swapped] = out.get(swapped, 0) + c * e
     return {rows: c for rows, c in out.items() if c}
+
+
+# ---------------------------------------------------- first approximations
+
+def _addable_of_residue(lam, i, p):
+    """Addable nodes (row, col) of lam with (col - row) mod p == i."""
+    out = []
+    for r in range(1, len(lam) + 2):
+        row = lam[r - 1] if r <= len(lam) else 0
+        if (r == 1 or row < lam[r - 2]) and (row + 1 - r) % p == i:
+            out.append((r, row + 1))
+    return out
+
+
+def _removable_of_residue(lam, i, p):
+    """Removable nodes (row, col) of lam with (col - row) mod p == i."""
+    out = []
+    for r in range(1, len(lam) + 1):
+        below = lam[r] if r < len(lam) else 0
+        if lam[r - 1] > below and (lam[r - 1] - r) % p == i:
+            out.append((r, lam[r - 1]))
+    return out
+
+
+def divided_power_reference(i, k, vec, p):
+    """f_i^(k) on {partition: {exponent: int}}: the sum over k-subsets S of
+    addable i-nodes of q^N(lam, S) (lam with S added), N counted node by
+    node as addable i-nodes outside S in smaller columns minus removable
+    i-nodes in smaller columns (Lascoux-Leclerc-Thibon 1996)."""
+    out = {}
+    for lam, c in vec.items():
+        adds = _addable_of_residue(lam, i, p)
+        rems = _removable_of_residue(lam, i, p)
+        for subset in itertools.combinations(adds, k):
+            npow = sum(
+                sum(1 for a in adds if a[1] < g[1] and a not in subset)
+                - sum(1 for r in rems if r[1] < g[1]) for g in subset)
+            parts = list(lam) + [0]
+            for r, _ in subset:
+                parts[r - 1] += 1
+            nu = tuple(a for a in parts if a)
+            out[nu] = l_add(out.get(nu, {}),
+                            {e + npow: x for e, x in c.items()})
+    return {nu: c for nu, c in out.items() if c}
+
+
+def first_approximation_reference(mu, p):
+    """A(mu) as {partition: {exponent: int}}: the ladder product of divided
+    powers, applied one ladder at a time to the vacuum."""
+    vec = {(): {0: 1}}
+    for i, k in ladder_steps(mu, p):
+        vec = divided_power_reference(i, k, vec, p)
+    return vec
 
 
 # -------------------------------------------------- canonical-basis solver

@@ -1,10 +1,12 @@
 import dataclasses
+import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from spechtmod import fock
 from spechtmod.fock import (
     FockVector,
     LaurentPoly,
@@ -14,6 +16,7 @@ from spechtmod.fock import (
     evaluate_at_one,
     f_action,
     first_approximation,
+    first_approximations,
     gaussian,
     gaussian_factorial,
     invert_unitriangular,
@@ -127,6 +130,58 @@ def test_first_approximation_golden_table():
         assert {lam: dict(c.coeffs) for lam, c in a.terms.items()} == want
 
 
+
+@pytest.mark.parametrize("p, top", [(3, 9), (5, 12), (7, 12)])
+def test_first_approximations_match_vacuum_products(p, top):
+    for n in range(top + 1):
+        order = restricted_partitions(n, p)
+        batch = first_approximations(order, p)
+        assert list(batch) == list(order)
+        for mu in order:
+            want = oracles.first_approximation_reference(mu, p)
+            assert {lam: c.coeffs for lam, c in batch[mu].terms.items()} \
+                == want, (p, mu)
+
+
+def test_first_approximations_keep_input_order():
+    order = restricted_partitions(8, 3)
+    forward = first_approximations(order, 3)
+    backward = first_approximations(order[::-1], 3)
+    assert list(backward) == list(order[::-1])
+    assert backward == forward
+    assert list(first_approximations([[2, 1, 0], (1, 1, 1)], 3)) == \
+        [(2, 1), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("p, n, prefixes", [(5, 14, 398), (7, 22, 3756)])
+def test_first_approximations_one_divided_power_per_prefix(monkeypatch, p, n,
+                                                          prefixes):
+    # one divided_f call per distinct non-empty (residue, size) prefix,
+    # whatever order the partitions come in
+    order = restricted_partitions(n, p)
+    distinct = set()
+    for mu in order:
+        steps = oracles.ladder_steps(mu, p)
+        distinct.update(steps[:d] for d in range(1, len(steps) + 1))
+    assert len(distinct) == prefixes
+    calls = []
+    real = fock.divided_f
+    monkeypatch.setattr(fock, "divided_f",
+                        lambda *args: calls.append(1) or real(*args))
+    shuffled = random.Random(0).sample(order, len(order))
+    for listing in (order, order[::-1], shuffled):
+        calls.clear()
+        first_approximations(listing, p)
+        assert len(calls) == prefixes
+
+
+def test_first_approximations_reject_non_restricted():
+    with pytest.raises(ValueError, match="not 3-restricted"):
+        first_approximations(((2, 1), (4,)), 3)
+    with pytest.raises(ValueError, match="not 3-restricted"):
+        first_approximation((4,), 3)
+
+
 def test_f_action_coefficients_are_monomials():
     # every coefficient of f_i on a basis vector is 0 or a single power of q
     # with coefficient 1
@@ -236,6 +291,8 @@ def test_llt_alternate_order_same_basis():
         if alt == default.order:
             continue
         table = llt_canonical(n, 3, order=alt)
+        assert list(table.A) == list(alt)
+        assert table.A == default.A
         for mu in default.order:
             assert table.G[mu].terms == default.G[mu].terms
             for lam in default.order:

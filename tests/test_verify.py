@@ -4,7 +4,7 @@ identities, decomposition numbers, and the full-Gram dimension oracle."""
 import pytest
 
 import oracles
-from spechtmod import fock
+from spechtmod import fock, verify
 from spechtmod.fock import evaluate_at_one, llt_canonical
 from spechtmod.partitions import (all_partitions, dominates,
                                   restricted_partitions,
@@ -163,18 +163,32 @@ class TestConjectureCheck:
         def no_gram_side_fock(mu, p):
             raise AssertionError(f"the Gram side computed A({mu})")
 
-        calls = []
-        real = fock.first_approximation
+        # and the Fock side makes one divided power per distinct ladder
+        # prefix (residue, size) of the restricted partitions
+        calls, tables = [], []
+        real_f, real_llt = fock.divided_f, verify.llt_canonical
 
-        def counted(mu, p):
-            calls.append(mu)
-            return real(mu, p)
+        def counted(*args):
+            calls.append(args[:2])
+            return real_f(*args)
+
+        def kept(n, p):
+            tables.append(real_llt(n, p))
+            return tables[-1]
 
         monkeypatch.setattr("spechtmod.ranks.first_approximation",
                             no_gram_side_fock)
-        monkeypatch.setattr("spechtmod.fock.first_approximation", counted)
+        monkeypatch.setattr("spechtmod.fock.divided_f", counted)
+        monkeypatch.setattr("spechtmod.verify.llt_canonical", kept)
         assert conjecture_check(8, 3, jobs=jobs).overall
-        assert sorted(calls) == sorted(restricted_partitions(8, 3))
+        restricted = restricted_partitions(8, 3)
+        prefixes = set()
+        for mu in restricted:
+            steps = oracles.ladder_steps(mu, 3)
+            prefixes.update(steps[:d] for d in range(1, len(steps) + 1))
+        assert len(calls) == len(prefixes)
+        (table,) = tables
+        assert list(table.A) == list(restricted)
 
     def test_overall_small_p5(self):
         for n in range(1, 7):
