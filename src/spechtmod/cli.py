@@ -14,10 +14,11 @@ amount of parallelism, never the content.  JSON reports are streamed to the
 destination in batches, with exactly the bytes of
 ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, so the text
 of a large report is never held in memory whole; everything in it is
-computed before the first byte is written.  Exit status: 0 on success (and all
-checks passing), 1 when a verification check or the nonnegativity finding
-fails, 2 on invalid input (an ``--output`` path that cannot be opened
-included).
+computed before the first byte is written.  The N^2 check records of
+``verify`` go through one fixed template, built once and filled per record.
+Exit status: 0 on success (and all checks passing), 1 when a verification
+check or the nonnegativity finding fails, 2 on invalid input (an
+``--output`` path that cannot be opened included).
 """
 
 import argparse
@@ -102,13 +103,38 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
             type(None): lambda _: "null"}
 
 
+def _not_scalar(value):
+    raise TypeError(f"{type(value).__name__} in Records is not a JSON scalar")
+
+
+class Records:
+    """A JSON list of objects with the same keys, given in sorted order, and
+    scalar values only: ``rows`` yields each object's values in key order.
+    ``_write_json`` fills one template per object, built once per list."""
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys, rows):
+        self.keys, self.rows = keys, rows
+
+
+def check_records(checks, names) -> Records:
+    """The ``checks`` list of a verify report: ``checks`` is any Mapping
+    (mu, tau) -> {"lhs", "expected", "pass"}, ``names`` the text of each
+    partition."""
+    return Records(("expected", "lhs", "mu", "pass", "tau"), (
+        (rec["expected"], rec["lhs"], names[mu], rec["pass"], names[tau])
+        for (mu, tau), rec in checks.items()))
+
+
 def _write_json(obj, fh) -> None:
     """Write ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` to fh.
 
     Handles dicts with str keys, lists, tuples and generators (written as
-    lists), str, int, bool and None; anything else raises TypeError.  An int
-    inside a list obeys the int64 rule of ``_jint``; a list of ints only is
-    written by one join.  The text goes out ``_BATCH`` pieces at a time."""
+    lists), ``Records``, str, int, bool and None; anything else raises
+    TypeError.  An int inside a list obeys the int64 rule of ``_jint``; an
+    int in an object, ``Records`` included, is written as it is.  A list of
+    ints only is written by one join.  The text goes out ``_BATCH`` pieces
+    at a time."""
     out = []
 
     def key_text(key):
@@ -116,9 +142,27 @@ def _write_json(obj, fh) -> None:
             raise TypeError(f"JSON object key {key!r} is not a str")
         return encode_basestring_ascii(key) + ": "
 
+    def write_records(obj, pad):
+        inner = pad + "  "
+        fields = ",".join(inner + "  " + key_text(k).replace("%", "%%") + "%s"
+                          for k in obj.keys)
+        template = "{" + fields + inner + "}" if fields else "{}"
+        sep = "[" + inner
+        for row in obj.rows:
+            out.append(sep + template % tuple(
+                [_SCALARS.get(type(v), _not_scalar)(v) for v in row]))
+            sep = "," + inner
+            if len(out) >= _BATCH:
+                fh.write("".join(out))
+                out.clear()
+        out.append(pad + "]" if sep[0] == "," else "[]")
+
     def walk(obj, pad):
         inner = pad + "  "
         kind = type(obj)
+        if kind is Records:
+            write_records(obj, pad)
+            return
         if kind is dict:
             items = ((key_text(k), obj[k]) for k in sorted(obj))
             brackets = "{}"
@@ -246,9 +290,7 @@ def _cmd_verify(args) -> int:
         "nmat1": report.nmat1,
         "amat": report.amat,
         "mmat": report.mmat,
-        "checks": ({"mu": names[mu], "tau": names[tau], "lhs": rec["lhs"],
-                    "expected": rec["expected"], "pass": rec["pass"]}
-                   for (mu, tau), rec in report.checks.items()),
+        "checks": check_records(report.checks, names),
         "overall": report.overall,
         "nonnegativity_violations": [
             {"lam": names[lam], "mu": names[mu], "value": _jint(v)}

@@ -125,12 +125,28 @@ def all_removable_nodes(lam: Partition) -> tuple:
 
 def addable_nodes(lam: Partition, i: int, p: int) -> tuple:
     """Addable nodes of residue ``i`` (mod p), by increasing row."""
-    return tuple(g for g in all_addable_nodes(lam) if node_residue(g, p) == i % p)
+    lam = tuple(lam)
+    i %= p
+    out = []
+    above = None
+    for r, row in enumerate(lam, 1):
+        if (above is None or row < above) and (row + 1 - r) % p == i:
+            out.append((r, row + 1))
+        above = row
+    if -len(lam) % p == i:          # the node (len + 1, 1) below the last row
+        out.append((len(lam) + 1, 1))
+    return tuple(out)
 
 
 def removable_nodes(lam: Partition, i: int, p: int) -> tuple:
     """Removable nodes of residue ``i`` (mod p), by increasing row."""
-    return tuple(g for g in all_removable_nodes(lam) if node_residue(g, p) == i % p)
+    lam = tuple(lam)
+    i %= p
+    out = []
+    for r, (row, below) in enumerate(zip(lam, lam[1:] + (0,)), 1):
+        if row > below and (row - r) % p == i:
+            out.append((r, row))
+    return tuple(out)
 
 
 def add_node(lam: Partition, node: Node) -> Partition:

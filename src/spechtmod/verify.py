@@ -27,7 +27,9 @@ carry an explicit marker and skip the mu columns whose ladder lengths reach p.
 
 import multiprocessing
 import os
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
+from itertools import product
 
 from .fock import evaluate_at_one, invert_unitriangular, llt_canonical, nmat_at_one
 from .partitions import (Partition, all_partitions, check_partition, dominates,
@@ -39,9 +41,63 @@ from .tableaux import (check_class_cap, d_reduced_word, row_reading_tableau,
                        standard_tableaux)
 
 
+class Grid(Mapping):
+    """Read-only Mapping ``(row key, column key) -> entry`` over a table held
+    as rows, iterated row by row.  ``entry(i, j, value)`` makes the mapped
+    entry from ``rows[i][j]``; by default the entry is the value itself."""
+
+    def __init__(self, row_keys, col_keys, rows, entry=None):
+        self.row_keys, self.col_keys, self.rows = row_keys, col_keys, rows
+        self._entry = entry or (lambda i, j, value: value)
+        self._row_at = {key: i for i, key in enumerate(row_keys)}
+        self._col_at = {key: j for j, key in enumerate(col_keys)}
+
+    def __getitem__(self, key):
+        try:
+            a, b = key
+            i, j = self._row_at[a], self._col_at[b]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        return self._entry(i, j, self.rows[i][j])
+
+    def __iter__(self):
+        return product(self.row_keys, self.col_keys)
+
+    def __len__(self):
+        return len(self.row_keys) * len(self.col_keys)
+
+    def items(self):
+        return _GridItems(self)
+
+
+class _GridItems(ItemsView):
+    """The items of a Grid, read off its rows without any key lookup."""
+
+    def __iter__(self):
+        grid = self._mapping
+        entry, cols = grid._entry, grid.col_keys
+        for i, (a, row) in enumerate(zip(grid.row_keys, grid.rows)):
+            for j, (b, value) in enumerate(zip(cols, row)):
+                yield (a, b), entry(i, j, value)
+
+
+def _check_record(i: int, j: int, lhs) -> dict:
+    """The record of (mu, tau) = (order[i], order[j]): the identity of
+    column mu at row tau, whose left-hand side is ``lhs``."""
+    expected = int(i == j)
+    return {"lhs": lhs, "expected": expected,
+            "pass": None if lhs is None else lhs == expected}
+
+
 @dataclass
 class VerificationReport:
-    """Everything the verify pipeline produced for one (n, p)."""
+    """Everything the verify pipeline produced for one (n, p).
+
+    ``checks`` and ``decomposition`` are read-only Mappings over tables of
+    rows: conjecture_check stores the N lhs columns and the |Par_n| x N
+    decomposition rows, and no per-entry key or dict; each check record is
+    built when it is read.  Any other Mapping may be passed for either; a
+    ``decomposition`` Mapping is read into rows."""
     p: int
     n: int
     order: tuple                 # p-restricted partitions, most dominant first
@@ -49,11 +105,23 @@ class VerificationReport:
     amat: tuple                  # its inverse
     mmat: tuple                  # weight-space dims; a column is None when
                                  # that mu has a ladder of length >= p
-    checks: dict                 # (mu, tau) -> {"lhs", "expected", "pass"}
+    checks: Mapping              # (mu, tau) -> {"lhs", "expected", "pass"},
+                                 # mu outer; from the lhs column of each mu
+                                 # over tau, all None when mu is skipped
     overall: bool                # every evaluated check passed
     outside_region: bool         # n >= p*p: outside the stated region
-    decomposition: dict = field(default_factory=dict)
-                                 # (tau in Par_n, mu restricted) -> d(tau, mu)
+    decomposition: Mapping = field(default_factory=lambda: Grid((), (), ()))
+                                 # (tau in Par_n, mu restricted) -> d(tau, mu),
+                                 # a Grid over the rows of each tau
+
+    def __post_init__(self):
+        d = self.decomposition
+        if not isinstance(d, Grid):
+            taus = all_partitions(self.n) if d else ()
+            self.decomposition = Grid(
+                taus, self.order,
+                tuple(tuple(d[(tau, mu)] for mu in self.order)
+                      for tau in taus))
 
     def nonnegativity_violations(self) -> tuple:
         """Entries of nmat1 below zero (conjecturally none)."""
@@ -66,12 +134,10 @@ class VerificationReport:
 
     def decomposition_matrix(self):
         """(row labels, column labels, integer rows); empty when unpopulated."""
-        if not self.decomposition:
+        d = self.decomposition
+        if not d:
             return (), (), ()
-        rows = all_partitions(self.n)
-        body = tuple(tuple(self.decomposition[(tau, mu)] for mu in self.order)
-                     for tau in rows)
-        return rows, self.order, body
+        return d.row_keys, d.col_keys, d.rows
 
 
 def _m_column(args):
@@ -114,34 +180,34 @@ def conjecture_check(n: int, p: int, jobs: int = 1) -> VerificationReport:
                            for mu, a in table.A.items()}, jobs=jobs)
     nmat1 = tuple(tuple(row) for row in nmat_at_one(table))
     amat = tuple(tuple(row) for row in invert_unitriangular(nmat1))
-    idx = {mu: k for k, mu in enumerate(order)}
-    checks = {}
+    size = len(order)
+    skipped = (None,) * size
+    lhs_columns = []
     overall = True
-    for mu in order:
-        # the identity at column mu needs the m-columns of every lam with
-        # a(lam, mu) != 0; skip (not fail) when one of them is unavailable
-        needed = [lam for lam in order if amat[idx[lam]][idx[mu]] != 0]
-        available = all(mmat[0][idx[lam]] is not None for lam in needed)
-        for tau in order:
-            expected = 1 if mu == tau else 0
-            if not available:
-                checks[(mu, tau)] = {"lhs": None, "expected": expected,
-                                     "pass": None}
-                continue
-            lhs = sum(mmat[idx[tau]][idx[lam]] * amat[idx[lam]][idx[mu]]
-                      for lam in needed)
-            ok = lhs == expected
-            overall = overall and ok
-            checks[(mu, tau)] = {"lhs": lhs, "expected": expected, "pass": ok}
-    report = VerificationReport(p=p, n=n, order=order, nmat1=nmat1, amat=amat,
-                                mmat=mmat, checks=checks, overall=overall,
-                                outside_region=n >= p * p)
+    for b in range(size):
+        # the identity at mu = order[b] needs the m-columns of every lam
+        # with a(lam, mu) != 0; skip (not fail) when one is unavailable
+        needed = [(k, amat[k][b]) for k in range(size) if amat[k][b] != 0]
+        if any(mmat[0][k] is None for k, _a in needed):
+            lhs_columns.append(skipped)
+            continue
+        lhs = tuple(sum(row[k] * a for k, a in needed) for row in mmat)
+        overall = overall and lhs == (0,) * b + (1,) + (0,) * (size - b - 1)
+        lhs_columns.append(lhs)
+    report = VerificationReport(
+        p=p, n=n, order=order, nmat1=nmat1, amat=amat, mmat=mmat,
+        checks=Grid(order, order, tuple(lhs_columns), _check_record),
+        overall=overall, outside_region=n >= p * p)
     if overall:
+        taus = all_partitions(n)
+        at = {tau: k for k, tau in enumerate(taus)}
+        columns = []
         for mu in order:
-            terms = table.G[mu].terms
-            for tau in all_partitions(n):
-                report.decomposition[(tau, mu)] = (
-                    evaluate_at_one(terms[tau]) if tau in terms else 0)
+            column = [0] * len(taus)
+            for tau, c in table.G[mu].terms.items():
+                column[at[tau]] = evaluate_at_one(c)
+            columns.append(column)
+        report.decomposition = Grid(taus, order, tuple(zip(*columns)))
     return report
 
 

@@ -813,6 +813,45 @@ def alt_total_order(n, p):
     return tuple(out)
 
 
+
+# ------------------------------------------------------- verify assembly
+
+def check_records_reference(order, amat, mmat):
+    """(checks, overall) as the verify report used to assemble them: a dict
+    (mu, tau) -> {"lhs", "expected", "pass"}, mu outer and tau inner, with
+    a whole column skipped (all None) when a needed m-column is None."""
+    idx = {mu: k for k, mu in enumerate(order)}
+    checks = {}
+    overall = True
+    for mu in order:
+        needed = [lam for lam in order if amat[idx[lam]][idx[mu]] != 0]
+        available = all(mmat[0][idx[lam]] is not None for lam in needed)
+        for tau in order:
+            expected = 1 if mu == tau else 0
+            if not available:
+                checks[(mu, tau)] = {"lhs": None, "expected": expected,
+                                     "pass": None}
+                continue
+            lhs = sum(mmat[idx[tau]][idx[lam]] * amat[idx[lam]][idx[mu]]
+                      for lam in needed)
+            ok = lhs == expected
+            overall = overall and ok
+            checks[(mu, tau)] = {"lhs": lhs, "expected": expected, "pass": ok}
+    return checks, overall
+
+
+def decomposition_reference(order, taus, g_at_one):
+    """(decomposition, matrix) as the verify report used to assemble them:
+    the dict (tau, mu) -> d(tau, mu), tau over ``taus`` outer and mu over
+    ``order`` inner, and its rows; ``g_at_one[mu]`` maps tau to the q = 1
+    coefficient of tau in G(mu), absent meaning 0."""
+    dec = {}
+    for mu in order:
+        for tau in taus:
+            dec[(tau, mu)] = g_at_one[mu].get(tau, 0)
+    rows = tuple(tuple(dec[(tau, mu)] for mu in order) for tau in taus)
+    return dec, rows
+
 # ----------------------------------------------------- Laurent dict helpers
 
 def l_mul(a, b):

@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spechtmod.cli import (_jint, _write_json, main, parse_partition,
-                           partition_str)
+from spechtmod.cli import (Records, _jint, _write_json, check_records, main,
+                           parse_partition, partition_str)
 from spechtmod.verify import VerificationReport, conjecture_check
 
 
@@ -406,7 +406,17 @@ class Streamed(list):
     """A list the writer receives as a generator."""
 
 
+class Fixed:
+    """A list of objects with sorted keys ``keys``, one value tuple per
+    object in ``rows``; the writer receives it as ``Records``."""
+
+    def __init__(self, keys, rows):
+        self.keys, self.rows = keys, rows
+
+
 def as_plain(doc):
+    if isinstance(doc, Fixed):
+        return [dict(zip(doc.keys, row)) for row in doc.rows]
     if isinstance(doc, dict):
         return {k: as_plain(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -415,6 +425,8 @@ def as_plain(doc):
 
 
 def as_written(doc):
+    if isinstance(doc, Fixed):
+        return Records(doc.keys, (row for row in doc.rows))
     if isinstance(doc, Streamed):
         return (as_written(v) for v in doc)
     if isinstance(doc, dict):
@@ -440,8 +452,14 @@ scalars = st.one_of(st.none(), st.booleans(), small_ints, big_ints, strings)
 int_rows = st.one_of(st.lists(small_ints, max_size=6),
                      st.lists(st.integers(-3, 3) | st.booleans(), min_size=1,
                               max_size=6))
+# values in objects, Records included, are written as they are, so a big
+# int stays bare
+record_scalars = st.one_of(st.none(), st.booleans(), st.integers(), strings)
+fixed_lists = st.lists(keys | st.just("%s"), unique=True, max_size=4).flatmap(
+    lambda ks: st.lists(st.tuples(*[record_scalars] * len(ks)), max_size=3)
+    .map(lambda rows: Fixed(tuple(sorted(ks)), rows)))
 documents = st.recursive(
-    scalars | int_rows,
+    scalars | int_rows | fixed_lists,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -455,6 +473,33 @@ class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     def test_bytes_equal_json_dumps(self, doc):
         assert streamed(as_written(doc)) == dumps(as_plain(doc))
+
+    @given(st.lists(st.text(alphabet='0123456789,^ab"\\\u00e9', max_size=8),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                              st.sampled_from([None, 0, 1, -1, 2 ** 63,
+                                               -(2 ** 63), 2 ** 70]),
+                              st.integers(0, 1),
+                              st.sampled_from([None, True, False])),
+                    max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_check_records_equal_json_dumps(self, labels, rows):
+        # the verify path: any Mapping of check dicts, partition names
+        # with commas, big lhs values written as bare ints
+        checks = {(a % len(labels), b % len(labels)):
+                  {"lhs": lhs, "expected": e, "pass": ok}
+                  for a, b, lhs, e, ok in rows}
+        plain = [{"mu": labels[mu], "tau": labels[tau], **rec}
+                 for (mu, tau), rec in checks.items()]
+        doc = {"checks": check_records(checks, labels),
+               "deeper": [[check_records(checks, labels)]]}
+        assert streamed(doc) == dumps({"checks": plain, "deeper": [[plain]]})
+
+    def test_record_keys_are_not_format_directives(self):
+        rows = [(1, "x", None), (2 ** 70, "%s", True)]
+        doc = {"r": Records(("%", "%s", "a%d"), rows)}
+        assert streamed(doc) == dumps(
+            {"r": [dict(zip(("%", "%s", "a%d"), row)) for row in rows]})
 
     def test_empty_generators_and_containers(self):
         doc = {"a": (x for x in ()), "b": [], "c": {}, "d": (x for x in [1])}
@@ -477,6 +522,13 @@ class TestJsonWriter:
     def test_unsupported_values_raise(self, doc):
         with pytest.raises(TypeError):
             streamed(doc)
+
+    @pytest.mark.parametrize("records", [
+        Records(("a",), [(1.5,)]), Records(("a",), [([1],)]),
+        Records((1,), [(1,)])])
+    def test_unsupported_record_values_raise(self, records):
+        with pytest.raises(TypeError):
+            streamed({"r": records})
 
 
 def old_verify_doc(report):
@@ -531,6 +583,12 @@ STUBS = {
         overall=True, outside_region=True,
         decomposition={(tau, mu): int(tau == mu) * BIG
                        for tau in ((2,), (1, 1)) for mu in ((2,), (1, 1))}),
+    "failing-big-lhs": VerificationReport(
+        p=3, n=2, order=((2,), (1, 1)),
+        nmat1=((1, 0), (0, 1)), amat=((1, 0), (0, 1)),
+        mmat=((1, 0), (0, 1)),
+        checks={((2,), (2,)): {"lhs": BIG, "expected": 1, "pass": False}},
+        overall=False, outside_region=False),
 }
 
 

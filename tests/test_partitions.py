@@ -7,7 +7,9 @@ import oracles
 from spechtmod.partitions import (
     Partition,
     addable_nodes,
+    all_addable_nodes,
     all_partitions,
+    all_removable_nodes,
     check_partition,
     conjugate,
     dominates,
@@ -173,6 +175,20 @@ def test_addable_removable_nodes(lam, p):
             i, j = node
             assert (j - i) % p == res
             assert lam[i - 1] == j
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_residue_nodes_are_the_filtered_node_lists(p):
+    # the one-pass residue tests give the filtered lists, order included;
+    # residues outside 0..p-1 are read mod p
+    for n in range(13):
+        for lam in all_partitions(n):
+            adds, rems = all_addable_nodes(lam), all_removable_nodes(lam)
+            for res in range(-p, 2 * p):
+                assert addable_nodes(lam, res, p) == tuple(
+                    (i, j) for i, j in adds if (j - i - res) % p == 0)
+                assert removable_nodes(lam, res, p) == tuple(
+                    (i, j) for i, j in rems if (j - i - res) % p == 0)
 
 
 def test_ladder_index_slope():

@@ -280,3 +280,91 @@ class TestConsistencyCheck:
 
     def test_holds_small_p5(self):
         assert consistency_check(4, 5)
+
+
+VIEW_CASES = ([(3, n) for n in range(1, 10)] + [(5, n) for n in range(1, 13)]
+              + [(7, n) for n in range(1, 11)])
+
+
+def assert_views_match_references(report):
+    """The report's checks and decomposition views against the dicts that
+    the verify pipeline used to assemble."""
+    checks, overall = oracles.check_records_reference(
+        report.order, report.amat, report.mmat)
+    size = len(report.order)
+    assert not isinstance(report.checks, dict)
+    assert len(report.checks) == size * size
+    got = dict(report.checks.items())
+    assert got == checks and list(got) == list(checks)
+    assert report.overall == overall
+    if not overall:
+        assert dict(report.decomposition.items()) == {}
+        assert report.decomposition_matrix() == ((), (), ())
+        return
+    table = llt_canonical(report.n, report.p)
+    taus = all_partitions(report.n)
+    dec, rows = oracles.decomposition_reference(
+        report.order, taus,
+        {mu: {tau: evaluate_at_one(c) for tau, c in table.G[mu].terms.items()}
+         for mu in report.order})
+    assert not isinstance(report.decomposition, dict)
+    assert dict(report.decomposition.items()) == dec
+    assert report.decomposition_matrix() == (taus, report.order, rows)
+
+
+class TestReportViews:
+    @pytest.mark.parametrize("p, n", VIEW_CASES)
+    def test_views_match_the_dict_assembly(self, p, n):
+        assert_views_match_references(conjecture_check(n, p))
+
+    def test_skipped_columns(self):
+        # n >= p*p: the columns whose ladders reach p are all None
+        report = conjecture_check(9, 3)
+        assert report.outside_region
+        assert any(v["pass"] is None for v in report.checks.values())
+        assert_views_match_references(report)
+
+    def test_failing_identity(self, monkeypatch):
+        # one wrong m entry fails its checks and leaves no decomposition
+        real = verify.m_matrix
+
+        def off_by_one(n, p, counts, jobs=1):
+            m = [list(row) for row in real(n, p, counts, jobs)]
+            m[-1][0] += 1
+            return tuple(map(tuple, m))
+
+        monkeypatch.setattr("spechtmod.verify.m_matrix", off_by_one)
+        report = conjecture_check(6, 3)
+        assert not report.overall
+        failed = [key for key, v in report.checks.items()
+                  if v["pass"] is False]
+        assert failed and all(mu == report.order[0] for mu, _tau in failed)
+        assert_views_match_references(report)
+
+    def test_missing_needed_column_skips_its_dependents(self, monkeypatch):
+        # at p=3 n=7, a(order[0], order[3]) != 0: with the m-column of
+        # order[0] missing, the identities at both columns are skipped
+        real = verify.m_matrix
+
+        def first_missing(n, p, counts, jobs=1):
+            return tuple((None,) + row[1:] for row in real(n, p, counts, jobs))
+
+        monkeypatch.setattr("spechtmod.verify.m_matrix", first_missing)
+        report = conjecture_check(7, 3)
+        assert report.amat[0][3] != 0
+        skipped = {mu for (mu, _tau), v in report.checks.items()
+                   if v["pass"] is None}
+        assert skipped == {report.order[0], report.order[3]}
+        assert_views_match_references(report)
+
+    def test_lookup_and_membership(self):
+        report = conjecture_check(5, 3)
+        mu, tau = report.order[0], report.order[1]
+        assert report.checks[(mu, mu)] == {"lhs": 1, "expected": 1,
+                                           "pass": True}
+        assert report.checks[(mu, tau)]["expected"] == 0
+        assert (mu, tau) in report.checks and ((9,), mu) not in report.checks
+        for key in [((9,), mu), (mu,), "x", 5]:
+            with pytest.raises(KeyError):
+                report.checks[key]
+        assert report.decomposition[((5,), (2, 2, 1))] == 1
