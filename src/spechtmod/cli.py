@@ -15,7 +15,9 @@ destination in batches, with exactly the bytes of
 ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, so the text
 of a large report is never held in memory whole; everything in it is
 computed before the first byte is written.  The N^2 check records of
-``verify`` go through one fixed template, built once and filled per record.
+``verify`` go through one fixed template, built once and filled per record,
+and each row of ints (``nmat1``, ``amat``, ...) is written from a table of
+its distinct values' text, built once per row.
 Exit status: 0 on success (and all checks passing), 1 when a verification
 check or the nonnegativity finding fails, 2 on invalid input (an
 ``--output`` path that cannot be opened included).
@@ -133,8 +135,9 @@ def _write_json(obj, fh) -> None:
     lists), ``Records``, str, int, bool and None; anything else raises
     TypeError.  An int inside a list obeys the int64 rule of ``_jint``; an
     int in an object, ``Records`` included, is written as it is.  A list of
-    ints only is written by one join.  The text goes out ``_BATCH`` pieces
-    at a time."""
+    ints only is written in one pass: each distinct value's text and
+    separator is built once, then the row is one join of table lookups.  The
+    text goes out ``_BATCH`` pieces at a time."""
     out = []
 
     def key_text(key):
@@ -167,10 +170,13 @@ def _write_json(obj, fh) -> None:
             items = ((key_text(k), obj[k]) for k in sorted(obj))
             brackets = "{}"
         elif kind is list or kind is tuple or kind is GeneratorType:
-            if (kind is not GeneratorType and set(map(type, obj)) == {int}
-                    and -_INT64_MAX <= min(obj) and max(obj) <= _INT64_MAX):
-                out.append("[" + inner + ("," + inner).join(
-                    map(int.__repr__, obj)) + pad + "]")
+            if kind is not GeneratorType and set(map(type, obj)) == {int}:
+                sep = "," + inner
+                text = {x: (int.__repr__(x) if abs(x) <= _INT64_MAX
+                            else encode_basestring_ascii(str(x))) + sep
+                        for x in set(obj)}
+                out.append("[" + inner + "".join(
+                    map(text.__getitem__, obj))[:-len(sep)] + pad + "]")
                 return
             items = (("", _jint(x) if type(x) is int else x) for x in obj)
             brackets = "[]"

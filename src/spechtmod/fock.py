@@ -27,9 +27,11 @@ powers applied to the vacuum,
 .. math::  A(\mu) = f_{\iota_m}^{(|L_m|)} \cdots f_{\iota_1}^{(|L_1|)}\,\emptyset ,
 
 a bar-invariant vector supported on partitions dominating mu with leading
-coefficient 1.  ``first_approximations`` builds the products of many mu in
-one walk: products that share a ladder prefix share its partial product,
-held on one path stack, so each distinct prefix costs one divided power.
+coefficient 1.  It needs only the residue and size of each ladder, which
+``first_approximations`` reads from the parts of mu, without a ladder
+tableau.  It builds the products of many mu in one walk: products that share
+a ladder prefix share its partial product, held on one path stack, so each
+distinct prefix costs one divided power.
 The canonical basis vector G(mu) is characterized by bar-invariance and
 G(mu) = mu mod qZ[q]; ``llt_canonical`` extracts it by subtracting
 bar-symmetric corrections n(q) G(nu) at dominance-greater nu, most dominant
@@ -37,11 +39,11 @@ first, and records the transition matrix n.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .partitions import (Partition, check_partition, restricted_partitions,
-                         addable_nodes, removable_nodes, add_node,
-                         ladder_decomposition, dominates, total_order_key)
+from .partitions import (Partition, check_partition, is_p_restricted,
+                         restricted_partitions, addable_nodes, removable_nodes,
+                         add_node, dominates, total_order_key)
 
 
 class LaurentPoly:
@@ -272,17 +274,36 @@ def divided_f(i: int, k: int, v: FockVector, p: int) -> FockVector:
                       {mu: LaurentPoly(acc) for mu, acc in out.items()})
 
 
+def _ladder_steps(mus, p: int) -> dict:
+    """Map each mu in ``mus``, normalized, to the (residue, size) of its
+    nonempty ladders, smallest ladder first; non-p-restricted mu raise.
+
+    Row i (0-based) holds one node on each of the ladders (p-1)i + 1 ...
+    (p-1)i + mu[i], so one running count of row starts less row ends gives
+    every ladder size, and ladder b has residue (b - 1) mod p."""
+    out = {}
+    for mu in mus:
+        mu = check_partition(mu)
+        if not is_p_restricted(mu, p):
+            raise ValueError(f"{mu} is not {p}-restricted")
+        count = [0] * ((p - 1) * len(mu) + max(mu, default=0) + 1)
+        for i, part in enumerate(mu):
+            count[(p - 1) * i] += 1
+            count[(p - 1) * i + part] -= 1
+        out[mu] = tuple(((b - 1) % p, size) for b, size
+                        in enumerate(accumulate(count), 1) if size)
+    return out
+
+
 def first_approximations(mus, p: int) -> dict:
     """A(mu) for each mu in ``mus``, keyed in input order.
 
-    The mu are visited in sorted order of their (residue, ladder size) steps.
-    A path stack holds the products for the current prefix: pop back to the
-    prefix shared with the previous mu, push one divided power per remaining
-    step.  So each distinct prefix costs one ``divided_f`` call."""
-    steps = {}
-    for mu in mus:
-        ld = ladder_decomposition(check_partition(mu), p)
-        steps[ld.partition] = tuple(zip(ld.residues, ld.sizes))
+    Each mu's (residue, ladder size) steps are read from its parts alone.
+    The mu are visited in sorted order of their steps.  A path stack holds
+    the products for the current prefix: pop back to the prefix shared with
+    the previous mu, push one divided power per remaining step.  So each
+    distinct prefix costs one ``divided_f`` call."""
+    steps = _ladder_steps(mus, p)
     out, path, prev = dict.fromkeys(steps), [FockVector.vacuum()], ()
     for mu in sorted(steps, key=steps.get):
         cur, d = steps[mu], 0

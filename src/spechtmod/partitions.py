@@ -222,7 +222,8 @@ class LadderData:
         return order
 
 
-# cached: 2,424 hits on verify-p5n16 (ladder checks, classes, orbits)
+# cached: 972 hits on verify-p5n16 (ladder checks, orbits, symmetrizer
+# intervals); the Fock side reads its ladder steps from the shape instead
 @cache
 def ladder_decomposition(lam: Partition, p: int) -> LadderData:
     """Full ladder data of a p-restricted partition.

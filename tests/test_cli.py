@@ -93,6 +93,8 @@ class TestFockCommand:
          "40cafbd2c23dfb26cd31eb07cef5659e752c22de903c3174741765c6c905e97f"),
         (["--p", "5", "--n", "14"],
          "2e2b73e20139fd4bffccceb2e77cbb410f76c70cfd8e153727e64674c7df2cfe"),
+        (["--p", "7", "--n", "16"],
+         "6ac548729d11e7e43284ff55fdc01fc8eeafb5d7ac3d572795eadd88f6297ec0"),
     ])
     def test_report_bytes_pinned(self, capsys, argv, digest):
         rc, out, _ = run_cli(["fock"] + argv, capsys)
@@ -515,6 +517,25 @@ class TestJsonWriter:
         row = [1, 2 ** 63, -(2 ** 63)]
         assert streamed([row, [None] + row]) == dumps(
             [[_jint(x) for x in row], [None] + [_jint(x) for x in row]])
+
+    def test_long_int_rows_equal_json_dumps(self):
+        # rows shaped like nmat1: hundreds of zeros, a few nonzeros
+        sparse = [[0] * 240 for _ in range(3)]
+        for r, row in enumerate(sparse):
+            for k in range(r, 240, 37 + r):
+                row[k] = (-1) ** k * (k + 1) * 10 ** r
+        big = [0] * 210
+        big[77] = 2 ** 70
+        doc = {"sparse": sparse, "zeros": [[0] * 230, [0]], "one": (5,),
+               "bools": [0, True, 0], "big": big,
+               "edge": [0, 2 ** 63 - 1, 1 - 2 ** 63, 0]}
+        # bools stay true/false, and 2**70 takes the _jint string path
+        want = {**doc, "one": [5],
+                "big": [0] * 77 + [str(2 ** 70)] + [0] * 132}
+        out = streamed(doc)
+        assert out == dumps(want)
+        assert '"bools": [\n    0,\n    true,\n    0\n  ]' in out
+        assert '"1180591620717411303424"' in out
 
     @pytest.mark.parametrize("doc", [
         Fraction(1, 2), [1, Fraction(1, 2)], {"a": 1.5}, {1: "a"},

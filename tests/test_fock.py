@@ -23,7 +23,9 @@ from spechtmod.fock import (
     llt_canonical,
     nmat_at_one,
 )
-from spechtmod.partitions import restricted_partitions, total_order_key
+from spechtmod.partitions import (ladder_decomposition, restricted_partitions,
+                                  total_order_key)
+from spechtmod.tableaux import StandardTableau
 
 
 @st.composite
@@ -175,6 +177,31 @@ def test_first_approximations_one_divided_power_per_prefix(monkeypatch, p, n,
         assert len(calls) == prefixes
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_ladder_steps_read_from_the_shape(p):
+    for n in range(15):
+        order = restricted_partitions(n, p)
+        steps = fock._ladder_steps(order, p)
+        assert list(steps) == list(order)
+        for mu in order:
+            ld = ladder_decomposition(mu, p)
+            assert steps[mu] == oracles.ladder_steps(mu, p) \
+                == tuple(zip(ld.residues, ld.sizes)), (p, mu)
+
+
+def test_fock_side_builds_no_ladder_tableau(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Fock side read a ladder tableau")
+
+    assert not hasattr(fock, "ladder_decomposition")
+    monkeypatch.setattr("spechtmod.partitions.ladder_decomposition", refuse)
+    monkeypatch.setattr(StandardTableau, "__init__", refuse)
+    monkeypatch.setattr(StandardTableau, "from_positions",
+                        classmethod(refuse))
+    table = llt_canonical(12, 5)
+    assert len(table.order) == len(restricted_partitions(12, 5))
+
+
 def test_first_approximations_reject_non_restricted():
     with pytest.raises(ValueError, match="not 3-restricted"):
         first_approximations(((2, 1), (4,)), 3)
@@ -307,7 +334,7 @@ def test_llt_rejects_bad_order():
 
 def test_weightspace_count_identity():
     # evaluate_at_one(A(mu)_tau) * |ladder group| = |T_{mu,tau}|
-    from spechtmod.partitions import all_partitions, ladder_decomposition
+    from spechtmod.partitions import all_partitions
     from spechtmod.tableaux import ladder_class_of_shape
     for n in range(1, 9):
         for mu in restricted_partitions(n, 3):
