@@ -14,10 +14,12 @@ amount of parallelism, never the content.  JSON reports are streamed to the
 destination in batches, with exactly the bytes of
 ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, so the text
 of a large report is never held in memory whole; everything in it is
-computed before the first byte is written.  The N^2 check records of
-``verify`` go through one fixed template, built once and filled per record,
-and each row of ints (``nmat1``, ``amat``, ...) is written from a table of
-its distinct values' text, built once per row.
+computed before the first byte is written.  Each of the N^2 check records
+of ``verify`` is joined from the text of its head (expected, lhs), the name
+of mu and its tail (pass, tau), each built once; the records of one mu are
+one join, and a passing column reuses one list of parts.  Each row of ints
+(``nmat1``, ``amat``, ...) is written from a table of its distinct values'
+text, built once per row.
 Exit status: 0 on success (and all checks passing), 1 when a verification
 check or the nonnegativity finding fails, 2 on invalid input (an
 ``--output`` path that cannot be opened included).
@@ -35,7 +37,7 @@ from .fock import LaurentPoly, llt_canonical, nmat_at_one
 from .partitions import check_partition, is_p_restricted
 from .ranks import gram_report
 from .tableaux import check_class_cap
-from .verify import conjecture_check, gram_oracle_dimD
+from .verify import Grid, check_record, conjecture_check, gram_oracle_dimD
 
 _INT64_MAX = 2 ** 63 - 1
 _P_LIMIT = 2 ** 31          # --p is trial-divided, so it is bounded first
@@ -106,65 +108,114 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
 
 
 def _not_scalar(value):
-    raise TypeError(f"{type(value).__name__} in Records is not a JSON scalar")
+    raise TypeError(f"{type(value).__name__} in a check record is not a JSON "
+                    "scalar")
 
 
-class Records:
-    """A JSON list of objects with the same keys, given in sorted order, and
-    scalar values only: ``rows`` yields each object's values in key order.
-    ``_write_json`` fills one template per object, built once per list."""
-    __slots__ = ("keys", "rows")
-
-    def __init__(self, keys, rows):
-        self.keys, self.rows = keys, rows
-
-
-def check_records(checks, names) -> Records:
+class CheckRecords:
     """The ``checks`` list of a verify report: ``checks`` is any Mapping
-    (mu, tau) -> {"lhs", "expected", "pass"}, ``names`` the text of each
-    partition."""
-    return Records(("expected", "lhs", "mu", "pass", "tau"), (
-        (rec["expected"], rec["lhs"], names[mu], rec["pass"], names[tau])
-        for (mu, tau), rec in checks.items()))
+    (mu, tau) -> {"expected", "lhs", "pass"}, ``names`` the text of each
+    partition.  ``_write_json`` writes one object per item, with the keys
+    expected, lhs, mu, pass and tau."""
+    __slots__ = ("checks", "names")
+
+    def __init__(self, checks, names):
+        self.checks, self.names = checks, names
 
 
 def _write_json(obj, fh) -> None:
     """Write ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` to fh.
 
     Handles dicts with str keys, lists, tuples and generators (written as
-    lists), ``Records``, str, int, bool and None; anything else raises
+    lists), ``CheckRecords``, str, int, bool and None; anything else raises
     TypeError.  An int inside a list obeys the int64 rule of ``_jint``; an
-    int in an object, ``Records`` included, is written as it is.  A list of
-    ints only is written in one pass: each distinct value's text and
+    int in an object, a check record included, is written as it is.  A list
+    of ints only is written in one pass: each distinct value's text and
     separator is built once, then the row is one join of table lookups.  The
-    text goes out ``_BATCH`` pieces at a time."""
+    text goes out ``_BATCH`` pieces at a time.
+
+    A check record is ``head(expected, lhs) + name(mu) + tail(pass, tau)``,
+    and each head and tail is built once, keyed by its values and their
+    types (so ``True`` and ``1`` stay apart).  The checks ``Grid`` of
+    ``conjecture_check`` is read by its lhs rows, one mu at a time: a unit
+    column (every identity of mu passing) is one join on the name of mu of
+    a list of parts built once, patched before the diagonal.  Other columns
+    and other Mappings are written record by record."""
     out = []
+
+    def flush():
+        fh.write("".join(out))
+        out.clear()
 
     def key_text(key):
         if type(key) is not str:
             raise TypeError(f"JSON object key {key!r} is not a str")
         return encode_basestring_ascii(key) + ": "
 
-    def write_records(obj, pad):
+    def write_checks(obj, pad):
         inner = pad + "  "
-        fields = ",".join(inner + "  " + key_text(k).replace("%", "%%") + "%s"
-                          for k in obj.keys)
-        template = "{" + fields + inner + "}" if fields else "{}"
-        sep = "[" + inner
-        for row in obj.rows:
-            out.append(sep + template % tuple(
-                [_SCALARS.get(type(v), _not_scalar)(v) for v in row]))
-            sep = "," + inner
-            if len(out) >= _BATCH:
-                fh.write("".join(out))
-                out.clear()
+        field = "," + inner + '  "'
+        heads, tails = {}, {}
+
+        def text(value):
+            return _SCALARS.get(type(value), _not_scalar)(value)
+
+        def name(mu):
+            return encode_basestring_ascii(obj.names[mu])
+
+        def head(expected, lhs):
+            key = (type(expected), expected, type(lhs), lhs)
+            if key not in heads:
+                heads[key] = ("{" + field[1:] + 'expected": ' + text(expected)
+                              + field + 'lhs": ' + text(lhs) + field + 'mu": ')
+            return heads[key]
+
+        def tail(ok, tau):
+            key = (type(ok), ok, tau)
+            if key not in tails:
+                tails[key] = (field + 'pass": ' + text(ok) + field + 'tau": '
+                              + name(tau) + inner + "}")
+            return tails[key]
+
+        def record(mu, tau, rec):
+            return (head(rec["expected"], rec["lhs"]) + name(mu) +
+                    tail(rec["pass"], tau))
+
+        checks, sep = obj.checks, "[" + inner
+        if isinstance(checks, Grid) and checks.entry is check_record:
+            cols, size = checks.col_keys, len(checks.col_keys)
+            glue = None
+            for i, (mu, row) in enumerate(zip(checks.row_keys, checks.rows)):
+                if (i < size and row[i] == 1 and row.count(0) == size - 1
+                        and set(map(type, row)) == {int}):
+                    if glue is None:    # piece k ends record k-1, starts k
+                        ends = [""] + [tail(True, tau) + "," + inner
+                                       for tau in cols[:-1]]
+                        glue = [e + head(0, 0) for e in ends] + \
+                            [tail(True, cols[-1])]
+                        diagonal = [e + head(1, 1) for e in ends]
+                    glue[i], kept = diagonal[i], glue[i]
+                    out.extend((sep, name(mu).join(glue)))
+                    glue[i], sep = kept, "," + inner
+                else:
+                    for j, (tau, lhs) in enumerate(zip(cols, row)):
+                        out.extend((sep, record(mu, tau,
+                                                check_record(i, j, lhs))))
+                        sep = "," + inner
+                flush()
+        else:
+            for (mu, tau), rec in checks.items():
+                out.extend((sep, record(mu, tau, rec)))
+                sep = "," + inner
+                if len(out) >= _BATCH:
+                    flush()
         out.append(pad + "]" if sep[0] == "," else "[]")
 
     def walk(obj, pad):
         inner = pad + "  "
         kind = type(obj)
-        if kind is Records:
-            write_records(obj, pad)
+        if kind is CheckRecords:
+            write_checks(obj, pad)
             return
         if kind is dict:
             items = ((key_text(k), obj[k]) for k in sorted(obj))
@@ -192,8 +243,7 @@ def _write_json(obj, fh) -> None:
                 out.append(sep + prefix + scalar(value))
             sep = "," + inner
             if len(out) >= _BATCH:
-                fh.write("".join(out))
-                out.clear()
+                flush()
         if sep[0] == ",":
             out.append(pad + brackets[1])
         else:           # nothing was written: "{}" or "[]"
@@ -296,7 +346,7 @@ def _cmd_verify(args) -> int:
         "nmat1": report.nmat1,
         "amat": report.amat,
         "mmat": report.mmat,
-        "checks": check_records(report.checks, names),
+        "checks": CheckRecords(report.checks, names),
         "overall": report.overall,
         "nonnegativity_violations": [
             {"lam": names[lam], "mu": names[mu], "value": _jint(v)}

@@ -38,8 +38,6 @@ def check_partition(parts) -> Partition:
     return parts
 
 
-# cached: 165 hits on verify-p5n16, one per mu of the decomposition rows
-@cache
 def all_partitions(n: int) -> tuple:
     """All partitions of ``n`` in canonical order (descending lexicographic)."""
     if n < 0:
@@ -64,7 +62,8 @@ def is_p_restricted(lam: Partition, p: int) -> bool:
                for i in range(len(lam)))
 
 
-# cached: 165 hits on verify-p5n16, one per column of m
+# cached: 165 hits on verify-p5n16, one in m_matrix and one per column of m
+# in weight_space_dims
 @cache
 def restricted_partitions(n: int, p: int) -> tuple:
     """All p-restricted partitions of ``n``, most dominant first.

@@ -9,8 +9,9 @@ the pipeline runs:
    the rows.  Entries of one interval share a residue and number fewer than
    p, so they lie in distinct rows and columns and the ladder group acts
    freely on T_{mu,tau}.  ``weight_space_dims`` enumerates every shape at
-   once; a shape with no representative has rank 0, after the weight-space
-   count is checked to be 0 too;
+   once; a shape with no representative has rank 0.  Its weight-space count
+   must be 0 too, which is checked on the key sets: every restricted shape
+   the Fock side counts must have representatives;
 2. factor d(s) into a reduced word for each representative s;
 3. apply the chain phi_{i_k} ... phi_{i_1} of d(s) to the seminormal vector
    of the row-reading tableau of tau (rightmost letter first), with
@@ -32,6 +33,7 @@ ladder symmetrization on D(tau)).
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -239,19 +241,26 @@ def weight_space_dims(mu: Partition, p: int, counts) -> tuple:
     in A(mu) at q = 1, as the Fock side computed it (absent means 0).  It is
     read only by the weight-space count cross-check and decides nothing
     computed here: every shape is enumerated and every orbit representative
-    chained."""
+    chained.  Only the restricted shapes with representatives or a nonzero
+    count are visited, in restricted_partitions order (descending
+    lexicographic), each found in that order by bisection; on every other
+    shape both sides are 0."""
     mu = _require_valid_mu(mu, p)
     representatives = ladder_orbit_representatives(mu, p)
-    dims = []
-    for tau in restricted_partitions(sum(mu), p):
+    ascending = restricted_partitions(sum(mu), p)[::-1]
+    dims = [0] * len(ascending)
+    shapes = {tau for tau, reps in representatives.items() if reps}
+    shapes.update(tau for tau, count in counts.items() if count)
+    for tau in sorted(shapes, reverse=True):
+        k = bisect_left(ascending, tau)
+        if k == len(ascending) or ascending[k] != tau:
+            continue                    # not restricted
         reps = representatives.get(tau)
-        count = counts.get(tau, 0)
         if reps:
-            dims.append(_gram_report(mu, tau, p, reps, "canonical",
-                                     count).rank)
+            dims[-1 - k] = _gram_report(mu, tau, p, reps, "canonical",
+                                        counts.get(tau, 0)).rank
         else:
-            _check_weight_space_count(mu, tau, count, 0)
-            dims.append(0)
+            _check_weight_space_count(mu, tau, counts[tau], 0)
     return tuple(dims)
 
 

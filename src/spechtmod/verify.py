@@ -29,7 +29,7 @@ import multiprocessing
 import os
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import compress, product
 
 from .fock import evaluate_at_one, invert_unitriangular, llt_canonical, nmat_at_one
 from .partitions import (Partition, all_partitions, check_partition, dominates,
@@ -48,7 +48,7 @@ class Grid(Mapping):
 
     def __init__(self, row_keys, col_keys, rows, entry=None):
         self.row_keys, self.col_keys, self.rows = row_keys, col_keys, rows
-        self._entry = entry or (lambda i, j, value: value)
+        self.entry = entry or (lambda i, j, value: value)
         self._row_at = {key: i for i, key in enumerate(row_keys)}
         self._col_at = {key: j for j, key in enumerate(col_keys)}
 
@@ -58,7 +58,7 @@ class Grid(Mapping):
             i, j = self._row_at[a], self._col_at[b]
         except (TypeError, ValueError, KeyError):
             raise KeyError(key) from None
-        return self._entry(i, j, self.rows[i][j])
+        return self.entry(i, j, self.rows[i][j])
 
     def __iter__(self):
         return product(self.row_keys, self.col_keys)
@@ -75,13 +75,13 @@ class _GridItems(ItemsView):
 
     def __iter__(self):
         grid = self._mapping
-        entry, cols = grid._entry, grid.col_keys
+        entry, cols = grid.entry, grid.col_keys
         for i, (a, row) in enumerate(zip(grid.row_keys, grid.rows)):
             for j, (b, value) in enumerate(zip(cols, row)):
                 yield (a, b), entry(i, j, value)
 
 
-def _check_record(i: int, j: int, lhs) -> dict:
+def check_record(i: int, j: int, lhs) -> dict:
     """The record of (mu, tau) = (order[i], order[j]): the identity of
     column mu at row tau, whose left-hand side is ``lhs``."""
     expected = int(i == j)
@@ -126,10 +126,12 @@ class VerificationReport:
     def nonnegativity_violations(self) -> tuple:
         """Entries of nmat1 below zero (conjecturally none)."""
         out = []
-        for a, lam in enumerate(self.order):
-            for b, mu in enumerate(self.order):
-                if self.nmat1[a][b] < 0:
-                    out.append((lam, mu, self.nmat1[a][b]))
+        for lam, row in zip(self.order, self.nmat1):
+            if min(row, default=0) >= 0:
+                continue
+            for mu, value in zip(self.order, row):
+                if value < 0:
+                    out.append((lam, mu, value))
         return tuple(out)
 
     def decomposition_matrix(self):
@@ -165,9 +167,18 @@ def m_matrix(n: int, p: int, counts, jobs: int = 1):
     else:
         results = [_m_column(t) for t in tasks]
     columns = dict(results)
-    return tuple(tuple(columns[mu][a] if mu in columns else None
-                       for mu in order)
-                 for a, _lam in enumerate(order))
+    skipped = (None,) * len(order)
+    return tuple(zip(*(columns.get(mu, skipped) for mu in order)))
+
+
+def _column_nonzeros(rows, size: int) -> list:
+    """For each column k of ``rows``, its nonzero entries as (row index,
+    entry) pairs: None counts as zero."""
+    columns = [[] for _ in range(size)]
+    for t, row in enumerate(rows):
+        for k in compress(range(size), row):
+            columns[k].append((t, row[k]))
+    return columns
 
 
 def conjecture_check(n: int, p: int, jobs: int = 1) -> VerificationReport:
@@ -181,22 +192,26 @@ def conjecture_check(n: int, p: int, jobs: int = 1) -> VerificationReport:
     nmat1 = tuple(tuple(row) for row in nmat_at_one(table))
     amat = tuple(tuple(row) for row in invert_unitriangular(nmat1))
     size = len(order)
-    skipped = (None,) * size
+    zeros, skipped = (0,) * size, (None,) * size
+    m_columns = _column_nonzeros(mmat, size)
     lhs_columns = []
     overall = True
-    for b in range(size):
+    for b, needed in enumerate(_column_nonzeros(amat, size)):
         # the identity at mu = order[b] needs the m-columns of every lam
         # with a(lam, mu) != 0; skip (not fail) when one is unavailable
-        needed = [(k, amat[k][b]) for k in range(size) if amat[k][b] != 0]
         if any(mmat[0][k] is None for k, _a in needed):
             lhs_columns.append(skipped)
             continue
-        lhs = tuple(sum(row[k] * a for k, a in needed) for row in mmat)
-        overall = overall and lhs == (0,) * b + (1,) + (0,) * (size - b - 1)
+        lhs = list(zeros)       # from the nonzero entries of a and m only
+        for k, a in needed:
+            for t, m in m_columns[k]:
+                lhs[t] += m * a
+        lhs = tuple(lhs)
+        overall = overall and lhs == zeros[:b] + (1,) + zeros[b + 1:]
         lhs_columns.append(lhs)
     report = VerificationReport(
         p=p, n=n, order=order, nmat1=nmat1, amat=amat, mmat=mmat,
-        checks=Grid(order, order, tuple(lhs_columns), _check_record),
+        checks=Grid(order, order, tuple(lhs_columns), check_record),
         overall=overall, outside_region=n >= p * p)
     if overall:
         taus = all_partitions(n)

@@ -23,7 +23,6 @@ MODULES = ("partitions", "tableaux", "fock", "seminormal", "ranks", "verify",
            "cli")
 
 KEPT = {
-    "partitions.all_partitions",
     "partitions.ladder_decomposition",
     "partitions.restricted_partitions",
     "tableaux.row_reading_tableau",

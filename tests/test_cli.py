@@ -13,9 +13,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spechtmod.cli import (Records, _jint, _write_json, check_records, main,
+from spechtmod.cli import (CheckRecords, _jint, _write_json, main,
                            parse_partition, partition_str)
-from spechtmod.verify import VerificationReport, conjecture_check
+from spechtmod.verify import (Grid, VerificationReport, check_record,
+                              conjecture_check)
 
 
 def run_cli(argv, capsys):
@@ -408,17 +409,35 @@ class Streamed(list):
     """A list the writer receives as a generator."""
 
 
-class Fixed:
-    """A list of objects with sorted keys ``keys``, one value tuple per
-    object in ``rows``; the writer receives it as ``Records``."""
+class Checks:
+    """A Mapping (mu, tau) -> {"expected", "lhs", "pass"} with the text of
+    each partition in ``names``; the writer receives it as ``CheckRecords``."""
 
-    def __init__(self, keys, rows):
-        self.keys, self.rows = keys, rows
+    def __init__(self, checks, names):
+        self.checks, self.names = checks, names
+
+
+def check_list(checks, names) -> list:
+    """The check records as json.dumps is given them."""
+    return [{"mu": names[mu], "tau": names[tau], **rec}
+            for (mu, tau), rec in checks.items()]
+
+
+def grid_checks_equal_json_dumps(rows) -> bool:
+    """Whether the writer gives the bytes of json.dumps for a verify checks
+    Grid over the lhs ``rows``, both at the top and nested."""
+    order = tuple(range(len(rows)))
+    grid = Grid(order, order, rows, check_record)
+    names = [f"mu,{k}" for k in order]
+    plain = check_list(dict(grid.items()), names)
+    doc = {"checks": CheckRecords(grid, names),
+           "deeper": [[CheckRecords(grid, names)]]}
+    return streamed(doc) == dumps({"checks": plain, "deeper": [[plain]]})
 
 
 def as_plain(doc):
-    if isinstance(doc, Fixed):
-        return [dict(zip(doc.keys, row)) for row in doc.rows]
+    if isinstance(doc, Checks):
+        return check_list(doc.checks, doc.names)
     if isinstance(doc, dict):
         return {k: as_plain(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -427,8 +446,8 @@ def as_plain(doc):
 
 
 def as_written(doc):
-    if isinstance(doc, Fixed):
-        return Records(doc.keys, (row for row in doc.rows))
+    if isinstance(doc, Checks):
+        return CheckRecords(doc.checks, doc.names)
     if isinstance(doc, Streamed):
         return (as_written(v) for v in doc)
     if isinstance(doc, dict):
@@ -454,14 +473,19 @@ scalars = st.one_of(st.none(), st.booleans(), small_ints, big_ints, strings)
 int_rows = st.one_of(st.lists(small_ints, max_size=6),
                      st.lists(st.integers(-3, 3) | st.booleans(), min_size=1,
                               max_size=6))
-# values in objects, Records included, are written as they are, so a big
-# int stays bare
+# values in objects, check records included, are written as they are, so a
+# big int stays bare
 record_scalars = st.one_of(st.none(), st.booleans(), st.integers(), strings)
-fixed_lists = st.lists(keys | st.just("%s"), unique=True, max_size=4).flatmap(
-    lambda ks: st.lists(st.tuples(*[record_scalars] * len(ks)), max_size=3)
-    .map(lambda rows: Fixed(tuple(sorted(ks)), rows)))
+check_maps = st.lists(strings, min_size=1, max_size=3, unique=True).flatmap(
+    lambda names: st.dictionaries(
+        st.tuples(st.sampled_from(range(len(names))),
+                  st.sampled_from(range(len(names)))),
+        st.fixed_dictionaries({"expected": record_scalars,
+                               "lhs": record_scalars,
+                               "pass": record_scalars}),
+        max_size=4).map(lambda checks: Checks(checks, names)))
 documents = st.recursive(
-    scalars | int_rows | fixed_lists,
+    scalars | int_rows | check_maps,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -491,17 +515,48 @@ class TestJsonWriter:
         checks = {(a % len(labels), b % len(labels)):
                   {"lhs": lhs, "expected": e, "pass": ok}
                   for a, b, lhs, e, ok in rows}
-        plain = [{"mu": labels[mu], "tau": labels[tau], **rec}
-                 for (mu, tau), rec in checks.items()]
-        doc = {"checks": check_records(checks, labels),
-               "deeper": [[check_records(checks, labels)]]}
+        plain = check_list(checks, labels)
+        doc = {"checks": CheckRecords(checks, labels),
+               "deeper": [[CheckRecords(checks, labels)]]}
         assert streamed(doc) == dumps({"checks": plain, "deeper": [[plain]]})
 
-    def test_record_keys_are_not_format_directives(self):
-        rows = [(1, "x", None), (2 ** 70, "%s", True)]
-        doc = {"r": Records(("%", "%s", "a%d"), rows)}
-        assert streamed(doc) == dumps(
-            {"r": [dict(zip(("%", "%s", "a%d"), row)) for row in rows]})
+    @given(st.integers(0, 4).flatmap(lambda size: st.lists(
+        st.one_of(st.just("unit"), st.just("skipped"),
+                  st.lists(st.sampled_from([None, 0, 1, -1, True, False,
+                                            2 ** 70]),
+                           min_size=size, max_size=size).map(tuple)),
+        min_size=size, max_size=size)))
+    @settings(max_examples=200, deadline=None)
+    def test_check_grids_equal_json_dumps(self, columns):
+        # the lhs rows of a verify checks Grid, unit columns mixed with
+        # skipped and arbitrary ones, True and 1 kept apart
+        size = len(columns)
+        rows = tuple((0,) * i + (1,) + (0,) * (size - i - 1) if c == "unit"
+                     else (None,) * size if c == "skipped" else c
+                     for i, c in enumerate(columns))
+        assert grid_checks_equal_json_dumps(rows)
+
+    @pytest.mark.parametrize("rows", [
+        ((1,),),                                    # a 1x1 order
+        (),                                         # an empty order
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),          # unit columns only
+        ((1, 0, 0), (0, 2, 0), (0, 0, 1)),          # a failing column
+        ((1, 0), (None, None)),                     # a skipped column
+        ((2 ** 70, 0), (0, 1)),                     # a bare big lhs
+        ((True, 0), (0, 1)),                        # a bool is not a unit
+    ], ids=["1x1", "empty", "units", "failing", "skipped", "big", "bool"])
+    def test_check_grid_stubs_equal_json_dumps(self, rows):
+        # each unit column has its diagonal at a different place: first,
+        # inside, last
+        assert grid_checks_equal_json_dumps(rows)
+
+    @pytest.mark.parametrize("p, n", [(3, n) for n in range(1, 10)] +
+                                     [(5, n) for n in range(1, 11)])
+    def test_real_check_records_equal_json_dumps(self, p, n):
+        report = conjecture_check(n, p)
+        names = {mu: partition_str(mu) for mu in report.order}
+        assert streamed(CheckRecords(report.checks, names)) == dumps(
+            check_list(report.checks, names))
 
     def test_empty_generators_and_containers(self):
         doc = {"a": (x for x in ()), "b": [], "c": {}, "d": (x for x in [1])}
@@ -545,8 +600,11 @@ class TestJsonWriter:
             streamed(doc)
 
     @pytest.mark.parametrize("records", [
-        Records(("a",), [(1.5,)]), Records(("a",), [([1],)]),
-        Records((1,), [(1,)])])
+        CheckRecords({(0, 0): {"expected": 1, "lhs": 1.5, "pass": None}},
+                     ["a"]),
+        CheckRecords({(0, 0): {"expected": 1, "lhs": [1], "pass": None}},
+                     ["a"]),
+        CheckRecords(Grid((0,), (0,), ((1,),), check_record), [1])])
     def test_unsupported_record_values_raise(self, records):
         with pytest.raises(TypeError):
             streamed({"r": records})

@@ -1,5 +1,7 @@
-"""Input guards raise ValueError, so they hold under ``python -O`` too."""
+"""Input guards raise ValueError, so they hold under ``python -O`` too, and
+the package has no ``assert`` statement that ``-O`` would strip."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -35,3 +37,12 @@ def test_guards_survive_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_assert_statements_in_the_package():
+    found = []
+    for path in sorted((ROOT / "src" / "spechtmod").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

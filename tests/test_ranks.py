@@ -275,6 +275,29 @@ def test_weight_space_dims_checks_empty_shapes():
     assert "size 0" in message and "expects 1" in message
 
 
+@pytest.mark.parametrize("mismatch, empty, first", [
+    ((2, 2, 1), (1, 1, 1, 1, 1), (2, 2, 1)),
+    ((2, 1, 1, 1), (3, 1, 1), (3, 1, 1)),
+])
+def test_weight_space_dims_names_the_first_offending_shape(mismatch, empty,
+                                                           first):
+    """Of two offending shapes, a representative-shape count mismatch and a
+    nonzero count on a shape without representatives, the error names the
+    one first in restricted_partitions order; a nonzero count on a shape
+    that is not restricted is not checked."""
+    mu, p = (2, 1, 1, 1), 3
+    representatives = ladder_orbit_representatives(mu, p)
+    assert representatives.get(mismatch) and empty not in representatives
+    counts = counts_at_one(mu, p)
+    bad = {**counts, mismatch: counts.get(mismatch, 0) + 1, empty: 1,
+           (5,): 1}
+    assert weight_space_dims(mu, p, {**counts, (5,): 1}) == \
+        weight_space_dims(mu, p, counts)
+    with pytest.raises(AssertionError) as excinfo:
+        weight_space_dims(mu, p, bad)
+    assert f"mu={mu}, tau={first} has" in str(excinfo.value)
+
+
 def test_weight_space_dims_rejects_bad_input():
     with pytest.raises(ValueError):
         weight_space_dims((4, 1), 3, {})    # not 3-restricted

@@ -211,6 +211,18 @@ def test_act_tableau_by_d_permutation(lam):
         assert oracles.permutation_of_word(pw.word, t.n) == pw.one_line
 
 
+def test_d_reduced_word_length_is_the_inversion_count():
+    # every standard tableau with n <= 7, both word strategies
+    for n in range(1, 8):
+        for lam in all_partitions(n):
+            for t in standard_tableaux(lam):
+                one_line = d_permutation(t)
+                for strategy in ("canonical", "reverse"):
+                    pw = d_reduced_word(t, strategy)
+                    assert pw.one_line == one_line
+                    assert len(pw.word) == inversions(one_line)
+
+
 def test_d_word_worked_examples():
     t = StandardTableau(((1, 2), (3, 5), (4,)))
     assert d_reduced_word(t).word == (5,)
