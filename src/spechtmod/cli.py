@@ -18,8 +18,9 @@ computed before the first byte is written.  Each of the N^2 check records
 of ``verify`` is joined from the text of its head (expected, lhs), the name
 of mu and its tail (pass, tau), each built once; the records of one mu are
 one join, and a passing column reuses one list of parts.  Each row of ints
-(``nmat1``, ``amat``, ...) is written from a table of its distinct values'
-text, built once per row.
+(``nmat1``, ``amat``, ...) is written from its nonzero entries: the zeros
+between them are one repeated piece of text.  ``nmat1`` and ``amat`` are
+held as their nonzeros only and are never expanded to dense rows.
 Exit status: 0 on success (and all checks passing), 1 when a verification
 check or the nonnegativity finding fails, 2 on invalid input (an
 ``--output`` path that cannot be opened included).
@@ -30,10 +31,11 @@ import csv
 import os
 import sys
 from fractions import Fraction
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from types import GeneratorType
 
-from .fock import LaurentPoly, llt_canonical, nmat_at_one
+from .fock import LaurentPoly, SparseRows, llt_canonical, nmat_at_one
 from .partitions import check_partition, is_p_restricted
 from .ranks import gram_report
 from .tableaux import check_class_cap
@@ -112,6 +114,23 @@ def _not_scalar(value):
                     "scalar")
 
 
+def _int_list_text(pairs, size: int, pad: str) -> str:
+    """The JSON text, at indent ``pad``, of a list of ``size`` ints given its
+    nonzero entries as (column, value) pairs by ascending column; an int
+    outside int64 is written as a string, as ``_jint`` does."""
+    if not size:
+        return "[]"
+    sep = "," + pad + "  "
+    zero, pieces, at = "0" + sep, [], 0
+    for k, value in pairs:
+        pieces.append(zero * (k - at))
+        pieces.append((int.__repr__(value) if abs(value) <= _INT64_MAX
+                       else encode_basestring_ascii(str(value))) + sep)
+        at = k + 1
+    pieces.append(zero * (size - at))
+    return "[" + sep[1:] + "".join(pieces)[:-len(sep)] + pad + "]"
+
+
 class CheckRecords:
     """The ``checks`` list of a verify report: ``checks`` is any Mapping
     (mu, tau) -> {"expected", "lhs", "pass"}, ``names`` the text of each
@@ -127,12 +146,12 @@ def _write_json(obj, fh) -> None:
     """Write ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` to fh.
 
     Handles dicts with str keys, lists, tuples and generators (written as
-    lists), ``CheckRecords``, str, int, bool and None; anything else raises
-    TypeError.  An int inside a list obeys the int64 rule of ``_jint``; an
-    int in an object, a check record included, is written as it is.  A list
-    of ints only is written in one pass: each distinct value's text and
-    separator is built once, then the row is one join of table lookups.  The
-    text goes out ``_BATCH`` pieces at a time.
+    lists), ``SparseRows`` (a list of int lists), ``CheckRecords``, str, int,
+    bool and None; anything else raises TypeError.  An int inside a list
+    obeys the int64 rule of ``_jint``; an int in an object, a check record
+    included, is written as it is.  Every list of ints only, a row of
+    ``SparseRows`` or a list or tuple, is written by ``_int_list_text`` from
+    its nonzero entries.  The text goes out ``_BATCH`` pieces at a time.
 
     A check record is ``head(expected, lhs) + name(mu) + tail(pass, tau)``,
     and each head and tail is built once, keyed by its values and their
@@ -217,17 +236,23 @@ def _write_json(obj, fh) -> None:
         if kind is CheckRecords:
             write_checks(obj, pad)
             return
+        if kind is SparseRows:
+            sep = "[" + inner
+            for row in obj.rows:
+                out.extend((sep, _int_list_text(row.items(), obj.size, inner)))
+                sep = "," + inner
+                if len(out) >= _BATCH:
+                    flush()
+            out.append(pad + "]" if obj.rows else "[]")
+            return
         if kind is dict:
             items = ((key_text(k), obj[k]) for k in sorted(obj))
             brackets = "{}"
         elif kind is list or kind is tuple or kind is GeneratorType:
             if kind is not GeneratorType and set(map(type, obj)) == {int}:
-                sep = "," + inner
-                text = {x: (int.__repr__(x) if abs(x) <= _INT64_MAX
-                            else encode_basestring_ascii(str(x))) + sep
-                        for x in set(obj)}
-                out.append("[" + inner + "".join(
-                    map(text.__getitem__, obj))[:-len(sep)] + pad + "]")
+                out.append(_int_list_text(
+                    ((k, obj[k]) for k in compress(range(len(obj)), obj)),
+                    len(obj), pad))
                 return
             items = (("", _jint(x) if type(x) is int else x) for x in obj)
             brackets = "[]"

@@ -38,8 +38,9 @@ bar-symmetric corrections n(q) G(nu) at dominance-greater nu, most dominant
 first, and records the transition matrix n.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress
 
 from .partitions import (Partition, check_partition, is_p_restricted,
                          restricted_partitions, addable_nodes, removable_nodes,
@@ -249,24 +250,43 @@ def divided_f(i: int, k: int, v: FockVector, p: int) -> FockVector:
     Adding an i-node creates or destroys no other addable or removable i-node
     (p > 1), so along any ordering of S the f_i exponents sum to N(lam, S) +
     k(k-1)/2 - 2 (pairs added left-first); over all k! orderings that gives
-    q^N(lam, S) [k]_q!.  ``adds`` runs by increasing row, so the addable
-    i-nodes left of ``adds[j]`` are ``adds[j+1:]`` and N(lam, S) is the sum
-    of ``weight[j]`` over S less the k(k-1)/2 pairs inside S."""
+    q^N(lam, S) [k]_q!.  The weight of an addable i-node counts the addable
+    i-nodes left of it less the removable i-nodes left of it, so N(lam, S) is
+    the sum of the weights over S less the k(k-1)/2 pairs inside S.
+
+    The weights come from one scan of lam by increasing column: the node
+    below the last row, then each row from the bottom up, its removable node
+    before its addable one.  Scan order is strict column order on i-nodes:
+    the only ties are the addable node of a row and the removable node of
+    the row above, and residues of adjacent rows differ by 1."""
     if k <= 0:
         raise ValueError("divided power needs k >= 1")
+    i %= p
     pairs = k * (k - 1) // 2
     out = {}
     for lam, c in v.terms.items():
-        adds = addable_nodes(lam, i, p)
-        rems = removable_nodes(lam, i, p)
-        weight = [len(adds) - 1 - j - sum(1 for r in rems if r[1] < g[1])
-                  for j, g in enumerate(adds)]
-        for subset in combinations(range(len(adds)), k):
+        adds, count = [], 0      # (row index, weight); addable less removable
+        if -len(lam) % p == i:
+            adds.append((len(lam), 0))
+            count = 1
+        below = 0
+        for r in range(len(lam) - 1, -1, -1):
+            row = lam[r]
+            d = (row - r - i) % p   # 1 or 0: (r+1, row) or (r+1, row+1)
+            if d == 1 and row > below:
+                count -= 1
+            elif d == 0 and (r == 0 or row < lam[r - 1]):
+                adds.append((r, count))
+                count += 1
+            below = row
+        adds.reverse()          # by increasing row
+        for subset in combinations(adds, k):
             parts = list(lam) + [0]
-            for j in subset:
-                parts[adds[j][0] - 1] += 1
+            shift = -pairs
+            for r, weight in subset:
+                parts[r] += 1
+                shift += weight
             mu = tuple(parts) if parts[-1] else tuple(parts[:-1])
-            shift = sum(weight[j] for j in subset) - pairs
             acc = out.setdefault(mu, {})
             for e, x in c.coeffs.items():
                 acc[e + shift] = acc.get(e + shift, 0) + x
@@ -423,34 +443,67 @@ def _assert_table_invariants(table: CanonicalBasisTable):
             raise AssertionError(f"A({mu}) != sum nmat . G reconstruction")
 
 
-def nmat_at_one(table: CanonicalBasisTable):
-    """The integer matrix n(lam, mu)(1), rows and columns in table order."""
+class SparseRows(Sequence):
+    """Read-only integer matrix with ``size`` columns, held as its nonzero
+    entries: ``rows[i]`` is a dict {column: nonzero int} with ascending keys.
+    Indexing gives the dense row tuple, so ``m[i][j]``, iteration and ``len``
+    read as for a tuple of rows."""
+
+    __slots__ = ("rows", "size")
+
+    def __init__(self, rows, size: int):
+        self.rows, self.size = tuple(rows), size
+
+    @classmethod
+    def from_rows(cls, rows) -> "SparseRows":
+        """The nonzero (truthy) entries of dense rows; None reads as 0."""
+        rows = tuple(rows)
+        size = len(rows[0]) if rows else 0
+        return cls(({j: row[j] for j in compress(range(size), row)}
+                    for row in rows), size)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i) -> tuple:
+        dense = [0] * self.size
+        for j, value in self.rows[i].items():
+            dense[j] = value
+        return tuple(dense)
+
+
+def nmat_at_one(table: CanonicalBasisTable) -> SparseRows:
+    """The integer matrix n(lam, mu)(1), rows and columns in table order:
+    1 on the diagonal and each nmat entry whose value at q = 1 is nonzero."""
     pos = {mu: k for k, mu in enumerate(table.order)}
-    out = [[1 if i == j else 0 for j in range(len(pos))]
-           for i in range(len(pos))]
+    rows = [{k: 1} for k in range(len(pos))]
     for (lam, mu), c in table.nmat.items():
-        out[pos[lam]][pos[mu]] = evaluate_at_one(c)
-    return out
+        value = evaluate_at_one(c)
+        if value:
+            rows[pos[lam]][pos[mu]] = value
+    return SparseRows(({j: row[j] for j in sorted(row)} for row in rows),
+                      len(pos))
 
 
-def invert_unitriangular(M):
+def invert_unitriangular(M: SparseRows) -> SparseRows:
     """Exact inverse of an upper-unitriangular integer matrix.
 
-    Solved from the last row up, inv[i] = e_i - sum over k > i with
-    M[i][k] != 0 of M[i][k] inv[k]: one row operation per nonzero above the
-    diagonal, so a nearly diagonal M costs little more than reading it."""
-    N = len(M)
-    for i in range(N):
-        if M[i][i] != 1:
+    Solved from the last row up, inv[i] = e_i - sum over the stored k > i of
+    M[i][k] inv[k]: one sparse row operation per nonzero above the diagonal,
+    so the work follows the nonzeros of M and of the inverse, never N^2.
+    Only stored entries are checked, row by row: the diagonal first, then
+    the entries below it."""
+    for i, row in enumerate(M.rows):
+        if row.get(i) != 1:
             raise ValueError("matrix is not unitriangular (diagonal != 1)")
-        for j in range(i):
-            if M[i][j] != 0:
-                raise ValueError("matrix is not upper triangular")
-    inv = [None] * N
-    for i in range(N - 1, -1, -1):
-        row = [1 if j == i else 0 for j in range(N)]
-        for k in range(i + 1, N):
-            if M[i][k]:
-                row = [x - M[i][k] * y for x, y in zip(row, inv[k])]
-        inv[i] = row
-    return inv
+        if next(iter(row)) < i:     # keys ascend, so the first is the least
+            raise ValueError("matrix is not upper triangular")
+    inv = [None] * len(M)
+    for i in range(len(M) - 1, -1, -1):
+        acc = {i: 1}
+        for k, m in M.rows[i].items():
+            if k > i:
+                for j, x in inv[k].items():
+                    acc[j] = acc.get(j, 0) - m * x
+        inv[i] = {j: acc[j] for j in sorted(acc) if acc[j]}
+    return SparseRows(inv, M.size)

@@ -31,7 +31,7 @@ from functools import cache
 from itertools import combinations
 
 from .partitions import (Partition, Node, check_partition, addable_nodes,
-                         all_addable_nodes, add_node, ladder_decomposition)
+                         all_addable_nodes, ladder_decomposition)
 
 
 class StandardTableau:
@@ -153,7 +153,7 @@ def standard_tableaux(lam: Partition) -> tuple:
             out.append(StandardTableau.from_positions(node_seq))
             return
         for g in _inside(all_addable_nodes(shape), lam):
-            grow(node_seq + (g,), add_node(shape, g))
+            grow(node_seq + (g,), _grown(shape, (g,)))
 
     grow((), ())
     return tuple(out)
@@ -163,6 +163,16 @@ def _inside(nodes, target) -> tuple:
     """The given nodes that lie in the diagram of ``target``."""
     return tuple(g for g in nodes
                  if g[0] <= len(target) and g[1] <= target[g[0] - 1])
+
+
+def _grown(shape: Partition, nodes) -> Partition:
+    """``shape`` with ``nodes`` added.  The nodes are addable nodes of
+    ``shape`` in distinct rows, as the enumerations here take them, so the
+    result is a partition and is not checked again."""
+    parts = list(shape) + [0]
+    for r, _c in nodes:
+        parts[r - 1] += 1
+    return tuple(parts) if parts[-1] else tuple(parts[:-1])
 
 
 @dataclass(frozen=True)
@@ -260,10 +270,8 @@ def ladder_orbit_representatives(mu: Partition, p: int, target=None,
                 nodes = _inside(nodes, target)
             out = []
             for subset in combinations(nodes, m):
-                grown = shape
-                for g in subset:
-                    grown = add_node(grown, g)
-                out.extend(subset + rest for rest in completions(k + 1, grown))
+                out.extend(subset + rest for rest
+                           in completions(k + 1, _grown(shape, subset)))
             memo[key] = tuple(out)
         return memo[key]
 
@@ -287,9 +295,9 @@ def _class_members(rs: ResidueSequence, target) -> tuple:
             nodes = addable_nodes(shape, rs.values[k], p)
             if target is not None:
                 nodes = _inside(nodes, target)
-            memo[key] = tuple((g,) + rest
-                              for g in nodes
-                              for rest in completions(k + 1, add_node(shape, g)))
+            memo[key] = tuple((g,) + rest for g in nodes
+                              for rest in completions(k + 1,
+                                                      _grown(shape, (g,))))
         return memo[key]
 
     return tuple(map(StandardTableau.from_positions, completions(0, ())))

@@ -29,9 +29,10 @@ import multiprocessing
 import os
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from itertools import compress, product
+from itertools import product
 
-from .fock import evaluate_at_one, invert_unitriangular, llt_canonical, nmat_at_one
+from .fock import (SparseRows, evaluate_at_one, invert_unitriangular,
+                   llt_canonical, nmat_at_one)
 from .partitions import (Partition, all_partitions, check_partition, dominates,
                          is_p_restricted, restricted_partitions,
                          standard_tableau_count, validate_ladder_lengths)
@@ -97,12 +98,14 @@ class VerificationReport:
     rows: conjecture_check stores the N lhs columns and the |Par_n| x N
     decomposition rows, and no per-entry key or dict; each check record is
     built when it is read.  Any other Mapping may be passed for either; a
-    ``decomposition`` Mapping is read into rows."""
+    ``decomposition`` Mapping is read into rows.  ``nmat1`` and ``amat``
+    hold only their nonzero entries; dense rows passed for them are read
+    with ``SparseRows.from_rows``."""
     p: int
     n: int
     order: tuple                 # p-restricted partitions, most dominant first
-    nmat1: tuple                 # transition matrix at q = 1
-    amat: tuple                  # its inverse
+    nmat1: SparseRows            # transition matrix at q = 1
+    amat: SparseRows             # its inverse
     mmat: tuple                  # weight-space dims; a column is None when
                                  # that mu has a ladder of length >= p
     checks: Mapping              # (mu, tau) -> {"lhs", "expected", "pass"},
@@ -115,6 +118,9 @@ class VerificationReport:
                                  # a Grid over the rows of each tau
 
     def __post_init__(self):
+        for name in ("nmat1", "amat"):
+            if not isinstance(getattr(self, name), SparseRows):
+                setattr(self, name, SparseRows.from_rows(getattr(self, name)))
         d = self.decomposition
         if not isinstance(d, Grid):
             taus = all_partitions(self.n) if d else ()
@@ -124,15 +130,11 @@ class VerificationReport:
                       for tau in taus))
 
     def nonnegativity_violations(self) -> tuple:
-        """Entries of nmat1 below zero (conjecturally none)."""
-        out = []
-        for lam, row in zip(self.order, self.nmat1):
-            if min(row, default=0) >= 0:
-                continue
-            for mu, value in zip(self.order, row):
-                if value < 0:
-                    out.append((lam, mu, value))
-        return tuple(out)
+        """Entries of nmat1 below zero (conjecturally none), by row and
+        then by column, read from its stored nonzeros."""
+        return tuple((lam, self.order[j], value)
+                     for lam, row in zip(self.order, self.nmat1.rows)
+                     for j, value in row.items() if value < 0)
 
     def decomposition_matrix(self):
         """(row labels, column labels, integer rows); empty when unpopulated."""
@@ -171,13 +173,13 @@ def m_matrix(n: int, p: int, counts, jobs: int = 1):
     return tuple(zip(*(columns.get(mu, skipped) for mu in order)))
 
 
-def _column_nonzeros(rows, size: int) -> list:
-    """For each column k of ``rows``, its nonzero entries as (row index,
-    entry) pairs: None counts as zero."""
-    columns = [[] for _ in range(size)]
-    for t, row in enumerate(rows):
-        for k in compress(range(size), row):
-            columns[k].append((t, row[k]))
+def _column_nonzeros(matrix: SparseRows) -> list:
+    """For each column k of ``matrix``, its stored entries as (row index,
+    entry) pairs."""
+    columns = [[] for _ in range(matrix.size)]
+    for t, row in enumerate(matrix.rows):
+        for k, value in row.items():
+            columns[k].append((t, value))
     return columns
 
 
@@ -189,14 +191,14 @@ def conjecture_check(n: int, p: int, jobs: int = 1) -> VerificationReport:
     mmat = m_matrix(n, p, {mu: {tau: evaluate_at_one(c)
                                 for tau, c in a.terms.items()}
                            for mu, a in table.A.items()}, jobs=jobs)
-    nmat1 = tuple(tuple(row) for row in nmat_at_one(table))
-    amat = tuple(tuple(row) for row in invert_unitriangular(nmat1))
+    nmat1 = nmat_at_one(table)
+    amat = invert_unitriangular(nmat1)
     size = len(order)
     zeros, skipped = (0,) * size, (None,) * size
-    m_columns = _column_nonzeros(mmat, size)
+    m_columns = _column_nonzeros(SparseRows.from_rows(mmat))  # drops None
     lhs_columns = []
     overall = True
-    for b, needed in enumerate(_column_nonzeros(amat, size)):
+    for b, needed in enumerate(_column_nonzeros(amat)):
         # the identity at mu = order[b] needs the m-columns of every lam
         # with a(lam, mu) != 0; skip (not fail) when one is unavailable
         if any(mmat[0][k] is None for k, _a in needed):

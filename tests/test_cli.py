@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from spechtmod.cli import (CheckRecords, _jint, _write_json, main,
                            parse_partition, partition_str)
+from spechtmod.fock import SparseRows
 from spechtmod.verify import (Grid, VerificationReport, check_record,
                               conjecture_check)
 
@@ -494,11 +495,33 @@ documents = st.recursive(
     max_leaves=24)
 
 
+@st.composite
+def sparse_int_matrices(draw):
+    # rows of nonzeros by ascending column; a row may be empty
+    size = draw(st.integers(0, 12))
+    value = st.integers(-(2 ** 70), 2 ** 70).filter(bool)
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, size - 1), value, max_size=size)
+        if size else st.just({}), max_size=12))
+    return SparseRows(({j: row[j] for j in sorted(row)} for row in rows),
+                      size)
+
+
 class TestJsonWriter:
     @given(documents)
     @settings(max_examples=300, deadline=None)
     def test_bytes_equal_json_dumps(self, doc):
         assert streamed(as_written(doc)) == dumps(as_plain(doc))
+
+    @given(sparse_int_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_rows_equal_json_dumps(self, m):
+        # the same text from the nonzeros as from the dense rows
+        dense = [[_jint(x) for x in row] for row in m]
+        doc = {"sparse": m, "dense": [list(row) for row in m],
+               "deeper": [SparseRows.from_rows(m)]}
+        assert streamed(doc) == dumps(
+            {"sparse": dense, "dense": dense, "deeper": [dense]})
 
     @given(st.lists(st.text(alphabet='0123456789,^ab"\\\u00e9', max_size=8),
                     min_size=1, max_size=4),

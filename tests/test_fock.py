@@ -10,6 +10,7 @@ from spechtmod import fock
 from spechtmod.fock import (
     FockVector,
     LaurentPoly,
+    SparseRows,
     _assert_table_invariants,
     bar,
     divided_f,
@@ -117,6 +118,21 @@ def test_divided_power_times_factorial_is_power():
                         fact = gaussian_factorial(k)
                         assert {mu: c * fact for mu, c in divided.terms.items()} \
                             == powered.terms, (p, lam, i, k)
+
+
+def test_divided_f_matches_reference():
+    # exhaustive: every partition of n <= 8, every residue, k <= 3
+    from spechtmod.partitions import all_partitions
+    for p in (3, 5, 7):
+        for n in range(9):
+            for lam in all_partitions(n):
+                for i in range(p):
+                    for k in range(1, 4):
+                        got = divided_f(i, k, FockVector(n, {lam: 1}), p)
+                        want = oracles.divided_power_reference(
+                            i, k, {lam: {0: 1}}, p)
+                        assert {mu: dict(c.coeffs) for mu, c
+                                in got.terms.items()} == want, (p, lam, i, k)
 
 
 def test_first_approximation_golden_table():
@@ -231,8 +247,21 @@ def test_llt_n5_table_is_identity():
         assert table.A[mu].terms == table.G[mu].terms
     n1 = nmat_at_one(table)
     size = len(table.order)
-    assert n1 == [[1 if i == j else 0 for j in range(size)]
-                  for i in range(size)]
+    assert n1.rows == tuple({i: 1} for i in range(size))
+    assert tuple(n1) == tuple(tuple(1 if i == j else 0 for j in range(size))
+                              for i in range(size))
+
+
+def test_nmat_at_one_stores_no_zero_at_q_equals_one():
+    # q^2 - 2 + q^-2 is bar-symmetric and nonzero, but 0 at q = 1
+    table = llt_canonical(5, 3)
+    lam, mu = table.order[0], table.order[3]
+    vanishing = LaurentPoly({2: 1, 0: -2, -2: 1})
+    nmat = {**table.nmat, (lam, mu): vanishing,
+            (lam, table.order[4]): gaussian(3)}
+    n1 = nmat_at_one(dataclasses.replace(table, nmat=nmat))
+    assert n1.rows[0] == {0: 1, 4: 3}
+    assert n1[0] == (1, 0, 0, 0, 3) and n1[0][3] == 0
 
 
 def test_llt_oracle_cross_check_n6_and_n7():
@@ -348,11 +377,14 @@ def test_weightspace_count_identity():
 
 def test_invert_unitriangular():
     m = [[1, 2, 3], [0, 1, 4], [0, 0, 1]]
-    inv = invert_unitriangular(m)
+    inv = invert_unitriangular(SparseRows.from_rows(m))
     prod = [[sum(m[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
             for i in range(3)]
     assert prod == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert invert_unitriangular([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+    assert inv.rows == ({0: 1, 1: -2, 2: 5}, {1: 1, 2: -4}, {2: 1})
+    identity = SparseRows.from_rows([[1, 0], [0, 1]])
+    assert tuple(invert_unitriangular(identity)) == ((1, 0), (0, 1))
+    assert tuple(invert_unitriangular(SparseRows((), 0))) == ()
 
 
 @pytest.mark.parametrize("m, message", [
@@ -361,7 +393,27 @@ def test_invert_unitriangular():
 ])
 def test_invert_unitriangular_rejects(m, message):
     with pytest.raises(ValueError, match=re.escape(message)):
+        invert_unitriangular(SparseRows.from_rows(m))
+
+
+def test_invert_unitriangular_checks_rows_in_order():
+    # row 1 fails both checks: its diagonal is reported; row 2 is never read
+    m = SparseRows.from_rows([[1, 0, 0], [5, 0, 0], [0, 0, 2]])
+    with pytest.raises(ValueError, match=re.escape("diagonal != 1")):
         invert_unitriangular(m)
+    m = SparseRows.from_rows([[1, 0, 0], [5, 1, 0], [0, 0, 2]])
+    with pytest.raises(ValueError, match="not upper triangular"):
+        invert_unitriangular(m)
+
+
+def test_invert_unitriangular_stays_sparse():
+    # a dense row or table anywhere would take gigabytes at this size
+    size = 50_000
+    rows = [{i: 1} for i in range(size)]
+    rows[0] = {0: 1, size - 1: -7}
+    inv = invert_unitriangular(SparseRows(rows, size))
+    assert sum(map(len, inv.rows)) <= size + 1
+    assert inv.rows[0] == {0: 1, size - 1: 7} and inv.rows[1] == {1: 1}
 
 
 @st.composite
@@ -378,14 +430,18 @@ def unitriangular_strategy(draw, max_size=12):
 @given(unitriangular_strategy())
 @settings(max_examples=200)
 def test_invert_unitriangular_matches_dense_formula(m):
-    assert invert_unitriangular(m) == oracles.dense_unitriangular_inverse(m)
+    inv = invert_unitriangular(SparseRows.from_rows(m))
+    assert tuple(inv) == tuple(map(tuple,
+                                   oracles.dense_unitriangular_inverse(m)))
+    assert all(0 not in row.values() and list(row) == sorted(row)
+               for row in inv.rows)
 
 
 def test_inverse_of_nmat_at_one_for_every_small_table():
     for p in (3, 5, 7):
         for n in range(13):
-            n1 = nmat_at_one(llt_canonical(n, p))
-            inv = invert_unitriangular(n1)
+            sparse = nmat_at_one(llt_canonical(n, p))
+            n1, inv = tuple(sparse), tuple(invert_unitriangular(sparse))
             size = len(n1)
             assert [[sum(n1[i][k] * inv[k][j] for k in range(size))
                      for j in range(size)] for i in range(size)] == \

@@ -129,9 +129,9 @@ class TestConjectureCheck:
         assert r.order == restricted_partitions(5, 3)
         assert not r.outside_region
         assert r.overall
-        assert r.nmat1 == identity_matrix(5)
-        assert r.amat == identity_matrix(5)
-        assert r.mmat == r.nmat1
+        assert tuple(r.nmat1) == identity_matrix(5)
+        assert tuple(r.amat) == identity_matrix(5)
+        assert r.mmat == tuple(r.nmat1)
         assert set(r.checks) == {(mu, tau) for mu in r.order for tau in r.order}
         for (mu, tau), v in r.checks.items():
             assert set(v) == {"lhs", "expected", "pass"}
@@ -218,6 +218,19 @@ class TestConjectureCheck:
     def test_nonnegativity_violations_empty_p3(self, reports_p3):
         for n in range(1, 9):
             assert reports_p3[n].nonnegativity_violations() == ()
+
+    def test_nonnegativity_violations_by_row_then_column(self):
+        order = ((3,), (2, 1), (1, 1, 1))
+        report = VerificationReport(
+            p=3, n=3, order=order,
+            nmat1=((1, -2, -1), (0, 1, 5), (-3, 0, 1)),
+            amat=((1, 0, 0), (0, 1, 0), (0, 0, 1)), mmat=(), checks={},
+            overall=True, outside_region=False)
+        assert report.nmat1.rows == ({0: 1, 1: -2, 2: -1}, {1: 1, 2: 5},
+                                     {0: -3, 2: 1})
+        assert report.nonnegativity_violations() == (
+            (order[0], order[1], -2), (order[0], order[2], -1),
+            (order[2], order[0], -3))
 
     def test_decomposition_matrix_layout(self, reports_p3):
         rows, cols, body = reports_p3[5].decomposition_matrix()
