@@ -50,12 +50,13 @@ for pair in (((3, 2), (4, 1)), ((2, 1, 1, 1), (2, 2, 1))):
 
 header("Weight-space dimension matrix for n = 5, p = 3")
 order = restricted_partitions(5, 3)
-# one column per weight mu, from its A(mu) and one enumeration of its class
+# one column {lam: dim} of nonzero dims per weight mu, from its A(mu) and
+# one enumeration of its class
 columns = [weight_space_dims(mu, 3, {
     tau: evaluate_at_one(c) for tau, c in a.terms.items()})
     for mu, a in first_approximations(order, 3).items()]
 print(" " * 14 + "  ".join(pstr(mu).rjust(11) for mu in order))
-for a, lam in enumerate(order):
+for lam in order:
     print(pstr(lam).ljust(14)
-          + "  ".join(str(column[a]).rjust(11) for column in columns))
+          + "  ".join(str(column.get(lam, 0)).rjust(11) for column in columns))
 print("  (rows: simple module, columns: weight; the identity matrix)")

@@ -17,10 +17,10 @@ of a large report is never held in memory whole; everything in it is
 computed before the first byte is written.  Each of the N^2 check records
 of ``verify`` is joined from the text of its head (expected, lhs), the name
 of mu and its tail (pass, tau), each built once; the records of one mu are
-one join, and a passing column reuses one list of parts.  Each row of ints
-(``nmat1``, ``amat``, ...) is written from its nonzero entries: the zeros
-between them are one repeated piece of text.  ``nmat1`` and ``amat`` are
-held as their nonzeros only and are never expanded to dense rows.
+one join, and a passing column reuses one list of parts.  Every table of
+the report (``nmat1``, ``amat``, ``mmat``, the check lhs, the decomposition)
+is held as its entries other than 0 and written row by row from them: the
+zeros between them are one repeated piece of text.
 Exit status: 0 on success (and all checks passing), 1 when a verification
 check or the nonnegativity finding fails, 2 on invalid input (an
 ``--output`` path that cannot be opened included).
@@ -31,7 +31,6 @@ import csv
 import os
 import sys
 from fractions import Fraction
-from itertools import compress
 from json.encoder import encode_basestring_ascii
 from types import GeneratorType
 
@@ -115,16 +114,18 @@ def _not_scalar(value):
 
 
 def _int_list_text(pairs, size: int, pad: str) -> str:
-    """The JSON text, at indent ``pad``, of a list of ``size`` ints given its
-    nonzero entries as (column, value) pairs by ascending column; an int
-    outside int64 is written as a string, as ``_jint`` does."""
+    """The JSON text, at indent ``pad``, of a list of ``size`` entries given
+    those other than 0 as (column, value) pairs by ascending column; None is
+    written as null, and an int outside int64 as a string, as ``_jint``
+    does."""
     if not size:
         return "[]"
     sep = "," + pad + "  "
     zero, pieces, at = "0" + sep, [], 0
     for k, value in pairs:
         pieces.append(zero * (k - at))
-        pieces.append((int.__repr__(value) if abs(value) <= _INT64_MAX
+        pieces.append(("null" if value is None
+                       else int.__repr__(value) if abs(value) <= _INT64_MAX
                        else encode_basestring_ascii(str(value))) + sep)
         at = k + 1
     pieces.append(zero * (size - at))
@@ -146,20 +147,20 @@ def _write_json(obj, fh) -> None:
     """Write ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` to fh.
 
     Handles dicts with str keys, lists, tuples and generators (written as
-    lists), ``SparseRows`` (a list of int lists), ``CheckRecords``, str, int,
+    lists), ``SparseRows`` (a list of lists), ``CheckRecords``, str, int,
     bool and None; anything else raises TypeError.  An int inside a list
     obeys the int64 rule of ``_jint``; an int in an object, a check record
-    included, is written as it is.  Every list of ints only, a row of
-    ``SparseRows`` or a list or tuple, is written by ``_int_list_text`` from
-    its nonzero entries.  The text goes out ``_BATCH`` pieces at a time.
+    included, is written as it is.  Each row of a ``SparseRows`` is written
+    by ``_int_list_text`` from its stored entries.  The text goes out
+    ``_BATCH`` pieces at a time.
 
     A check record is ``head(expected, lhs) + name(mu) + tail(pass, tau)``,
     and each head and tail is built once, keyed by its values and their
     types (so ``True`` and ``1`` stay apart).  The checks ``Grid`` of
-    ``conjecture_check`` is read by its lhs rows, one mu at a time: a unit
-    column (every identity of mu passing) is one join on the name of mu of
-    a list of parts built once, patched before the diagonal.  Other columns
-    and other Mappings are written record by record."""
+    ``conjecture_check`` is read by its stored lhs rows, one mu at a time: a
+    unit column (every identity of mu passing) is one join on the name of mu
+    of a list of parts built once, patched before the diagonal.  Other
+    columns and other Mappings are written record by record."""
     out = []
 
     def flush():
@@ -202,11 +203,10 @@ def _write_json(obj, fh) -> None:
 
         checks, sep = obj.checks, "[" + inner
         if isinstance(checks, Grid) and checks.entry is check_record:
-            cols, size = checks.col_keys, len(checks.col_keys)
-            glue = None
-            for i, (mu, row) in enumerate(zip(checks.row_keys, checks.rows)):
-                if (i < size and row[i] == 1 and row.count(0) == size - 1
-                        and set(map(type, row)) == {int}):
+            cols, glue = checks.col_keys, None
+            for i, (mu, row) in enumerate(zip(checks.row_keys,
+                                              checks.rows.rows)):
+                if row == {i: 1} and type(row[i]) is int:
                     if glue is None:    # piece k ends record k-1, starts k
                         ends = [""] + [tail(True, tau) + "," + inner
                                        for tau in cols[:-1]]
@@ -217,9 +217,9 @@ def _write_json(obj, fh) -> None:
                     out.extend((sep, name(mu).join(glue)))
                     glue[i], sep = kept, "," + inner
                 else:
-                    for j, (tau, lhs) in enumerate(zip(cols, row)):
-                        out.extend((sep, record(mu, tau,
-                                                check_record(i, j, lhs))))
+                    for j, tau in enumerate(cols):
+                        out.extend((sep, record(mu, tau, check_record(
+                            i, j, row.get(j, 0)))))
                         sep = "," + inner
                 flush()
         else:
@@ -249,11 +249,6 @@ def _write_json(obj, fh) -> None:
             items = ((key_text(k), obj[k]) for k in sorted(obj))
             brackets = "{}"
         elif kind is list or kind is tuple or kind is GeneratorType:
-            if kind is not GeneratorType and set(map(type, obj)) == {int}:
-                out.append(_int_list_text(
-                    ((k, obj[k]) for k in compress(range(len(obj)), obj)),
-                    len(obj), pad))
-                return
             items = (("", _jint(x) if type(x) is int else x) for x in obj)
             brackets = "[]"
         else:

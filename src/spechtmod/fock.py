@@ -40,7 +40,7 @@ first, and records the transition matrix n.
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, combinations, compress
+from itertools import accumulate, combinations
 
 from .partitions import (Partition, check_partition, is_p_restricted,
                          restricted_partitions, addable_nodes, removable_nodes,
@@ -444,8 +444,9 @@ def _assert_table_invariants(table: CanonicalBasisTable):
 
 
 class SparseRows(Sequence):
-    """Read-only integer matrix with ``size`` columns, held as its nonzero
-    entries: ``rows[i]`` is a dict {column: nonzero int} with ascending keys.
+    """Read-only integer matrix with ``size`` columns, held as its entries
+    other than 0: ``rows[i]`` is a dict {column: entry} with ascending keys,
+    where an entry is a nonzero int or None (a column left unevaluated).
     Indexing gives the dense row tuple, so ``m[i][j]``, iteration and ``len``
     read as for a tuple of rows."""
 
@@ -456,10 +457,10 @@ class SparseRows(Sequence):
 
     @classmethod
     def from_rows(cls, rows) -> "SparseRows":
-        """The nonzero (truthy) entries of dense rows; None reads as 0."""
+        """The entries other than 0 of dense rows; None is kept."""
         rows = tuple(rows)
         size = len(rows[0]) if rows else 0
-        return cls(({j: row[j] for j in compress(range(size), row)}
+        return cls(({j: x for j, x in enumerate(row) if x != 0}
                     for row in rows), size)
 
     def __len__(self):

@@ -62,9 +62,6 @@ def is_p_restricted(lam: Partition, p: int) -> bool:
                for i in range(len(lam)))
 
 
-# cached: 165 hits on verify-p5n16, one in m_matrix and one per column of m
-# in weight_space_dims
-@cache
 def restricted_partitions(n: int, p: int) -> tuple:
     """All p-restricted partitions of ``n``, most dominant first.
 
@@ -108,17 +105,6 @@ def all_addable_nodes(lam: Partition) -> tuple:
         above = lam[r - 2] if r >= 2 else None
         if above is None or row < above:
             out.append((r, row + 1))
-    return tuple(out)
-
-
-def all_removable_nodes(lam: Partition) -> tuple:
-    """Nodes whose removal gives a partition, by increasing row."""
-    lam = tuple(lam)
-    out = []
-    for r in range(1, len(lam) + 1):
-        below = lam[r] if r < len(lam) else 0
-        if lam[r - 1] > below:
-            out.append((r, lam[r - 1]))
     return tuple(out)
 
 

@@ -33,14 +33,12 @@ ladder symmetrization on D(tau)).
 """
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fock import evaluate_at_one, first_approximation
 from .partitions import (Partition, check_partition, is_p_restricted,
-                         ladder_decomposition, restricted_partitions,
-                         validate_ladder_lengths)
+                         ladder_decomposition, validate_ladder_lengths)
 from .seminormal import (SeminormalVector, act_by_word, norm,
                          seminormal_step)
 from .tableaux import (d_reduced_word, ladder_class_of_shape,
@@ -234,34 +232,34 @@ def gram_report(mu: Partition, tau: Partition, p: int,
     return _gram_report(mu, tau, p, representatives, word_strategy, count)
 
 
-def weight_space_dims(mu: Partition, p: int, counts) -> tuple:
-    """dim_e_tilde_D(mu, tau, p) for each tau of restricted_partitions(|mu|,
-    p), enumerating the orbit representatives of every shape once; a shape
-    without any gets rank 0.  ``counts`` maps tau to the coefficient of tau
-    in A(mu) at q = 1, as the Fock side computed it (absent means 0).  It is
-    read only by the weight-space count cross-check and decides nothing
-    computed here: every shape is enumerated and every orbit representative
-    chained.  Only the restricted shapes with representatives or a nonzero
-    count are visited, in restricted_partitions order (descending
-    lexicographic), each found in that order by bisection; on every other
-    shape both sides are 0."""
+def weight_space_dims(mu: Partition, p: int, counts) -> dict:
+    """{tau: dim_e_tilde_D(mu, tau, p)} over the taus of
+    restricted_partitions(|mu|, p) whose dim is not 0, enumerating the orbit
+    representatives of every shape once; a shape without any gets rank 0.
+    ``counts`` maps tau to the coefficient of tau in A(mu) at q = 1, as the
+    Fock side computed it (absent means 0).  It is read only by the
+    weight-space count cross-check and decides nothing computed here: every
+    shape is enumerated and every orbit representative chained.  Only the
+    restricted shapes with representatives or a nonzero count are visited,
+    in restricted_partitions order (descending lexicographic); on every
+    other shape both sides are 0."""
     mu = _require_valid_mu(mu, p)
     representatives = ladder_orbit_representatives(mu, p)
-    ascending = restricted_partitions(sum(mu), p)[::-1]
-    dims = [0] * len(ascending)
     shapes = {tau for tau, reps in representatives.items() if reps}
     shapes.update(tau for tau, count in counts.items() if count)
+    dims = {}
     for tau in sorted(shapes, reverse=True):
-        k = bisect_left(ascending, tau)
-        if k == len(ascending) or ascending[k] != tau:
-            continue                    # not restricted
+        if not is_p_restricted(tau, p):
+            continue
         reps = representatives.get(tau)
         if reps:
-            dims[-1 - k] = _gram_report(mu, tau, p, reps, "canonical",
-                                        counts.get(tau, 0)).rank
+            rank = _gram_report(mu, tau, p, reps, "canonical",
+                                counts.get(tau, 0)).rank
+            if rank:
+                dims[tau] = rank
         else:
             _check_weight_space_count(mu, tau, counts[tau], 0)
-    return tuple(dims)
+    return dims
 
 
 def dim_e_tilde_D(mu: Partition, tau: Partition, p: int,

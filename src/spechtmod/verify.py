@@ -44,8 +44,8 @@ from .tableaux import (check_class_cap, d_reduced_word, row_reading_tableau,
 
 class Grid(Mapping):
     """Read-only Mapping ``(row key, column key) -> entry`` over a table held
-    as rows, iterated row by row.  ``entry(i, j, value)`` makes the mapped
-    entry from ``rows[i][j]``; by default the entry is the value itself."""
+    as ``SparseRows``, iterated row by row.  ``entry(i, j, value)`` makes the
+    mapped entry from ``rows[i][j]``; by default the entry is the value."""
 
     def __init__(self, row_keys, col_keys, rows, entry=None):
         self.row_keys, self.col_keys, self.rows = row_keys, col_keys, rows
@@ -59,7 +59,7 @@ class Grid(Mapping):
             i, j = self._row_at[a], self._col_at[b]
         except (TypeError, ValueError, KeyError):
             raise KeyError(key) from None
-        return self.entry(i, j, self.rows[i][j])
+        return self.entry(i, j, self.rows.rows[i].get(j, 0))
 
     def __iter__(self):
         return product(self.row_keys, self.col_keys)
@@ -77,9 +77,9 @@ class _GridItems(ItemsView):
     def __iter__(self):
         grid = self._mapping
         entry, cols = grid.entry, grid.col_keys
-        for i, (a, row) in enumerate(zip(grid.row_keys, grid.rows)):
-            for j, (b, value) in enumerate(zip(cols, row)):
-                yield (a, b), entry(i, j, value)
+        for i, (a, row) in enumerate(zip(grid.row_keys, grid.rows.rows)):
+            for j, b in enumerate(cols):
+                yield (a, b), entry(i, j, row.get(j, 0))
 
 
 def check_record(i: int, j: int, lhs) -> dict:
@@ -94,40 +94,38 @@ def check_record(i: int, j: int, lhs) -> dict:
 class VerificationReport:
     """Everything the verify pipeline produced for one (n, p).
 
-    ``checks`` and ``decomposition`` are read-only Mappings over tables of
-    rows: conjecture_check stores the N lhs columns and the |Par_n| x N
-    decomposition rows, and no per-entry key or dict; each check record is
-    built when it is read.  Any other Mapping may be passed for either; a
-    ``decomposition`` Mapping is read into rows.  ``nmat1`` and ``amat``
-    hold only their nonzero entries; dense rows passed for them are read
-    with ``SparseRows.from_rows``."""
+    Every table is a ``SparseRows``, held as its entries other than 0.
+    ``checks`` and ``decomposition`` are read-only Mappings over such
+    tables: conjecture_check stores the N lhs columns and the |Par_n| x N
+    decomposition rows, and no per-entry key or record; each check record
+    is built when it is read.  Any other Mapping may be passed for either;
+    a ``decomposition`` Mapping is read into rows.  Dense rows passed for
+    ``nmat1``, ``amat`` or ``mmat`` are read with ``SparseRows.from_rows``."""
     p: int
     n: int
     order: tuple                 # p-restricted partitions, most dominant first
     nmat1: SparseRows            # transition matrix at q = 1
     amat: SparseRows             # its inverse
-    mmat: tuple                  # weight-space dims; a column is None when
+    mmat: SparseRows             # weight-space dims; a column is None when
                                  # that mu has a ladder of length >= p
     checks: Mapping              # (mu, tau) -> {"lhs", "expected", "pass"},
                                  # mu outer; from the lhs column of each mu
                                  # over tau, all None when mu is skipped
     overall: bool                # every evaluated check passed
     outside_region: bool         # n >= p*p: outside the stated region
-    decomposition: Mapping = field(default_factory=lambda: Grid((), (), ()))
+    decomposition: Mapping = field(default_factory=dict)
                                  # (tau in Par_n, mu restricted) -> d(tau, mu),
                                  # a Grid over the rows of each tau
 
     def __post_init__(self):
-        for name in ("nmat1", "amat"):
+        for name in ("nmat1", "amat", "mmat"):
             if not isinstance(getattr(self, name), SparseRows):
                 setattr(self, name, SparseRows.from_rows(getattr(self, name)))
         d = self.decomposition
         if not isinstance(d, Grid):
             taus = all_partitions(self.n) if d else ()
-            self.decomposition = Grid(
-                taus, self.order,
-                tuple(tuple(d[(tau, mu)] for mu in self.order)
-                      for tau in taus))
+            self.decomposition = Grid(taus, self.order, SparseRows.from_rows(
+                [d[(tau, mu)] for mu in self.order] for tau in taus))
 
     def nonnegativity_violations(self) -> tuple:
         """Entries of nmat1 below zero (conjecturally none), by row and
@@ -137,7 +135,7 @@ class VerificationReport:
                      for j, value in row.items() if value < 0)
 
     def decomposition_matrix(self):
-        """(row labels, column labels, integer rows); empty when unpopulated."""
+        """(row labels, column labels, SparseRows); empty when unpopulated."""
         d = self.decomposition
         if not d:
             return (), (), ()
@@ -145,18 +143,18 @@ class VerificationReport:
 
 
 def _m_column(args):
-    """The column of mu over the p-restricted partitions of |mu|, from one
+    """The nonzero entries {tau: dim} of the column of mu, from one
     enumeration of the class of mu."""
     p, mu, counts = args
     return mu, weight_space_dims(mu, p, counts)
 
 
-def m_matrix(n: int, p: int, counts, jobs: int = 1):
+def m_matrix(n: int, p: int, counts, jobs: int = 1) -> SparseRows:
     """m[lam][mu] = dim of the mu-weight space of D(lam), lam and mu running
     over the p-restricted partitions of n in canonical order, with
-    ``counts[mu]`` passed to ``weight_space_dims`` for column mu.  Columns
-    whose mu fails the ladder-length bound (possible only for n >= p*p) are
-    None.  At most min(jobs, columns, CPUs) worker processes are started.
+    ``counts[mu]`` passed to ``weight_space_dims`` for column mu.  A column
+    whose mu fails the ladder-length bound (possible only for n >= p*p) is
+    None in every row.  At most min(jobs, columns, CPUs) worker processes are started.
     The class-size cap is checked first, before any partition is listed."""
     check_class_cap(n)
     order = restricted_partitions(n, p)
@@ -168,9 +166,20 @@ def m_matrix(n: int, p: int, counts, jobs: int = 1):
             results = pool.map(_m_column, tasks)
     else:
         results = [_m_column(t) for t in tasks]
-    columns = dict(results)
-    skipped = (None,) * len(order)
-    return tuple(zip(*(columns.get(mu, skipped) for mu in order)))
+    columns, skipped = dict(results), dict.fromkeys(order)
+    return _from_columns([columns.get(mu, skipped) for mu in order], order)
+
+
+def _from_columns(columns, row_keys) -> SparseRows:
+    """The rows over ``row_keys`` of the columns, each a dict {row key:
+    entry}; entries equal to 0 are not stored."""
+    at = {key: t for t, key in enumerate(row_keys)}
+    rows = [{} for _ in row_keys]
+    for k, column in enumerate(columns):    # so the keys of every row ascend
+        for key, value in column.items():
+            if value != 0:
+                rows[at[key]][k] = value
+    return SparseRows(rows, len(columns))
 
 
 def _column_nonzeros(matrix: SparseRows) -> list:
@@ -194,37 +203,32 @@ def conjecture_check(n: int, p: int, jobs: int = 1) -> VerificationReport:
     nmat1 = nmat_at_one(table)
     amat = invert_unitriangular(nmat1)
     size = len(order)
-    zeros, skipped = (0,) * size, (None,) * size
-    m_columns = _column_nonzeros(SparseRows.from_rows(mmat))  # drops None
-    lhs_columns = []
+    m_columns = _column_nonzeros(mmat)
+    missing = {k for k, m in mmat.rows[0].items() if m is None}
+    lhs_rows = []
     overall = True
     for b, needed in enumerate(_column_nonzeros(amat)):
         # the identity at mu = order[b] needs the m-columns of every lam
         # with a(lam, mu) != 0; skip (not fail) when one is unavailable
-        if any(mmat[0][k] is None for k, _a in needed):
-            lhs_columns.append(skipped)
+        if any(k in missing for k, _a in needed):
+            lhs_rows.append(dict.fromkeys(range(size)))
             continue
-        lhs = list(zeros)       # from the nonzero entries of a and m only
+        lhs = {}                # from the nonzero entries of a and m only
         for k, a in needed:
             for t, m in m_columns[k]:
-                lhs[t] += m * a
-        lhs = tuple(lhs)
-        overall = overall and lhs == zeros[:b] + (1,) + zeros[b + 1:]
-        lhs_columns.append(lhs)
+                lhs[t] = lhs.get(t, 0) + m * a
+        lhs = {t: lhs[t] for t in sorted(lhs) if lhs[t]}
+        overall = overall and lhs == {b: 1}
+        lhs_rows.append(lhs)
     report = VerificationReport(
         p=p, n=n, order=order, nmat1=nmat1, amat=amat, mmat=mmat,
-        checks=Grid(order, order, tuple(lhs_columns), check_record),
+        checks=Grid(order, order, SparseRows(lhs_rows, size), check_record),
         overall=overall, outside_region=n >= p * p)
     if overall:
         taus = all_partitions(n)
-        at = {tau: k for k, tau in enumerate(taus)}
-        columns = []
-        for mu in order:
-            column = [0] * len(taus)
-            for tau, c in table.G[mu].terms.items():
-                column[at[tau]] = evaluate_at_one(c)
-            columns.append(column)
-        report.decomposition = Grid(taus, order, tuple(zip(*columns)))
+        report.decomposition = Grid(taus, order, _from_columns(
+            [{tau: evaluate_at_one(c) for tau, c in table.G[mu].terms.items()}
+             for mu in order], taus))
     return report
 
 

@@ -645,14 +645,19 @@ def _addable_of_residue(lam, i, p):
     return out
 
 
-def _removable_of_residue(lam, i, p):
-    """Removable nodes (row, col) of lam with (col - row) mod p == i."""
+def removable_nodes_of(lam):
+    """Removable nodes (row, col) of lam, by increasing row."""
     out = []
     for r in range(1, len(lam) + 1):
         below = lam[r] if r < len(lam) else 0
-        if lam[r - 1] > below and (lam[r - 1] - r) % p == i:
+        if lam[r - 1] > below:
             out.append((r, lam[r - 1]))
     return out
+
+
+def _removable_of_residue(lam, i, p):
+    """Removable nodes (row, col) of lam with (col - row) mod p == i."""
+    return [(r, c) for r, c in removable_nodes_of(lam) if (c - r) % p == i]
 
 
 def divided_power_reference(i, k, vec, p):
@@ -819,7 +824,9 @@ def alt_total_order(n, p):
 def check_records_reference(order, amat, mmat):
     """(checks, overall) as the verify report used to assemble them: a dict
     (mu, tau) -> {"lhs", "expected", "pass"}, mu outer and tau inner, with
-    a whole column skipped (all None) when a needed m-column is None."""
+    a whole column skipped (all None) when a needed m-column is None.  Each
+    matrix is read into dense rows once, so lookups stay O(1)."""
+    amat, mmat = tuple(amat), tuple(mmat)
     idx = {mu: k for k, mu in enumerate(order)}
     checks = {}
     overall = True

@@ -24,7 +24,6 @@ MODULES = ("partitions", "tableaux", "fock", "seminormal", "ranks", "verify",
 
 KEPT = {
     "partitions.ladder_decomposition",
-    "partitions.restricted_partitions",
     "tableaux.row_reading_tableau",
 }
 

@@ -428,7 +428,7 @@ def grid_checks_equal_json_dumps(rows) -> bool:
     """Whether the writer gives the bytes of json.dumps for a verify checks
     Grid over the lhs ``rows``, both at the top and nested."""
     order = tuple(range(len(rows)))
-    grid = Grid(order, order, rows, check_record)
+    grid = Grid(order, order, SparseRows.from_rows(rows), check_record)
     names = [f"mu,{k}" for k in order]
     plain = check_list(dict(grid.items()), names)
     doc = {"checks": CheckRecords(grid, names),
@@ -497,9 +497,10 @@ documents = st.recursive(
 
 @st.composite
 def sparse_int_matrices(draw):
-    # rows of nonzeros by ascending column; a row may be empty
+    # rows of nonzeros and Nones (as in the skipped columns of mmat) by
+    # ascending column; a row may be empty
     size = draw(st.integers(0, 12))
-    value = st.integers(-(2 ** 70), 2 ** 70).filter(bool)
+    value = st.integers(-(2 ** 70), 2 ** 70).filter(bool) | st.none()
     rows = draw(st.lists(
         st.dictionaries(st.integers(0, size - 1), value, max_size=size)
         if size else st.just({}), max_size=12))
@@ -516,8 +517,8 @@ class TestJsonWriter:
     @given(sparse_int_matrices())
     @settings(max_examples=300, deadline=None)
     def test_sparse_rows_equal_json_dumps(self, m):
-        # the same text from the nonzeros as from the dense rows
-        dense = [[_jint(x) for x in row] for row in m]
+        # the same text from the stored entries as from the dense rows
+        dense = [[None if x is None else _jint(x) for x in row] for row in m]
         doc = {"sparse": m, "dense": [list(row) for row in m],
                "deeper": [SparseRows.from_rows(m)]}
         assert streamed(doc) == dumps(
@@ -591,7 +592,7 @@ class TestJsonWriter:
         assert streamed(doc) == dumps(doc)
 
     def test_int64_rule_in_lists(self):
-        # the join path and the mixed path write out-of-range ints as _jint
+        # all-int and mixed lists write out-of-range ints as _jint
         row = [1, 2 ** 63, -(2 ** 63)]
         assert streamed([row, [None] + row]) == dumps(
             [[_jint(x) for x in row], [None] + [_jint(x) for x in row]])
@@ -627,7 +628,8 @@ class TestJsonWriter:
                      ["a"]),
         CheckRecords({(0, 0): {"expected": 1, "lhs": [1], "pass": None}},
                      ["a"]),
-        CheckRecords(Grid((0,), (0,), ((1,),), check_record), [1])])
+        CheckRecords(Grid((0,), (0,), SparseRows.from_rows(((1,),)),
+                          check_record), [1])])
     def test_unsupported_record_values_raise(self, records):
         with pytest.raises(TypeError):
             streamed({"r": records})

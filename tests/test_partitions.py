@@ -9,7 +9,6 @@ from spechtmod.partitions import (
     addable_nodes,
     all_addable_nodes,
     all_partitions,
-    all_removable_nodes,
     check_partition,
     conjugate,
     dominates,
@@ -183,7 +182,8 @@ def test_residue_nodes_are_the_filtered_node_lists(p):
     # residues outside 0..p-1 are read mod p
     for n in range(13):
         for lam in all_partitions(n):
-            adds, rems = all_addable_nodes(lam), all_removable_nodes(lam)
+            adds = all_addable_nodes(lam)
+            rems = tuple(oracles.removable_nodes_of(lam))
             for res in range(-p, 2 * p):
                 assert addable_nodes(lam, res, p) == tuple(
                     (i, j) for i, j in adds if (j - i - res) % p == 0)

@@ -53,17 +53,18 @@ def counts_at_one(n, p):
 
 class TestMMatrix:
     def test_single_box(self):
-        assert m_matrix(1, 3, counts_at_one(1, 3)) == ((1,),)
+        assert tuple(m_matrix(1, 3, counts_at_one(1, 3))) == ((1,),)
 
     def test_two_boxes(self):
-        assert m_matrix(2, 3, counts_at_one(2, 3)) == identity_matrix(2)
+        assert tuple(m_matrix(2, 3, counts_at_one(2, 3))) == identity_matrix(2)
 
     def test_n5_p3_is_identity(self):
-        assert m_matrix(5, 3, counts_at_one(5, 3)) == identity_matrix(5)
+        assert tuple(m_matrix(5, 3, counts_at_one(5, 3))) == identity_matrix(5)
 
     def test_jobs_do_not_change_the_answer(self):
         counts = counts_at_one(4, 3)
-        assert m_matrix(4, 3, counts, jobs=2) == m_matrix(4, 3, counts, jobs=1)
+        assert m_matrix(4, 3, counts, jobs=2).rows == \
+            m_matrix(4, 3, counts, jobs=1).rows
 
     @pytest.mark.parametrize("cpus, started", [(4, [4]), (64, [5]),
                                                (None, []), (1, [])])
@@ -87,7 +88,7 @@ class TestMMatrix:
         monkeypatch.setattr("spechtmod.verify.multiprocessing.Pool", FakePool)
         monkeypatch.setattr("spechtmod.verify.os.cpu_count", lambda: cpus)
         # five 3-restricted partitions of 5, so five column tasks
-        assert m_matrix(5, 3, counts_at_one(5, 3), jobs=10**6) == \
+        assert tuple(m_matrix(5, 3, counts_at_one(5, 3), jobs=10**6)) == \
             identity_matrix(5)
         assert requested == started
 
@@ -131,7 +132,7 @@ class TestConjectureCheck:
         assert r.overall
         assert tuple(r.nmat1) == identity_matrix(5)
         assert tuple(r.amat) == identity_matrix(5)
-        assert r.mmat == tuple(r.nmat1)
+        assert r.mmat.rows == r.nmat1.rows
         assert set(r.checks) == {(mu, tau) for mu in r.order for tau in r.order}
         for (mu, tau), v in r.checks.items():
             assert set(v) == {"lhs", "expected", "pass"}
@@ -299,9 +300,21 @@ VIEW_CASES = ([(3, n) for n in range(1, 10)] + [(5, n) for n in range(1, 13)]
               + [(7, n) for n in range(1, 11)])
 
 
+def assert_stored_entries(table, none_at):
+    """``table`` is a SparseRows: the keys of each row ascend, no 0 is
+    stored, and row i stores None exactly at the keys ``none_at(i)``."""
+    assert type(table) is fock.SparseRows
+    for i, row in enumerate(table.rows):
+        assert list(row) == sorted(row)
+        assert all(0 <= k < table.size for k in row)
+        assert all(value != 0 for value in row.values())
+        assert {k for k, value in row.items() if value is None} == none_at(i)
+
+
 def assert_views_match_references(report):
     """The report's checks and decomposition views against the dicts that
-    the verify pipeline used to assemble."""
+    the verify pipeline used to assemble, and every table stored as its
+    entries other than 0, None only in the skipped columns."""
     checks, overall = oracles.check_records_reference(
         report.order, report.amat, report.mmat)
     size = len(report.order)
@@ -310,6 +323,12 @@ def assert_views_match_references(report):
     got = dict(report.checks.items())
     assert got == checks and list(got) == list(checks)
     assert report.overall == overall
+    missing = {k for k, m in enumerate(tuple(report.mmat)[0]) if m is None}
+    assert_stored_entries(report.mmat, lambda t: missing)
+    skipped = {b for b, mu in enumerate(report.order)
+               if checks[(mu, mu)]["pass"] is None}
+    assert_stored_entries(report.checks.rows, lambda b: set(range(size))
+                          if b in skipped else set())
     if not overall:
         assert dict(report.decomposition.items()) == {}
         assert report.decomposition_matrix() == ((), (), ())
@@ -322,7 +341,9 @@ def assert_views_match_references(report):
          for mu in report.order})
     assert not isinstance(report.decomposition, dict)
     assert dict(report.decomposition.items()) == dec
-    assert report.decomposition_matrix() == (taus, report.order, rows)
+    labels, cols, body = report.decomposition_matrix()
+    assert (labels, cols, tuple(body)) == (taus, report.order, rows)
+    assert_stored_entries(body, lambda t: set())
 
 
 class TestReportViews:
@@ -335,6 +356,9 @@ class TestReportViews:
         report = conjecture_check(9, 3)
         assert report.outside_region
         assert any(v["pass"] is None for v in report.checks.values())
+        assert {k for k, m in report.mmat.rows[0].items() if m is None} == {
+            k for k, mu in enumerate(report.order)
+            if not validate_ladder_lengths(mu, 3)}
         assert_views_match_references(report)
 
     def test_failing_identity(self, monkeypatch):
@@ -344,7 +368,7 @@ class TestReportViews:
         def off_by_one(n, p, counts, jobs=1):
             m = [list(row) for row in real(n, p, counts, jobs)]
             m[-1][0] += 1
-            return tuple(map(tuple, m))
+            return fock.SparseRows.from_rows(m)
 
         monkeypatch.setattr("spechtmod.verify.m_matrix", off_by_one)
         report = conjecture_check(6, 3)
@@ -360,7 +384,8 @@ class TestReportViews:
         real = verify.m_matrix
 
         def first_missing(n, p, counts, jobs=1):
-            return tuple((None,) + row[1:] for row in real(n, p, counts, jobs))
+            return fock.SparseRows.from_rows(
+                (None,) + row[1:] for row in real(n, p, counts, jobs))
 
         monkeypatch.setattr("spechtmod.verify.m_matrix", first_missing)
         report = conjecture_check(7, 3)
