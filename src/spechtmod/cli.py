@@ -27,7 +27,6 @@ check or the nonnegativity finding fails, 2 on invalid input (an
 """
 
 import argparse
-import csv
 import os
 import sys
 from fractions import Fraction
@@ -350,6 +349,8 @@ def _cmd_verify(args) -> int:
     rows, cols, body = report.decomposition_matrix()
     names = {mu: partition_str(mu) for mu in report.order}
     if args.format == "csv":
+        import csv
+
         def write_csv(fh):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["tau\\mu"] + [names[mu] for mu in cols])

@@ -187,7 +187,8 @@ class LadderData:
     ``ladders[k]`` lists the nodes of the (k+1)-st nonempty ladder, top to
     bottom; ``limits`` holds the running totals ``n_0 = 0, n_1, ..., n_m = n``;
     ``ladder_group_intervals`` are the entry intervals ``[n_{k-1}+1, n_k]`` on
-    which the ladder group (a direct product of symmetric groups) acts.
+    which the ladder group (a direct product of symmetric groups) acts.  The
+    ladder tableau and its residue sequence are built when read.
     """
     partition: Partition
     p: int
@@ -195,9 +196,28 @@ class LadderData:
     sizes: tuple
     residues: tuple
     limits: tuple
-    ladder_tableau: "object"
-    ladder_residue_sequence: "object"
     ladder_group_intervals: tuple
+
+    @property
+    def ladder_tableau(self):
+        """The tableau filling 1..n smallest ladder first, top to bottom
+        within each ladder."""
+        from .tableaux import StandardTableau
+
+        entry_of = {node: k for k, node in enumerate(
+            (node for L in self.ladders for node in L), start=1)}
+        return StandardTableau(
+            tuple(entry_of[(i, j)] for j in range(1, part + 1))
+            for i, part in enumerate(self.partition, start=1))
+
+    @property
+    def ladder_residue_sequence(self):
+        """The residue sequence of the ladder tableau, constant on each
+        entry interval."""
+        from .tableaux import ResidueSequence
+
+        return ResidueSequence(self.p, tuple(
+            r for r, m in zip(self.residues, self.sizes) for _ in range(m)))
 
     def ladder_group_order(self) -> int:
         order = 1
@@ -207,18 +227,14 @@ class LadderData:
         return order
 
 
-# cached: 972 hits on verify-p5n16 (ladder checks, orbits, symmetrizer
+# cached: 492 hits on verify-p5n16 (ladder checks, orbits, symmetrizer
 # intervals); the Fock side reads its ladder steps from the shape instead
 @cache
 def ladder_decomposition(lam: Partition, p: int) -> LadderData:
     """Full ladder data of a p-restricted partition.
 
-    The ladder tableau fills 1..n smallest ladder first, top to bottom within
-    each ladder; its residue sequence is constant on each entry interval.
     Non-p-restricted input is rejected (its ladder tableau would be broken).
     """
-    from .tableaux import StandardTableau, ResidueSequence
-
     lam = check_partition(lam)
     if not is_p_restricted(lam, p):
         raise ValueError(f"{lam} is not {p}-restricted")
@@ -232,20 +248,9 @@ def ladder_decomposition(lam: Partition, p: int) -> LadderData:
     limits = [0]
     for m in sizes:
         limits.append(limits[-1] + m)
-    entry_of = {}
-    k = 1
-    for L in ladders:
-        for node in L:
-            entry_of[node] = k
-            k += 1
-    rows = tuple(tuple(entry_of[(i, j)] for j in range(1, lam[i - 1] + 1))
-                 for i in range(1, len(lam) + 1))
-    tab = StandardTableau(rows)
-    rseq = ResidueSequence(p, tuple(node_residue(tab.position_of(k), p)
-                                    for k in range(1, sum(lam) + 1)))
     intervals = tuple((limits[k] + 1, limits[k + 1]) for k in range(len(sizes)))
     return LadderData(lam, p, ladders, sizes, residues, tuple(limits),
-                      tab, rseq, intervals)
+                      intervals)
 
 
 def validate_ladder_lengths(lam: Partition, p: int) -> bool:

@@ -1,31 +1,42 @@
 r"""Eigenspace bases of Specht modules and mod-p Gram ranks.
 
 For a p-restricted mu (all ladder lengths < p) and any tau of the same size,
-the pipeline runs:
+the pipeline runs on entry-position tuples (``StandardTableau.sort_key``) and
+integer numerators over one denominator, building no tableau or vector
+object until a caller asks for one:
 
 1. enumerate one member per ladder-group orbit of T_{mu,tau}, the standard
    tableaux of shape tau whose residue sequence equals that of the ladder
    tableau of mu: the member whose entries in each ladder interval go down
-   the rows.  Entries of one interval share a residue and number fewer than
-   p, so they lie in distinct rows and columns and the ladder group acts
-   freely on T_{mu,tau}.  ``weight_space_dims`` enumerates every shape at
-   once; a shape with no representative has rank 0.  Its weight-space count
-   must be 0 too, which is checked on the key sets: every restricted shape
-   the Fock side counts must have representatives;
-2. factor d(s) into a reduced word for each representative s;
-3. apply the chain phi_{i_k} ... phi_{i_1} of d(s) to the seminormal vector
-   of the row-reading tableau of tau (rightmost letter first), with
-   ``act_by_word``: integer numerators over one common denominator, reduced
-   by one gcd per chain;
+   the rows (``ladder_orbit_positions``).  Entries of one interval share a
+   residue and number fewer than p, so they lie in distinct rows and columns
+   and the ladder group acts freely on T_{mu,tau}.  ``weight_space_dims``
+   enumerates every shape at once; a shape with no representative has rank
+   0.  Its weight-space count must be 0 too, which is checked on the key
+   sets: every restricted shape the Fock side counts must have
+   representatives;
+2. read the canonical reduced word of d(s) off the positions of each
+   representative s (``canonical_word``);
+3. apply the chain phi_{i_k} ... phi_{i_1} of that word to the seminormal
+   vector of the row-reading tableau of tau (rightmost letter first).  Each
+   term is walked on its own position list: a regular step (p not dividing
+   h) swaps two entries and scales the coefficient by e(h), a step with
+   |h| = 1 ends the walk at 0, and a singular step (p | h) also starts a
+   second walk, scaled by d(h), at the unswapped positions; walks ending at
+   the same positions are summed;
 4. symmetrize over the ladder group: on each interval a..b of m entries,
    average over its symmetric group as a product of coset sums, m(m-1)/2
    generator applications on the numerators, reduced by one gcd per coset
    sum; a maximal independent subset is kept, by elimination on the
    numerators;
 5. form the Gram matrix of the invariant form from the numerators weighted
-   by the norms over one common denominator, one ``Fraction`` per entry;
-   the entries must be p-integral;
-6. reduce mod p and take the rank.
+   by the norms over one common denominator, one ``Fraction`` per entry; the
+   entries must be p-integral.  No norm is computed from scratch: the norm
+   of the row-reading tableau is the product of its row factorials, and
+   every step carries it on by gamma(sigma_i s) / gamma(s) = (h^2-1)/h^2
+   when h > 1 and h^2/(h^2-1) when h < -1;
+6. reduce mod p and take the rank.  A pair with one vector needs only its
+   one entry, nonzero mod p or not.
 
 The resulting rank is the dimension of the mu-weight space of the simple
 module indexed by tau (dim of the image of the class projector composed with
@@ -39,10 +50,10 @@ from fractions import Fraction
 from .fock import evaluate_at_one, first_approximation
 from .partitions import (Partition, check_partition, is_p_restricted,
                          ladder_decomposition, validate_ladder_lengths)
-from .seminormal import (SeminormalVector, act_by_word, norm,
+from .seminormal import (SeminormalVector, norm, reduce_numerators,
                          seminormal_step)
-from .tableaux import (d_reduced_word, ladder_class_of_shape,
-                       ladder_orbit_representatives, row_reading_tableau)
+from .tableaux import (StandardTableau, canonical_word, d_reduced_word,
+                       ladder_class_of_shape, ladder_orbit_positions)
 
 
 @dataclass(frozen=True)
@@ -68,11 +79,61 @@ def _require_valid_mu(mu: Partition, p: int) -> Partition:
     return mu
 
 
-def _phi_chains(members, tau: Partition, p: int, word_strategy: str) -> list:
-    """One intertwiner-chain vector per given member of T_{mu,tau}."""
-    start = SeminormalVector.unit(row_reading_tableau(tau))
-    return [act_by_word(d_reduced_word(s, word_strategy).word, start, p)
-            for s in members]
+def _word_of(strategy: str):
+    """The reduced word of d(s) in product order, as a function of the
+    positions s of a standard tableau."""
+    if strategy == "canonical":
+        return canonical_word
+    return lambda s: d_reduced_word(StandardTableau.from_positions(s),
+                                    strategy).word
+
+
+def _row_reading(tau: Partition) -> tuple:
+    """The positions of the row-reading tableau of tau and its norm, the
+    product of the row factorials, as a pair."""
+    positions = tuple((r, c) for r, part in enumerate(tau, start=1)
+                      for c in range(1, part + 1))
+    return positions, (math.prod(map(math.factorial, tau)), 1)
+
+
+def _phi_chain(word, start, p: int, norms: dict) -> tuple:
+    """The chain of phi_i over ``word`` (rightmost letter first) applied to
+    the seminormal vector at ``start``, a (positions, norm) pair, as reduced
+    (numerators, denominator).  Each term is walked on its own position list
+    with its coefficient and norm, as in step 3; the norm follows each swap
+    by gamma(sigma_i s) / gamma(s).  Walks seldom meet before their end, so
+    this does the work of stepping a numerator dict with no dict or tuple
+    built per step.  ``norms`` gets the norm of every end."""
+    letters = word[::-1]
+    ends = []
+    walks = [(0, list(start[0]), 1, 1, *start[1])]
+    while walks:
+        k, pos, num, den, gn, gd = walks.pop()
+        for k in range(k, len(letters)):
+            i = letters[k]
+            (a, b), (c, d) = pos[i - 2], pos[i - 1]
+            h = b - a - d + c
+            if h % p == 0:
+                walks.append((k + 1, pos[:], num * (h - 1), den * h, gn, gd))
+            elif h == 1 or h == -1:
+                break
+            pos[i - 2], pos[i - 1] = pos[i - 1], pos[i - 2]
+            hh = h * h
+            if h > 1:
+                gn, gd = gn * (hh - 1), gd * hh
+            else:
+                num, den = num * (hh - 1), den * hh
+                gn, gd = gn * hh, gd * (hh - 1)
+        else:
+            s = tuple(pos)
+            g = math.gcd(gn, gd)
+            norms[s] = gn // g, gd // g
+            ends.append((s, num, den))
+    common = math.lcm(*(den for _, _, den in ends))
+    nums = {}
+    for s, num, den in ends:
+        nums[s] = nums.get(s, 0) + num * (common // den)
+    return reduce_numerators(nums, common)
 
 
 def phi_chain_basis(mu: Partition, tau: Partition, p: int,
@@ -81,54 +142,65 @@ def phi_chain_basis(mu: Partition, tau: Partition, p: int,
     """The intertwiner-chain vectors, one per member of T_{mu,tau}."""
     mu, tau = _require_valid_mu(mu, p), check_partition(tau)
     members = ladder_class_of_shape(mu, tau, p, allow_large=allow_large)
-    return tuple(_phi_chains(members, tau, p, word_strategy))
+    word, start, norms = _word_of(word_strategy), _row_reading(tau), {}
+    return tuple(SeminormalVector.from_numerators(
+        tau, *_phi_chain(word(t.sort_key()), start, p, norms))
+        for t in members)
 
 
-def _symmetrize(v: SeminormalVector, intervals) -> SeminormalVector:
-    """The ladder-group average of v: on each interval a..b, the average over
-    its symmetric group as the product of coset sums D_b ... D_{a+1}, D_j =
-    1 + s_j + s_{j-1} s_j + ... + s_{a+1} ... s_j summing the j - a + 1
-    cosets of Sym(a..j-1) in Sym(a..j), each divided by that count."""
+def _symmetrize(nums: dict, den: int, intervals, norms=None) -> tuple:
+    """The ladder-group average of the vector ``nums / den``, as reduced
+    (numerators, denominator): on each interval a..b, the average over its
+    symmetric group as the product of coset sums D_b ... D_{a+1}, D_j = 1 +
+    s_j + s_{j-1} s_j + ... + s_{a+1} ... s_j summing the j - a + 1 cosets
+    of Sym(a..j-1) in Sym(a..j), each divided by that count.  ``norms`` is
+    passed to every step."""
     for a, b in intervals:
         for j in range(a + 1, b + 1):
-            term, acc, den = v.nums, dict(v.nums), v.den
+            term, acc = nums, dict(nums)
             for i in range(j, a, -1):
-                term, scale = seminormal_step(i, term)
+                term, scale = seminormal_step(i, term, None, norms)
                 if scale != 1:
                     acc = {s: c * scale for s, c in acc.items()}
                     den *= scale
                 for s, c in term.items():
                     acc[s] = acc.get(s, 0) + c
-            v = SeminormalVector.from_numerators(v.shape, acc,
-                                                 den * (j - a + 1))
-    return v
+            nums, den = reduce_numerators(acc, den * (j - a + 1))
+    return nums, den
 
 
-def independent_subset(vectors) -> tuple:
-    """Maximal Q-linearly independent subset, greedily in input order.
+def _independent(numerators) -> list:
+    """The indices of a maximal Q-linearly independent subset of the given
+    numerator dicts, greedily in input order.
 
-    Fraction-free Gaussian elimination on the numerators, pivoting on the
-    least position tuple (``sort_key`` order); every stored pivot row is
-    supported on its pivot position and later ones, so each elimination step
-    strictly advances the leading position and terminates.
+    Fraction-free Gaussian elimination, pivoting on the least position tuple
+    (``sort_key`` order); every stored pivot row is supported on its pivot
+    position and later ones, so each elimination step strictly advances the
+    leading position and terminates.
     """
     pivots = {}   # leading position -> numerators of the row led there
     kept = []
-    for v in vectors:
-        work = v.nums
+    for k, work in enumerate(numerators):
         while work:
             s = min(work)
             row = pivots.get(s)
             if row is None:
                 pivots[s] = work
-                kept.append(v)
+                kept.append(k)
                 break
             f, lead = work[s], row[s]
             out = {u: c * lead for u, c in work.items()}
             for u, c in row.items():
                 out[u] = out.get(u, 0) - f * c
             work = {u: c for u, c in out.items() if c}
-    return tuple(kept)
+    return kept
+
+
+def independent_subset(vectors) -> tuple:
+    """Maximal Q-linearly independent subset of seminormal vectors, greedily
+    in input order (see ``_independent``)."""
+    vectors = tuple(vectors)
+    return tuple(vectors[k] for k in _independent(v.nums for v in vectors))
 
 
 def ladder_symmetrize(mu: Partition, basis, p: int) -> tuple:
@@ -137,42 +209,51 @@ def ladder_symmetrize(mu: Partition, basis, p: int) -> tuple:
     multiples of each other (not equal), so at most one per orbit is kept."""
     mu = _require_valid_mu(mu, p)
     intervals = ladder_decomposition(mu, p).ladder_group_intervals
-    return independent_subset([_symmetrize(v, intervals) for v in basis])
+    return independent_subset(
+        SeminormalVector.from_numerators(
+            v.shape, *_symmetrize(v.nums, v.den, intervals))
+        for v in basis)
 
 
-def gram_matrix(basis) -> tuple:
-    """Matrix of the invariant form on the given vectors (exact, symmetric):
-    the numerators are weighted by the norms over one common denominator,
-    each position's norm computed once per call, and each entry is one
-    ``Fraction``."""
-    norms = {s: norm(s) for s in {s for v in basis for s in v.nums}}
-    common = math.lcm(*(d for _, d in norms.values()))
+def _gram(vectors, norms: dict) -> tuple:
+    """Matrix of the invariant form on (numerators, denominator) pairs, with
+    the norm of each position s read from ``norms[s]``: the numerators are
+    weighted by the norms over one common denominator, and each entry is
+    one ``Fraction``."""
+    common = math.lcm(*(norms[s][1] for nums, _ in vectors for s in nums))
     weighted = [{s: c * norms[s][0] * (common // norms[s][1])
-                 for s, c in v.nums.items()} for v in basis]
-    k = len(basis)
+                 for s, c in nums.items()} for nums, _ in vectors]
+    k = len(vectors)
     g = [[None] * k for _ in range(k)]
     for a in range(k):
         for b in range(a, k):
-            small, big = sorted((basis[a].nums, weighted[b]), key=len)
+            small, big = sorted((vectors[a][0], weighted[b]), key=len)
             g[a][b] = g[b][a] = Fraction(
                 sum(c * big[s] for s, c in small.items() if s in big),
-                basis[a].den * basis[b].den * common)
+                vectors[a][1] * vectors[b][1] * common)
     return tuple(tuple(row) for row in g)
+
+
+def gram_matrix(basis) -> tuple:
+    """Matrix of the invariant form on the given vectors (exact, symmetric),
+    each position's norm computed by ``norm``, once per call."""
+    norms = {s: norm(s) for s in {s for v in basis for s in v.nums}}
+    return _gram([(v.nums, v.den) for v in basis], norms)
+
+
+def _residue(entry, p: int) -> int:
+    """A p-integral rational reduced mod p."""
+    entry = Fraction(entry)
+    if entry.denominator % p == 0:
+        raise ArithmeticError(
+            f"entry {entry} is not {p}-integral; upstream basis bug")
+    return entry.numerator * pow(entry.denominator, -1, p) % p
 
 
 def modp_rank(gram, p: int):
     """Reduce a p-integral rational matrix mod p and return (matrix, rank)."""
     k = len(gram)
-    reduced = []
-    for row in gram:
-        r = []
-        for entry in row:
-            entry = Fraction(entry)
-            if entry.denominator % p == 0:
-                raise ArithmeticError(
-                    f"entry {entry} is not {p}-integral; upstream basis bug")
-            r.append(entry.numerator * pow(entry.denominator, -1, p) % p)
-        reduced.append(r)
+    reduced = [[_residue(entry, p) for entry in row] for row in gram]
     mat = [row[:] for row in reduced]
     rank, lead = 0, 0
     for col in range(k):
@@ -203,22 +284,19 @@ def _check_weight_space_count(mu: Partition, tau: Partition, expected: int,
             f"weight-space count expects {expected}")
 
 
-def _gram_report(mu: Partition, tau: Partition, p: int, representatives,
-                 word_strategy: str, count: int) -> GramReport:
-    """Steps 2-6 for the orbit representatives of T_{mu,tau}, in sort_key
-    order."""
-    ld = ladder_decomposition(mu, p)
-    sym = independent_subset([
-        _symmetrize(v, ld.ladder_group_intervals)
-        for v in _phi_chains(representatives, tau, p, word_strategy)])
-    _check_weight_space_count(mu, tau, count, len(sym))
-    gram = gram_matrix(sym)
-    gram_p, rank = modp_rank(gram, p)
-    return GramReport(mu=mu, tau=tau, p=p,
-                      basis_size_before_symmetrization=(
-                          len(representatives) * ld.ladder_group_order()),
-                      basis_size=len(sym), basis=sym, gram=gram,
-                      gram_mod_p=gram_p, rank=rank)
+def _basis(tau: Partition, p: int, representatives, intervals, norms: dict,
+           word=canonical_word) -> list:
+    """Steps 2-4 for the orbit representatives (position tuples) of
+    T_{mu,tau}, in sort_key order: the symmetrized chains that a maximal
+    independent subset keeps, as (numerators, denominator) pairs.  ``norms``
+    gets the norm of every position the steps reach."""
+    start = _row_reading(tau)
+    sym = []
+    for s in representatives:
+        nums, den = _phi_chain(word(s), start, p, norms)
+        if nums:
+            sym.append(_symmetrize(nums, den, intervals, norms))
+    return [sym[k] for k in _independent(nums for nums, _ in sym)]
 
 
 def gram_report(mu: Partition, tau: Partition, p: int,
@@ -226,10 +304,22 @@ def gram_report(mu: Partition, tau: Partition, p: int,
                 allow_large: bool = False) -> GramReport:
     """Run steps 1-6 and package the result."""
     mu, tau = _require_valid_mu(mu, p), check_partition(tau)
-    representatives = ladder_orbit_representatives(
+    representatives = ladder_orbit_positions(
         mu, p, tau, allow_large=allow_large).get(tau, ())
     count = evaluate_at_one(first_approximation(mu, p).coefficient(tau))
-    return _gram_report(mu, tau, p, representatives, word_strategy, count)
+    ld, norms = ladder_decomposition(mu, p), {}
+    sym = _basis(tau, p, representatives, ld.ladder_group_intervals, norms,
+                 _word_of(word_strategy))
+    _check_weight_space_count(mu, tau, count, len(sym))
+    gram = _gram(sym, norms)
+    gram_p, rank = modp_rank(gram, p)
+    return GramReport(mu=mu, tau=tau, p=p,
+                      basis_size_before_symmetrization=(
+                          len(representatives) * ld.ladder_group_order()),
+                      basis_size=len(sym),
+                      basis=tuple(SeminormalVector.from_numerators(tau, *v)
+                                  for v in sym),
+                      gram=gram, gram_mod_p=gram_p, rank=rank)
 
 
 def weight_space_dims(mu: Partition, p: int, counts) -> dict:
@@ -244,21 +334,24 @@ def weight_space_dims(mu: Partition, p: int, counts) -> dict:
     in restricted_partitions order (descending lexicographic); on every
     other shape both sides are 0."""
     mu = _require_valid_mu(mu, p)
-    representatives = ladder_orbit_representatives(mu, p)
-    shapes = {tau for tau, reps in representatives.items() if reps}
+    representatives = ladder_orbit_positions(mu, p)
+    intervals = ladder_decomposition(mu, p).ladder_group_intervals
+    shapes = set(representatives)
     shapes.update(tau for tau, count in counts.items() if count)
     dims = {}
     for tau in sorted(shapes, reverse=True):
         if not is_p_restricted(tau, p):
             continue
-        reps = representatives.get(tau)
-        if reps:
-            rank = _gram_report(mu, tau, p, reps, "canonical",
-                                counts.get(tau, 0)).rank
-            if rank:
-                dims[tau] = rank
+        norms = {}
+        sym = _basis(tau, p, representatives.get(tau, ()), intervals, norms)
+        _check_weight_space_count(mu, tau, counts.get(tau, 0), len(sym))
+        gram = _gram(sym, norms)
+        if len(sym) == 1:    # one entry: the rank is whether it is nonzero
+            rank = int(_residue(gram[0][0], p) != 0)
         else:
-            _check_weight_space_count(mu, tau, counts[tau], 0)
+            rank = modp_rank(gram, p)[1]
+        if rank:
+            dims[tau] = rank
     return dims
 
 

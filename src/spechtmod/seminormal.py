@@ -32,7 +32,8 @@ denominators (h for d(h), h^2 for e(h) with h < -1) and reports that factor,
 so no rational is formed and no tableau is built; sigma_i s is a swap of two
 positions.  ``act_by_word`` runs a word of steps and reduces the result by one
 gcd, and ``sigma_action`` and ``phi_action`` are one-letter words.  ``norm``
-gives gamma as an integer pair from the position tuple.
+gives gamma as an integer pair from the position tuple; ``seminormal_step``
+can instead carry such pairs from each position to the ones it reaches.
 """
 
 import math
@@ -70,10 +71,9 @@ class SeminormalVector:
         """The vector with coefficient ``c / den`` (``den > 0``) at the
         tableau with entry-position tuple ``s``, for each item ``s: c`` of
         ``nums``; zeros are dropped and the rest reduced by one gcd."""
-        g = math.gcd(den, *nums.values())
         v = cls.__new__(cls)
-        v.shape, v.den = tuple(shape), den // g
-        v.nums = {s: c // g for s, c in nums.items() if c}
+        v.shape = tuple(shape)
+        v.nums, v.den = reduce_numerators(nums, den)
         return v
 
     @property
@@ -119,6 +119,13 @@ class SeminormalVector:
         return " + ".join(parts) if parts else "0"
 
 
+def reduce_numerators(nums: dict, den: int) -> tuple:
+    """``(nums, den)`` with the zeros dropped and the rest divided by one
+    gcd: the integer form of the vector with coefficients ``c / den``."""
+    g = math.gcd(den, *nums.values())
+    return {s: c // g for s, c in nums.items() if c}, den // g
+
+
 def norm(positions) -> tuple:
     """The seminormal norm <xi_t, xi_t> as a lowest-terms pair (numerator,
     denominator), for the tableau t with entry-position tuple ``positions``:
@@ -142,12 +149,18 @@ def gamma(t: StandardTableau) -> Rational:
     return Fraction(*norm(t.sort_key()))
 
 
-def seminormal_step(i: int, coeffs: dict, p=None) -> tuple:
+def seminormal_step(i: int, coeffs: dict, p=None, norms=None) -> tuple:
     """One step xi_s -> d(h) xi_s + e(h) xi_{sigma_i s} on integer numerators
     keyed by entry-position tuples: sigma_i when ``p`` is None, phi_i for the
     prime ``p`` otherwise.  Returns ``(numerators, scale)``: the image is the
     returned numerators over ``scale`` times the input's denominator, where
-    ``scale`` is the lcm of the denominators d(h) and e(h) take here."""
+    ``scale`` is the lcm of the denominators d(h) and e(h) take here.
+
+    ``norms``, when given, maps every position of ``coeffs`` to its norm (a
+    lowest-terms pair, as ``norm`` gives it) and is extended with the norm
+    of each sigma_i s not in it yet, carried from that of s: the form is
+    sigma_i-invariant, so gamma(sigma_i s) = gamma(s) (h^2-1)/h^2 when
+    h > 1 and gamma(s) h^2/(h^2-1) when h < -1."""
     hs = []
     scale = 1
     for s in coeffs:
@@ -169,8 +182,15 @@ def seminormal_step(i: int, coeffs: dict, p=None) -> tuple:
             out[s] = out.get(s, 0) + diag
         if h > 1 or h < -1:
             t = s[:i - 2] + (s[i - 1], s[i - 2]) + s[i:]
+            hh = h * h
             out[t] = out.get(t, 0) + (
-                c * scale if h > 1 else c * (h * h - 1) * (scale // (h * h)))
+                c * scale if h > 1 else c * (hh - 1) * (scale // hh))
+            if norms is not None and t not in norms:
+                num, den = norms[s]
+                num, den = ((num * (hh - 1), den * hh) if h > 1
+                            else (num * hh, den * (hh - 1)))
+                g = math.gcd(num, den)
+                norms[t] = num // g, den // g
     return {s: c for s, c in out.items() if c}, scale
 
 

@@ -13,21 +13,22 @@ the class of the ladder tableau of mu to members of a fixed shape, the index set
 T_{mu,lambda} of the eigenspace algorithm.
 
 The ladder group of mu permutes the entries within each ladder interval and
-acts freely on that class.  ``ladder_orbit_representatives`` lists one member
-per orbit, the one whose interval entries go down the rows, without listing
-the class: at interval k of m entries it fills an m-subset of the addable
-nodes of residue iota_k, top to bottom.  Adding an i-node creates and destroys
-no other addable i-node (p >= 3), so these subsets are all the choices; this
-is the subset form of the divided power f_i^(m).
+acts freely on that class.  ``ladder_orbit_positions`` lists one member per
+orbit as an entry-position tuple, the one whose interval entries go down the
+rows, without listing the class: at interval k of m entries it fills an
+m-subset of the addable nodes of residue iota_k, top to bottom, in one forward
+pass over the intervals.  Adding an i-node creates and destroys no other
+addable i-node (p >= 3), so these subsets are all the choices; this is the
+subset form of the divided power f_i^(m).
 
 Permutations act on tableaux on the left by place permutation: applying g
 replaces entry k by g(k).  The permutation d(t) with d(t) t^lam = t (t^lam the
 row-reading tableau) is factored into adjacent transpositions
-sigma_i = (i-1, i), 2 <= i <= n, by a deterministic bubble sort.
+sigma_i = (i-1, i), 2 <= i <= n, by a deterministic bubble sort;
+``canonical_word`` reads the same 'canonical' word off the entry positions.
 """
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 
 from .partitions import (Partition, Node, check_partition, addable_nodes,
@@ -125,8 +126,6 @@ def from_rows(rows) -> StandardTableau:
     return StandardTableau(rows)
 
 
-# cached: 1,165 hits on verify-p5n16 and 252 on oracle-p5-t442, via d(t)
-@cache
 def row_reading_tableau(lam: Partition) -> StandardTableau:
     """The tableau t^lam filled 1..n along rows, top to bottom.
 
@@ -237,48 +236,47 @@ def ladder_class_of_shape(mu: Partition, lam: Partition, p: int,
     return _class_members(rs, lam)
 
 
-def ladder_orbit_representatives(mu: Partition, p: int, target=None,
-                                 allow_large: bool = False) -> dict:
+def ladder_orbit_positions(mu: Partition, p: int, target=None,
+                           allow_large: bool = False) -> dict:
     """One member per ladder-group orbit of the class of the ladder tableau of
-    mu, grouped by shape (shape ``target`` only, when given), each group in
-    ``sort_key`` order.
+    mu, as ``{shape: [entry-position tuple, ...]}`` (shape ``target`` only,
+    when given), each list in ``sort_key`` order.
 
     The representative of an orbit is its member whose entries in each ladder
-    interval go down the rows.  Interval k takes each ``|L_k|``-subset of the
-    addable nodes of residue iota_k, filled top to bottom, memoized on the
-    pair (interval index, shape) as ``_class_members`` memoizes on (entry
-    index, shape).  Subsets come out in lexicographic order of their nodes,
-    so the members come out in ``sort_key`` order with no sort.
+    interval go down the rows.  One forward pass over the intervals keeps a
+    frontier of the position tuples reaching each shape: interval k extends
+    every tuple of a shape by each ``|L_k|``-subset of the addable nodes of
+    residue iota_k, filled top to bottom.  Each shape's list is sorted once
+    at the end.
     """
     mu = check_partition(mu)
     if target is not None and sum(target) != sum(mu):
         raise ValueError(f"size mismatch: {mu} vs {target}")
     ld = ladder_decomposition(mu, p)
     check_class_cap(sum(mu), allow_large, "class enumeration")
-    steps = tuple(zip(ld.residues, ld.sizes))
-    memo = {}
-
-    def completions(k, shape):
-        # node sequences for intervals k, k+1, ... starting from ``shape``
-        if k == len(steps):
-            return ((),)
-        key = (k, shape)
-        if key not in memo:
-            residue, m = steps[k]
+    frontier = {(): [()]}
+    for residue, m in zip(ld.residues, ld.sizes):
+        grown = {}
+        for shape, seqs in frontier.items():
             nodes = addable_nodes(shape, residue, p)
             if target is not None:
                 nodes = _inside(nodes, target)
-            out = []
             for subset in combinations(nodes, m):
-                out.extend(subset + rest for rest
-                           in completions(k + 1, _grown(shape, subset)))
-            memo[key] = tuple(out)
-        return memo[key]
+                grown.setdefault(_grown(shape, subset), []).extend(
+                    s + subset for s in seqs)
+        frontier = grown
+    for seqs in frontier.values():
+        seqs.sort()
+    return frontier
 
-    grouped = {}
-    for t in map(StandardTableau.from_positions, completions(0, ())):
-        grouped.setdefault(t.shape, []).append(t)
-    return {shape: tuple(ts) for shape, ts in grouped.items()}
+
+def ladder_orbit_representatives(mu: Partition, p: int, target=None,
+                                 allow_large: bool = False) -> dict:
+    """``ladder_orbit_positions`` with each representative as a
+    ``StandardTableau``, grouped by shape in ``sort_key`` order."""
+    return {shape: tuple(map(StandardTableau.from_positions, seqs))
+            for shape, seqs in ladder_orbit_positions(
+                mu, p, target, allow_large).items()}
 
 
 def _class_members(rs: ResidueSequence, target) -> tuple:
@@ -359,6 +357,25 @@ def d_reduced_word(t: StandardTableau, strategy: str = "canonical") -> Permutati
     """d(t) with a deterministic reduced word; word length = inversion count."""
     one_line = d_permutation(t)
     return PermutationWord(one_line, reduced_word(one_line, strategy))
+
+
+def canonical_word(positions) -> tuple:
+    """``reduced_word(d_permutation(t))`` for the standard tableau t with
+    entry-position tuple ``positions``, read off the positions with no
+    permutation built: with c_j the number of entries smaller than j in
+    rows strictly below the row of j, it is the concatenation of j, j-1,
+    ..., j-c_j+1 over j = 2..n.
+
+    >>> canonical_word(((1, 1), (2, 1), (1, 2)))    # rows (1, 3), (2,)
+    (3,)
+    """
+    word = []
+    in_row = [0] * (len(positions) + 2)   # entries so far in each row
+    for j, (r, _c) in enumerate(positions, start=1):
+        below = sum(in_row[r + 1:])
+        word.extend(range(j, j - below, -1))
+        in_row[r] += 1
+    return tuple(word)
 
 
 def swap_entries(t: StandardTableau, i: int):

@@ -25,7 +25,6 @@ itself.  The stated region of the main identity is n < p*p; reports outside it
 carry an explicit marker and skip the mu columns whose ladder lengths reach p.
 """
 
-import multiprocessing
 import os
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
@@ -162,6 +161,8 @@ def m_matrix(n: int, p: int, counts, jobs: int = 1) -> SparseRows:
     tasks = [(p, mu, counts[mu]) for mu in valid]
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
+        import multiprocessing
+
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_m_column, tasks)
     else:

@@ -608,6 +608,44 @@ def ladder_class_representatives(mu, p):
     return out
 
 
+def ladder_orbit_positions_recursive(mu, p, target=None):
+    """The former package orbit enumerator: a recursion over the ladder
+    intervals, memoized on (interval index, shape), in which interval k
+    takes each |L_k|-subset of the addable nodes of its residue (inside
+    ``target``, when given), filled top to bottom, ahead of every
+    completion of the grown shape.  Subsets come out in lexicographic order
+    of their nodes, so the position tuples come out in sort_key order with
+    no sort.  Returns {shape: [positions, ...]}."""
+    steps = ladder_steps(mu, p)
+    memo = {}
+
+    def completions(k, shape):
+        if k == len(steps):
+            return ((),)
+        if (k, shape) not in memo:
+            residue, m = steps[k]
+            nodes = [g for g in _addable_of_residue(shape, residue, p)
+                     if target is None or (g[0] <= len(target)
+                                           and g[1] <= target[g[0] - 1])]
+            out = []
+            for subset in itertools.combinations(nodes, m):
+                grown = list(shape) + [0]
+                for r, _c in subset:
+                    grown[r - 1] += 1
+                out.extend(subset + rest for rest in completions(
+                    k + 1, tuple(a for a in grown if a)))
+            memo[(k, shape)] = tuple(out)
+        return memo[(k, shape)]
+
+    grouped = {}
+    for positions in completions(0, ()):
+        shape = tuple(sum(1 for r, _c in positions if r == i)
+                      for i in range(1, max(r for r, _c in positions) + 1)
+                      ) if positions else ()
+        grouped.setdefault(shape, []).append(positions)
+    return grouped
+
+
 def seminormal_step_reference(i, vec, p=None):
     """The former package step over Fractions, on {rows: Fraction}:
     xi_s -> d(h) xi_s + e(h) xi_{sigma_i s} with h = c_s(i-1) - c_s(i),

@@ -24,7 +24,6 @@ MODULES = ("partitions", "tableaux", "fock", "seminormal", "ranks", "verify",
 
 KEPT = {
     "partitions.ladder_decomposition",
-    "tableaux.row_reading_tableau",
 }
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \

@@ -761,3 +761,13 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["order"] == ["2,1", "1,1,1"]
+
+
+def test_cli_import_leaves_multiprocessing_and_csv_unloaded():
+    """multiprocessing (for --jobs > 1) and csv (for --format csv) are
+    imported where they are used, so starting the CLI loads neither."""
+    code = ("import sys, spechtmod.cli; print(sorted(m for m in "
+            "('multiprocessing', 'csv') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from spechtmod import ranks
 from spechtmod.fock import evaluate_at_one, first_approximation
-from spechtmod.partitions import (all_partitions, ladder_decomposition,
-                                  restricted_partitions,
+from spechtmod.partitions import (all_partitions, is_p_restricted,
+                                  ladder_decomposition, restricted_partitions,
                                   validate_ladder_lengths)
 from spechtmod.ranks import (
     GramReport,
@@ -20,9 +21,12 @@ from spechtmod.ranks import (
     phi_chain_basis,
     weight_space_dims,
 )
-from spechtmod.seminormal import SeminormalVector, act_by_word, inner_product
-from spechtmod.tableaux import (StandardTableau, ladder_class_of_shape,
-                                ladder_orbit_representatives, reduced_word)
+from spechtmod.seminormal import (SeminormalVector, act_by_word,
+                                  inner_product, norm)
+from spechtmod.tableaux import (StandardTableau, d_reduced_word,
+                                ladder_class_of_shape, ladder_orbit_positions,
+                                ladder_orbit_representatives, reduced_word,
+                                row_reading_tableau)
 
 
 def q_rank(mat):
@@ -241,6 +245,69 @@ def test_orbit_chains_match_full_family_reference():
                         t = v.support()[0]
                         ratio = u.coefficient(t) / v.coefficient(t)
                         assert ratio != 0 and u == v.scale(ratio)
+
+
+def test_chains_match_act_by_word_reference():
+    """Walking each term of a chain on its own position list gives the
+    vector that ``act_by_word`` gives for the word of d(t), for every member
+    t of every T_{mu,tau} and both word strategies: a step with |h| = 1
+    ends a walk at 0, and walks that meet are summed."""
+    chains = branched = 0
+    for p, top in ((3, 8), (5, 10)):
+        for n in range(1, top + 1):
+            for mu in restricted_partitions(n, p):
+                for tau in ladder_orbit_positions(mu, p):
+                    members = ladder_class_of_shape(mu, tau, p)
+                    start = SeminormalVector.unit(row_reading_tableau(tau))
+                    for strategy in ("canonical", "reverse"):
+                        want = tuple(act_by_word(
+                            d_reduced_word(t, strategy).word, start, p)
+                            for t in members)
+                        assert phi_chain_basis(mu, tau, p, strategy) == want
+                        chains += len(want)
+                        branched += sum(len(v.nums) > 1 for v in want)
+    assert (chains, branched) == (1032, 357)
+
+
+def test_carried_norms_equal_norm():
+    """Every norm carried along the chains and the symmetrization, at every
+    position the kernel reaches, equals ``norm`` computed afresh."""
+    positions = 0
+    for p, top in ((3, 8), (5, 10)):
+        for n in range(1, top + 1):
+            for mu in restricted_partitions(n, p):
+                intervals = ladder_decomposition(mu, p).ladder_group_intervals
+                for tau, reps in ladder_orbit_positions(mu, p).items():
+                    norms = {}
+                    ranks._basis(tau, p, reps, intervals, norms)
+                    for s, value in norms.items():
+                        assert value == norm(s), (mu, tau, s)
+                    positions += len(norms)
+    assert positions == 516
+
+
+@pytest.mark.parametrize("mu, tau, size, entry", [
+    ((3, 2), (3, 2), 1, "4/9"),            # one vector: no modp_rank
+    ((3, 2, 1, 1), (4, 2, 1), 2, "5/6"),
+])
+def test_non_p_integral_entry_raises_on_both_paths(monkeypatch, mu, tau,
+                                                   size, entry):
+    """A basis bug that puts p in the denominator of a Gram entry raises
+    ArithmeticError, whether the first shape visited has one vector, whose
+    one entry is tested without ``modp_rank``, or more.  Here every
+    symmetrized vector is divided by p."""
+    p = 3
+    counts = counts_at_one(mu, p)
+    assert tau == max(t for t, c in counts.items()
+                      if c and is_p_restricted(t, p))
+    assert counts[tau] == size
+    symmetrize = ranks._symmetrize
+    monkeypatch.setattr(ranks, "_symmetrize",
+                        lambda nums, den, intervals, norms=None:
+                        symmetrize(nums, den * p, intervals, norms))
+    with pytest.raises(ArithmeticError,
+                       match=f"entry {entry} is not 3-integral"):
+        weight_space_dims(mu, p, counts)
 
 
 def counts_at_one(mu, p):

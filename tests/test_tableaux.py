@@ -8,12 +8,14 @@ from spechtmod.partitions import (all_partitions, ladder_decomposition,
                                   restricted_partitions)
 from spechtmod.tableaux import (
     StandardTableau,
+    canonical_word,
     d_permutation,
     d_reduced_word,
     from_rows,
     inversions,
     is_standard_rows,
     ladder_class_of_shape,
+    ladder_orbit_positions,
     ladder_orbit_representatives,
     reduced_word,
     residue_sequence,
@@ -149,6 +151,24 @@ def test_ladder_orbit_representatives_match_class_filter_reference():
     assert classes == 712
 
 
+def test_forward_orbit_walk_matches_recursive_reference():
+    """The forward walk over the ladder intervals gives exactly the position
+    tuples of the former recursive enumerator, shape by shape and in order,
+    with and without a target shape."""
+    classes = 0
+    for p, top in ((3, 9), (5, 12), (7, 12)):
+        for n in range(top + 1):
+            for mu in restricted_partitions(n, p):
+                want = oracles.ladder_orbit_positions_recursive(mu, p)
+                assert ladder_orbit_positions(mu, p) == want
+                for shape, positions in want.items():
+                    assert ladder_orbit_positions(mu, p, shape) == \
+                        {shape: positions} == \
+                        oracles.ladder_orbit_positions_recursive(mu, p, shape)
+                classes += 1
+    assert classes == 536
+
+
 def test_classes_come_out_in_sort_key_order():
     """The class recursion yields members in sort_key order by itself (476
     classes): addable nodes are tried by increasing row."""
@@ -221,6 +241,19 @@ def test_d_reduced_word_length_is_the_inversion_count():
                     pw = d_reduced_word(t, strategy)
                     assert pw.one_line == one_line
                     assert len(pw.word) == inversions(one_line)
+
+
+def test_canonical_word_read_from_positions_n_le_8():
+    """The word read off the entry positions is the bubble-sort word of
+    d(t), for every standard tableau with n <= 8."""
+    tableaux = 0
+    for n in range(1, 9):
+        for lam in all_partitions(n):
+            for t in standard_tableaux(lam):
+                assert canonical_word(t.sort_key()) == \
+                    reduced_word(d_permutation(t)), t
+                tableaux += 1
+    assert tableaux == 1115
 
 
 def test_d_word_worked_examples():

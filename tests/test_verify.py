@@ -1,16 +1,21 @@
 """Tests for the verification pipeline: multiplicity matrices, the delta
 identities, decomposition numbers, and the full-Gram dimension oracle."""
 
+import sys
+
 import pytest
 
 import oracles
-from spechtmod import fock, verify
+from spechtmod import fock, seminormal, tableaux, verify
 from spechtmod.fock import evaluate_at_one, llt_canonical
 from spechtmod.partitions import (all_partitions, dominates,
+                                  ladder_decomposition,
                                   restricted_partitions,
                                   standard_tableau_count,
                                   validate_ladder_lengths)
-from spechtmod.tableaux import StandardTableau, ladder_orbit_representatives
+from spechtmod.ranks import GramReport
+from spechtmod.seminormal import SeminormalVector
+from spechtmod.tableaux import StandardTableau
 from spechtmod.verify import (VerificationReport, conjecture_check,
                               consistency_check, gram_oracle_dimD, m_matrix)
 
@@ -85,7 +90,8 @@ class TestMMatrix:
             def map(self, fn, tasks):
                 return [fn(t) for t in tasks]
 
-        monkeypatch.setattr("spechtmod.verify.multiprocessing.Pool", FakePool)
+        # m_matrix imports multiprocessing only when it starts a pool
+        monkeypatch.setattr("multiprocessing.Pool", FakePool)
         monkeypatch.setattr("spechtmod.verify.os.cpu_count", lambda: cpus)
         # five 3-restricted partitions of 5, so five column tasks
         assert tuple(m_matrix(5, 3, counts_at_one(5, 3), jobs=10**6)) == \
@@ -101,26 +107,34 @@ class TestMMatrix:
                 for b, mu in enumerate(order):
                     assert mat[a][b] == oracles.dim_e_tilde_D_oracle(mu, lam, 3)
 
-    def test_tableaux_built_only_for_orbit_representatives(self,
-                                                            monkeypatch):
-        # chains, symmetrization and Gram matrices run on position tuples,
-        # so the only StandardTableau objects built from positions are the
-        # orbit representatives themselves
+    def test_verify_path_builds_no_tableau_vector_or_norm(self):
+        # chains, symmetrization and Gram entries run on position tuples
+        # with norms carried along the steps, so m_matrix builds no
+        # StandardTableau, SeminormalVector or GramReport, reads no ladder
+        # tableau and computes no norm or bubble-sort word
+        forbidden = {fn.__code__: name for name, fn in (
+            ("StandardTableau", StandardTableau.__init__),
+            ("from_positions", StandardTableau.from_positions.__func__),
+            ("SeminormalVector", SeminormalVector.__init__),
+            ("from_numerators", SeminormalVector.from_numerators.__func__),
+            ("GramReport", GramReport.__init__),
+            ("norm", seminormal.norm),
+            ("reduced_word", tableaux.reduced_word))}
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in forbidden:
+                called.add(forbidden[frame.f_code])
+
         counts = counts_at_one(16, 5)
-        reps = sum(len(ts) for mu in restricted_partitions(16, 5)
-                   if validate_ladder_lengths(mu, 5)
-                   for ts in ladder_orbit_representatives(mu, 5).values())
-        built = []
-        original = StandardTableau.from_positions.__func__
-
-        def counting(cls, node_seq):
-            built.append(node_seq)
-            return original(cls, node_seq)
-
-        monkeypatch.setattr(StandardTableau, "from_positions",
-                            classmethod(counting))
-        m_matrix(16, 5, counts)
-        assert len(built) == reps == 863
+        ladder_decomposition.cache_clear()
+        sys.setprofile(profile)
+        try:
+            mat = m_matrix(16, 5, counts)
+        finally:
+            sys.setprofile(None)
+        assert called == set()
+        assert sum(map(len, mat.rows)) == 196
 
 
 class TestConjectureCheck:
