@@ -35,8 +35,7 @@ object until a caller asks for one:
    of the row-reading tableau is the product of its row factorials, and
    every step carries it on by gamma(sigma_i s) / gamma(s) = (h^2-1)/h^2
    when h > 1 and h^2/(h^2-1) when h < -1;
-6. reduce mod p and take the rank.  A pair with one vector needs only its
-   one entry, nonzero mod p or not.
+6. reduce mod p and take the rank.
 
 The resulting rank is the dimension of the mu-weight space of the simple
 module indexed by tau (dim of the image of the class projector composed with
@@ -51,7 +50,7 @@ from .fock import evaluate_at_one, first_approximation
 from .partitions import (Partition, check_partition, is_p_restricted,
                          ladder_decomposition, validate_ladder_lengths)
 from .seminormal import (SeminormalVector, norm, reduce_numerators,
-                         seminormal_step)
+                         seminormal_step, step_factors)
 from .tableaux import (StandardTableau, canonical_word, d_reduced_word,
                        ladder_class_of_shape, ladder_orbit_positions)
 
@@ -100,10 +99,10 @@ def _phi_chain(word, start, p: int, norms: dict) -> tuple:
     """The chain of phi_i over ``word`` (rightmost letter first) applied to
     the seminormal vector at ``start``, a (positions, norm) pair, as reduced
     (numerators, denominator).  Each term is walked on its own position list
-    with its coefficient and norm, as in step 3; the norm follows each swap
-    by gamma(sigma_i s) / gamma(s).  Walks seldom meet before their end, so
-    this does the work of stepping a numerator dict with no dict or tuple
-    built per step.  ``norms`` gets the norm of every end."""
+    with its coefficient and norm, each step by ``step_factors``, as in step
+    3.  Walks seldom meet before their end, so this does the work of
+    ``seminormal_step`` on a numerator dict with no dict or tuple built per
+    step.  ``norms`` gets the norm of every end."""
     letters = word[::-1]
     ends = []
     walks = [(0, list(start[0]), 1, 1, *start[1])]
@@ -112,18 +111,15 @@ def _phi_chain(word, start, p: int, norms: dict) -> tuple:
         for k in range(k, len(letters)):
             i = letters[k]
             (a, b), (c, d) = pos[i - 2], pos[i - 1]
-            h = b - a - d + c
-            if h % p == 0:
-                walks.append((k + 1, pos[:], num * (h - 1), den * h, gn, gd))
-            elif h == 1 or h == -1:
+            diagonal, swap, ratio = step_factors(b - a - d + c, p)
+            if diagonal:
+                walks.append((k + 1, pos[:], num * diagonal[0],
+                              den * diagonal[1], gn, gd))
+            if swap is None:
                 break
             pos[i - 2], pos[i - 1] = pos[i - 1], pos[i - 2]
-            hh = h * h
-            if h > 1:
-                gn, gd = gn * (hh - 1), gd * hh
-            else:
-                num, den = num * (hh - 1), den * hh
-                gn, gd = gn * hh, gd * (hh - 1)
+            num, den = num * swap[0], den * swap[1]
+            gn, gd = gn * ratio[0], gd * ratio[1]
         else:
             s = tuple(pos)
             g = math.gcd(gn, gd)
@@ -241,19 +237,19 @@ def gram_matrix(basis) -> tuple:
     return _gram([(v.nums, v.den) for v in basis], norms)
 
 
-def _residue(entry, p: int) -> int:
-    """A p-integral rational reduced mod p."""
-    entry = Fraction(entry)
-    if entry.denominator % p == 0:
-        raise ArithmeticError(
-            f"entry {entry} is not {p}-integral; upstream basis bug")
-    return entry.numerator * pow(entry.denominator, -1, p) % p
-
-
 def modp_rank(gram, p: int):
     """Reduce a p-integral rational matrix mod p and return (matrix, rank)."""
     k = len(gram)
-    reduced = [[_residue(entry, p) for entry in row] for row in gram]
+    reduced = []
+    for row in gram:
+        r = []
+        for entry in row:
+            entry = Fraction(entry)
+            if entry.denominator % p == 0:
+                raise ArithmeticError(
+                    f"entry {entry} is not {p}-integral; upstream basis bug")
+            r.append(entry.numerator * pow(entry.denominator, -1, p) % p)
+        reduced.append(r)
     mat = [row[:] for row in reduced]
     rank, lead = 0, 0
     for col in range(k):
@@ -345,11 +341,7 @@ def weight_space_dims(mu: Partition, p: int, counts) -> dict:
         norms = {}
         sym = _basis(tau, p, representatives.get(tau, ()), intervals, norms)
         _check_weight_space_count(mu, tau, counts.get(tau, 0), len(sym))
-        gram = _gram(sym, norms)
-        if len(sym) == 1:    # one entry: the rank is whether it is nonzero
-            rank = int(_residue(gram[0][0], p) != 0)
-        else:
-            rank = modp_rank(gram, p)[1]
+        rank = modp_rank(_gram(sym, norms), p)[1]
         if rank:
             dims[tau] = rank
     return dims

@@ -34,6 +34,8 @@ positions.  ``act_by_word`` runs a word of steps and reduces the result by one
 gcd, and ``sigma_action`` and ``phi_action`` are one-letter words.  ``norm``
 gives gamma as an integer pair from the position tuple; ``seminormal_step``
 can instead carry such pairs from each position to the ones it reaches.
+``step_factors`` is the per-term rule, d(h), e(h) and the norm ratio, that
+``seminormal_step`` and the chain walks of ``ranks`` both apply.
 """
 
 import math
@@ -149,46 +151,60 @@ def gamma(t: StandardTableau) -> Rational:
     return Fraction(*norm(t.sort_key()))
 
 
+def step_factors(h: int, p=None) -> tuple:
+    """The per-term rule of one step at ``h = c_s(i-1) - c_s(i)``, as
+    ``(diagonal, swap, ratio)``: the factors d(h) of xi_s and e(h) of
+    xi_{sigma_i s} (sigma_i when ``p`` is None, phi_i for the prime ``p``
+    otherwise) and the norm ratio gamma(sigma_i s) / gamma(s), each a pair
+    (numerator, positive denominator), or None where the factor is 0 (for
+    the swap and the ratio: |h| = 1, where sigma_i s is not standard).  The
+    form is sigma_i-invariant, so the ratio is (h^2-1)/h^2 when h > 1 and
+    h^2/(h^2-1) when h < -1."""
+    if p is None:
+        diagonal = (-1, h) if h > 0 else (1, -h)
+    elif h % p == 0:
+        diagonal = (h - 1, h) if h > 0 else (1 - h, -h)
+    else:
+        diagonal = None
+    if h == 1 or h == -1:
+        return diagonal, None, None
+    hh = h * h
+    if h > 1:
+        return diagonal, (1, 1), (hh - 1, hh)
+    return diagonal, (hh - 1, hh), (hh, hh - 1)
+
+
 def seminormal_step(i: int, coeffs: dict, p=None, norms=None) -> tuple:
     """One step xi_s -> d(h) xi_s + e(h) xi_{sigma_i s} on integer numerators
     keyed by entry-position tuples: sigma_i when ``p`` is None, phi_i for the
-    prime ``p`` otherwise.  Returns ``(numerators, scale)``: the image is the
-    returned numerators over ``scale`` times the input's denominator, where
-    ``scale`` is the lcm of the denominators d(h) and e(h) take here.
+    prime ``p`` otherwise, termwise by ``step_factors``.  Returns
+    ``(numerators, scale)``: the image is the returned numerators over
+    ``scale`` times the input's denominator, where ``scale`` is the lcm of
+    the denominators d(h) and e(h) take here.
 
     ``norms``, when given, maps every position of ``coeffs`` to its norm (a
     lowest-terms pair, as ``norm`` gives it) and is extended with the norm
-    of each sigma_i s not in it yet, carried from that of s: the form is
-    sigma_i-invariant, so gamma(sigma_i s) = gamma(s) (h^2-1)/h^2 when
-    h > 1 and gamma(s) h^2/(h^2-1) when h < -1."""
-    hs = []
+    of each sigma_i s not in it yet, carried from that of s by the ratio."""
+    rules = []
     scale = 1
     for s in coeffs:
         (a, b), (c, d) = s[i - 2], s[i - 1]
-        h = b - a - d + c
-        hs.append(h)
-        den = h * h if h < -1 else abs(h) if p is None or h % p == 0 else 1
-        if scale % den:
-            scale = math.lcm(scale, den)
+        rule = diagonal, swap, _ = step_factors(b - a - d + c, p)
+        rules.append(rule)
+        if diagonal and scale % diagonal[1]:
+            scale = math.lcm(scale, diagonal[1])
+        if swap and scale % swap[1]:
+            scale = math.lcm(scale, swap[1])
     out = {}
-    for (s, c), h in zip(coeffs.items(), hs):
-        if p is None:
-            diag = -c * (scale // h)
-        elif h % p == 0:
-            diag = c * (h - 1) * (scale // h)
-        else:
-            diag = 0
-        if diag:
-            out[s] = out.get(s, 0) + diag
-        if h > 1 or h < -1:
+    for (s, c), (diagonal, swap, ratio) in zip(coeffs.items(), rules):
+        if diagonal:
+            out[s] = out.get(s, 0) + c * diagonal[0] * (scale // diagonal[1])
+        if swap:
             t = s[:i - 2] + (s[i - 1], s[i - 2]) + s[i:]
-            hh = h * h
-            out[t] = out.get(t, 0) + (
-                c * scale if h > 1 else c * (hh - 1) * (scale // hh))
+            out[t] = out.get(t, 0) + c * swap[0] * (scale // swap[1])
             if norms is not None and t not in norms:
                 num, den = norms[s]
-                num, den = ((num * (hh - 1), den * hh) if h > 1
-                            else (num * hh, den * (hh - 1)))
+                num, den = num * ratio[0], den * ratio[1]
                 g = math.gcd(num, den)
                 norms[t] = num // g, den // g
     return {s: c for s, c in out.items() if c}, scale

@@ -270,15 +270,6 @@ def ladder_orbit_positions(mu: Partition, p: int, target=None,
     return frontier
 
 
-def ladder_orbit_representatives(mu: Partition, p: int, target=None,
-                                 allow_large: bool = False) -> dict:
-    """``ladder_orbit_positions`` with each representative as a
-    ``StandardTableau``, grouped by shape in ``sort_key`` order."""
-    return {shape: tuple(map(StandardTableau.from_positions, seqs))
-            for shape, seqs in ladder_orbit_positions(
-                mu, p, target, allow_large).items()}
-
-
 def _class_members(rs: ResidueSequence, target) -> tuple:
     """Members of the class of ``rs``; restricted to shape ``target`` if given."""
     n, p = len(rs), rs.p

@@ -25,7 +25,7 @@ from spechtmod.seminormal import (SeminormalVector, act_by_word,
                                   inner_product, norm)
 from spechtmod.tableaux import (StandardTableau, d_reduced_word,
                                 ladder_class_of_shape, ladder_orbit_positions,
-                                ladder_orbit_representatives, reduced_word,
+                                reduced_word,
                                 row_reading_tableau)
 
 
@@ -234,7 +234,7 @@ def test_orbit_chains_match_full_family_reference():
                     assert rep.basis == independent_subset(full)
                     assert rep.basis_size * ld.ladder_group_order() \
                         == len(members)
-                    representatives = ladder_orbit_representatives(
+                    representatives = ladder_orbit_positions(
                         mu, p, tau).get(tau, ())
                     assert len(representatives) * ld.ladder_group_order() \
                         == len(members)
@@ -287,15 +287,13 @@ def test_carried_norms_equal_norm():
 
 
 @pytest.mark.parametrize("mu, tau, size, entry", [
-    ((3, 2), (3, 2), 1, "4/9"),            # one vector: no modp_rank
+    ((3, 2), (3, 2), 1, "4/9"),
     ((3, 2, 1, 1), (4, 2, 1), 2, "5/6"),
 ])
-def test_non_p_integral_entry_raises_on_both_paths(monkeypatch, mu, tau,
-                                                   size, entry):
+def test_non_p_integral_entry_raises(monkeypatch, mu, tau, size, entry):
     """A basis bug that puts p in the denominator of a Gram entry raises
-    ArithmeticError, whether the first shape visited has one vector, whose
-    one entry is tested without ``modp_rank``, or more.  Here every
-    symmetrized vector is divided by p."""
+    ArithmeticError, whether the first shape visited has one vector or
+    more.  Here every symmetrized vector is divided by p."""
     p = 3
     counts = counts_at_one(mu, p)
     assert tau == max(t for t, c in counts.items()
@@ -335,7 +333,7 @@ def test_weight_space_dims_checks_empty_shapes():
     """A shape with no class members still gets the weight-space count
     cross-check: a nonzero Fock-side count there is an error naming it."""
     mu, tau, p = (3, 2), (1, 1, 1, 1, 1), 3
-    assert tau not in ladder_orbit_representatives(mu, p)
+    assert tau not in ladder_orbit_positions(mu, p)
     counts = counts_at_one(mu, p)
     assert tau not in counts
     with pytest.raises(AssertionError) as excinfo:
@@ -356,7 +354,7 @@ def test_weight_space_dims_names_the_first_offending_shape(mismatch, empty,
     one first in restricted_partitions order; a nonzero count on a shape
     that is not restricted is not checked."""
     mu, p = (2, 1, 1, 1), 3
-    representatives = ladder_orbit_representatives(mu, p)
+    representatives = ladder_orbit_positions(mu, p)
     assert representatives.get(mismatch) and empty not in representatives
     counts = counts_at_one(mu, p)
     bad = {**counts, mismatch: counts.get(mismatch, 0) + 1, empty: 1,

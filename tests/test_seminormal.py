@@ -16,6 +16,7 @@ from spechtmod.seminormal import (
     phi_action,
     seminormal_step,
     sigma_action,
+    step_factors,
 )
 from spechtmod.tableaux import (
     StandardTableau,
@@ -368,3 +369,25 @@ def test_step_carries_norms_n_le_7():
                         assert value == norm(u)
                     carried += len(norms) - 1
     assert carried == 3 * 936     # the standard swaps sigma_i s, n <= 7
+
+
+def test_step_factors_follow_the_rule():
+    """d(h), e(h) and the norm ratio of one step, as the module docstring
+    states them, each over a positive denominator, for sigma_i and phi_i."""
+    def value(pair):
+        assert pair is None or pair[1] > 0
+        return Fraction(*pair) if pair else 0
+    for p in (None, 2, 3, 5):
+        for h in range(-12, 13):
+            if h == 0:
+                continue
+            diagonal, swap, ratio = map(value, step_factors(h, p))
+            if p is None:
+                assert diagonal == Fraction(-1, h)
+            else:
+                assert diagonal == (Fraction(h - 1, h) if h % p == 0 else 0)
+            hh = h * h
+            assert swap == (0 if abs(h) == 1 else 1 if h > 1
+                            else Fraction(hh - 1, hh))
+            assert ratio == (0 if abs(h) == 1 else Fraction(hh - 1, hh)
+                             if h > 1 else Fraction(hh, hh - 1))

@@ -16,7 +16,6 @@ from spechtmod.tableaux import (
     is_standard_rows,
     ladder_class_of_shape,
     ladder_orbit_positions,
-    ladder_orbit_representatives,
     reduced_word,
     residue_sequence,
     row_reading_tableau,
@@ -127,13 +126,14 @@ def test_ladder_orbit_representatives_tile_the_class():
     for p, n in ((3, 6), (5, 8)):
         for mu in restricted_partitions(n, p):
             ld = ladder_decomposition(mu, p)
-            by_shape = ladder_orbit_representatives(mu, p)
+            by_shape = ladder_orbit_positions(mu, p)
             assert sum(len(v) for v in by_shape.values()) \
                 * ld.ladder_group_order() \
                 == len(tableau_class(ld.ladder_residue_sequence))
             for shape, reps in by_shape.items():
-                assert set(reps) <= set(ladder_class_of_shape(mu, shape, p))
-                assert ladder_orbit_representatives(mu, p, shape) == \
+                assert set(reps) <= {t.sort_key() for t in
+                                     ladder_class_of_shape(mu, shape, p)}
+                assert ladder_orbit_positions(mu, p, shape) == \
                     {shape: reps}
 
 
@@ -144,8 +144,9 @@ def test_ladder_orbit_representatives_match_class_filter_reference():
     for p, top in ((3, 9), (5, 14), (7, 12)):
         for n in range(top + 1):
             for mu in restricted_partitions(n, p):
-                got = {shape: [t.rows for t in reps] for shape, reps
-                       in ladder_orbit_representatives(mu, p).items()}
+                got = {shape: [StandardTableau.from_positions(s).rows
+                               for s in reps] for shape, reps
+                       in ladder_orbit_positions(mu, p).items()}
                 assert got == oracles.ladder_class_representatives(mu, p)
                 classes += 1
     assert classes == 712
@@ -293,6 +294,6 @@ def test_class_cap_guard():
     with pytest.raises(ValueError):
         ladder_class_of_shape(mu, mu, 3)
     with pytest.raises(ValueError):
-        ladder_orbit_representatives(mu, 3)
-    assert ladder_orbit_representatives(mu, 3, mu, allow_large=True)[mu] \
-        == (ladder_decomposition(mu, 3).ladder_tableau,)
+        ladder_orbit_positions(mu, 3)
+    assert ladder_orbit_positions(mu, 3, mu, allow_large=True)[mu] \
+        == [ladder_decomposition(mu, 3).ladder_tableau.sort_key()]
