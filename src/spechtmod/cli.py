@@ -99,7 +99,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-_BATCH = 4096       # pieces of text handed to one write call
+_BUDGET = 1 << 16   # characters of text held before one write call
 
 # JSON text of each scalar type; a value of any other type is a container
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
@@ -150,8 +150,9 @@ def _write_json(obj, fh) -> None:
     bool and None; anything else raises TypeError.  An int inside a list
     obeys the int64 rule of ``_jint``; an int in an object, a check record
     included, is written as it is.  Each row of a ``SparseRows`` is written
-    by ``_int_list_text`` from its stored entries.  The text goes out
-    ``_BATCH`` pieces at a time.
+    by ``_int_list_text`` from its stored entries.  The text goes out in one
+    write call whenever more than ``_BUDGET`` characters are held, so what
+    is held stays under that plus one piece, whatever N is.
 
     A check record is ``head(expected, lhs) + name(mu) + tail(pass, tau)``,
     and each head and tail is built once, keyed by its values and their
@@ -161,10 +162,16 @@ def _write_json(obj, fh) -> None:
     of a list of parts built once, patched before the diagonal.  Other
     columns and other Mappings are written record by record."""
     out = []
+    held = 0            # characters in out
 
-    def flush():
-        fh.write("".join(out))
-        out.clear()
+    def put(text):
+        nonlocal held
+        out.append(text)
+        held += len(text)
+        if held > _BUDGET:
+            fh.write("".join(out))
+            out.clear()
+            held = 0
 
     def key_text(key):
         if type(key) is not str:
@@ -213,21 +220,18 @@ def _write_json(obj, fh) -> None:
                             [tail(True, cols[-1])]
                         diagonal = [e + head(1, 1) for e in ends]
                     glue[i], kept = diagonal[i], glue[i]
-                    out.extend((sep, name(mu).join(glue)))
+                    put(sep + name(mu).join(glue))
                     glue[i], sep = kept, "," + inner
                 else:
                     for j, tau in enumerate(cols):
-                        out.extend((sep, record(mu, tau, check_record(
-                            i, j, row.get(j, 0)))))
+                        put(sep + record(mu, tau, check_record(
+                            i, j, row.get(j, 0))))
                         sep = "," + inner
-                flush()
         else:
             for (mu, tau), rec in checks.items():
-                out.extend((sep, record(mu, tau, rec)))
+                put(sep + record(mu, tau, rec))
                 sep = "," + inner
-                if len(out) >= _BATCH:
-                    flush()
-        out.append(pad + "]" if sep[0] == "," else "[]")
+        put(pad + "]" if sep[0] == "," else "[]")
 
     def walk(obj, pad):
         inner = pad + "  "
@@ -238,11 +242,9 @@ def _write_json(obj, fh) -> None:
         if kind is SparseRows:
             sep = "[" + inner
             for row in obj.rows:
-                out.extend((sep, _int_list_text(row.items(), obj.size, inner)))
+                put(sep + _int_list_text(row.items(), obj.size, inner))
                 sep = "," + inner
-                if len(out) >= _BATCH:
-                    flush()
-            out.append(pad + "]" if obj.rows else "[]")
+            put(pad + "]" if obj.rows else "[]")
             return
         if kind is dict:
             items = ((key_text(k), obj[k]) for k in sorted(obj))
@@ -256,17 +258,15 @@ def _write_json(obj, fh) -> None:
         for prefix, value in items:
             scalar = _SCALARS.get(type(value))
             if scalar is None:
-                out.append(sep + prefix)
+                put(sep + prefix)
                 walk(value, inner)
             else:
-                out.append(sep + prefix + scalar(value))
+                put(sep + prefix + scalar(value))
             sep = "," + inner
-            if len(out) >= _BATCH:
-                flush()
         if sep[0] == ",":
-            out.append(pad + brackets[1])
+            put(pad + brackets[1])
         else:           # nothing was written: "{}" or "[]"
-            out.append(brackets)
+            put(brackets)
 
     scalar = _SCALARS.get(type(obj))
     if scalar is None:

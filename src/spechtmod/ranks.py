@@ -24,17 +24,29 @@ object until a caller asks for one:
    |h| = 1 ends the walk at 0, and a singular step (p | h) also starts a
    second walk, scaled by d(h), at the unswapped positions; walks ending at
    the same positions are summed;
-4. symmetrize over the ladder group: on each interval a..b of m entries,
-   average over its symmetric group as a product of coset sums, m(m-1)/2
-   generator applications on the numerators, reduced by one gcd per coset
-   sum; a maximal independent subset is kept, by elimination on the
-   numerators;
+4. symmetrize over the ladder group by folding each chain end onto its orbit
+   representative.  Inside an interval every sigma_i has h a nonzero
+   multiple of p, so the span of an orbit is a regular representation of
+   the ladder group and its invariant line is spanned by f_O = e xi_r, e the
+   ladder average and r the representative.  From e sigma_i = e,
+   e xi_{sigma_i s} = (h+1)/h e xi_s when sigma_i moves the larger of the
+   two entries into the upper box, h = content(upper) - content(lower) > 0.
+   So e xi_s = c(s) f_O with c(s) the product of (h+1)/h over the pairs of
+   interval boxes whose entries s puts in the wrong order, and the average
+   of a chain is read off in the coordinates f_O with no step applied
+   (``_fold``).  The f_O are independent, so a maximal independent subset,
+   kept by elimination on these numerators, is the one the vectors
+   themselves give;
 5. form the Gram matrix of the invariant form from the numerators weighted
-   by the norms over one common denominator, one ``Fraction`` per entry; the
-   entries must be p-integral.  No norm is computed from scratch: the norm
-   of the row-reading tableau is the product of its row factorials, and
-   every step carries it on by gamma(sigma_i s) / gamma(s) = (h^2-1)/h^2
-   when h > 1 and h^2/(h^2-1) when h < -1;
+   by the orbit norms over one common denominator, one ``Fraction`` per
+   entry (for one vector, its lowest terms only); the entries must be
+   p-integral.  The f_O of distinct orbits are orthogonal, and
+   <f_O, f_O> = gamma(r) prod_k [prod over the box pairs of interval k of
+   (h-1)/h] / m_k!, m_k the interval's length.  No norm is computed from
+   scratch: the norm of the row-reading tableau is the product of its row
+   factorials, every step carries it on by gamma(sigma_i s) / gamma(s) =
+   (h^2-1)/h^2 when h > 1 and h^2/(h^2-1) when h < -1, and gamma(r) is
+   gamma(s) times h^2/(h^2-1) over the pairs that s puts in the wrong order;
 6. reduce mod p and take the rank.
 
 The resulting rank is the dimension of the mu-weight space of the simple
@@ -95,14 +107,24 @@ def _row_reading(tau: Partition) -> tuple:
     return positions, (math.prod(map(math.factorial, tau)), 1)
 
 
-def _phi_chain(word, start, p: int, norms: dict) -> tuple:
-    """The chain of phi_i over ``word`` (rightmost letter first) applied to
-    the seminormal vector at ``start``, a (positions, norm) pair, as reduced
-    (numerators, denominator).  Each term is walked on its own position list
-    with its coefficient and norm, each step by ``step_factors``, as in step
-    3.  Walks seldom meet before their end, so this does the work of
+def _step_rules(n: int, p: int) -> list:
+    """``step_factors(h, p)`` at index h (a negative h counts from the end)
+    for every h that a step on n entries meets, 0 < |h| < n: the walks read
+    a step's factors from this list instead of calling for them."""
+    return [step_factors(h, p) if h else None for h in range(n)] + \
+        [step_factors(h, p) for h in range(-n, 0)]
+
+
+def _walk(word, start, rules) -> list:
+    """The ends of the chain of phi_i over ``word`` (rightmost letter first)
+    applied to the seminormal vector at ``start``, a (positions, norm) pair,
+    as (positions, numerator, denominator, norm numerator, norm denominator)
+    tuples; ends at the same positions are not summed yet.  Each term is
+    walked on its own position list with its coefficient and norm, each step
+    by its ``step_factors`` read from ``rules`` (``_step_rules``), as in
+    step 3.  Walks seldom meet before their end, so this does the work of
     ``seminormal_step`` on a numerator dict with no dict or tuple built per
-    step.  ``norms`` gets the norm of every end."""
+    step."""
     letters = word[::-1]
     ends = []
     walks = [(0, list(start[0]), 1, 1, *start[1])]
@@ -111,7 +133,7 @@ def _phi_chain(word, start, p: int, norms: dict) -> tuple:
         for k in range(k, len(letters)):
             i = letters[k]
             (a, b), (c, d) = pos[i - 2], pos[i - 1]
-            diagonal, swap, ratio = step_factors(b - a - d + c, p)
+            diagonal, swap, ratio = rules[b - a - d + c]
             if diagonal:
                 walks.append((k + 1, pos[:], num * diagonal[0],
                               den * diagonal[1], gn, gd))
@@ -121,15 +143,60 @@ def _phi_chain(word, start, p: int, norms: dict) -> tuple:
             num, den = num * swap[0], den * swap[1]
             gn, gd = gn * ratio[0], gd * ratio[1]
         else:
-            s = tuple(pos)
-            g = math.gcd(gn, gd)
-            norms[s] = gn // g, gd // g
-            ends.append((s, num, den))
-    common = math.lcm(*(den for _, _, den in ends))
+            ends.append((pos, num, den, gn, gd))
+    return ends
+
+
+def _sum(terms) -> tuple:
+    """The reduced (numerators, denominator) of a sum of (key, numerator,
+    denominator) terms."""
+    common = math.lcm(*(den for _, _, den in terms))
     nums = {}
-    for s, num, den in ends:
+    for s, num, den in terms:
         nums[s] = nums.get(s, 0) + num * (common // den)
     return reduce_numerators(nums, common)
+
+
+def _phi_chain(word, start, rules) -> tuple:
+    """The chain vector of ``_walk`` as reduced (numerators, denominator)."""
+    return _sum([(tuple(pos), num, den)
+                 for pos, num, den, _, _ in _walk(word, start, rules)])
+
+
+def _fold(ends, slices, norms: dict) -> tuple:
+    """The ladder-group average e of the chain with the given ``_walk``
+    ends, in orbit coordinates, as reduced (numerators, denominator) keyed
+    by orbit representatives: e xi_s = c(s) e xi_r (step 4).  ``slices``
+    are the nontrivial ladder intervals as slices of a position list.  The
+    norm <e xi_r, e xi_r> of each representative r reached is put in
+    ``norms``, from the norm of the first end of its orbit (step 5)."""
+    terms = []
+    for pos, num, den, gn, gd in ends:
+        for lo, hi in slices:
+            boxes = pos[lo:hi]
+            down = sorted(boxes)    # the boxes down the rows
+            if boxes == down:
+                continue
+            for x, (a, b) in enumerate(boxes):
+                for u, v in boxes[x + 1:]:
+                    if a > u:       # the larger entry is in the upper box
+                        h = v - u - b + a
+                        num, den = num * (h + 1), den * h
+                        gn, gd = gn * h * h, gd * (h * h - 1)
+            pos[lo:hi] = down
+        r = tuple(pos)
+        if r not in norms:
+            for lo, hi in slices:
+                boxes = pos[lo:hi]
+                for x, (a, b) in enumerate(boxes):
+                    for u, v in boxes[x + 1:]:
+                        h = b - a - v + u
+                        gn, gd = gn * (h - 1), gd * h
+                gd *= math.factorial(hi - lo)
+            g = math.gcd(gn, gd)
+            norms[r] = gn // g, gd // g
+        terms.append((r, num, den))
+    return _sum(terms)
 
 
 def phi_chain_basis(mu: Partition, tau: Partition, p: int,
@@ -138,24 +205,26 @@ def phi_chain_basis(mu: Partition, tau: Partition, p: int,
     """The intertwiner-chain vectors, one per member of T_{mu,tau}."""
     mu, tau = _require_valid_mu(mu, p), check_partition(tau)
     members = ladder_class_of_shape(mu, tau, p, allow_large=allow_large)
-    word, start, norms = _word_of(word_strategy), _row_reading(tau), {}
+    word, start = _word_of(word_strategy), _row_reading(tau)
+    rules = _step_rules(sum(tau), p)
     return tuple(SeminormalVector.from_numerators(
-        tau, *_phi_chain(word(t.sort_key()), start, p, norms))
-        for t in members)
+        tau, *_phi_chain(word(t.sort_key()), start, rules)) for t in members)
 
 
-def _symmetrize(nums: dict, den: int, intervals, norms=None) -> tuple:
-    """The ladder-group average of the vector ``nums / den``, as reduced
-    (numerators, denominator): on each interval a..b, the average over its
-    symmetric group as the product of coset sums D_b ... D_{a+1}, D_j = 1 +
-    s_j + s_{j-1} s_j + ... + s_{a+1} ... s_j summing the j - a + 1 cosets
-    of Sym(a..j-1) in Sym(a..j), each divided by that count.  ``norms`` is
-    passed to every step."""
+def _symmetrize(nums: dict, den: int, intervals) -> tuple:
+    """The ladder-group average of the vector ``nums / den`` in tableau
+    coordinates, as reduced (numerators, denominator): on each interval
+    a..b, the average over its symmetric group as the product of coset sums
+    D_b ... D_{a+1}, D_j = 1 + s_j + s_{j-1} s_j + ... + s_{a+1} ... s_j
+    summing the j - a + 1 cosets of Sym(a..j-1) in Sym(a..j), each divided
+    by that count.  Only the vectors that are shown (``ladder_symmetrize``,
+    ``GramReport.basis``) are built this way; the ranks read the same
+    average in orbit coordinates from ``_fold``."""
     for a, b in intervals:
         for j in range(a + 1, b + 1):
             term, acc = nums, dict(nums)
             for i in range(j, a, -1):
-                term, scale = seminormal_step(i, term, None, norms)
+                term, scale = seminormal_step(i, term)
                 if scale != 1:
                     acc = {s: c * scale for s, c in acc.items()}
                     den *= scale
@@ -212,8 +281,9 @@ def ladder_symmetrize(mu: Partition, basis, p: int) -> tuple:
 
 
 def _gram(vectors, norms: dict) -> tuple:
-    """Matrix of the invariant form on (numerators, denominator) pairs, with
-    the norm of each position s read from ``norms[s]``: the numerators are
+    """Matrix of the invariant form on (numerators, denominator) pairs whose
+    keys are orthogonal, with the norm of each key s read from ``norms[s]``
+    (a tableau's, or an orbit's in orbit coordinates): the numerators are
     weighted by the norms over one common denominator, and each entry is
     one ``Fraction``."""
     common = math.lcm(*(norms[s][1] for nums, _ in vectors for s in nums))
@@ -237,19 +307,19 @@ def gram_matrix(basis) -> tuple:
     return _gram([(v.nums, v.den) for v in basis], norms)
 
 
+def _mod_p(entry, p: int) -> int:
+    """A p-integral rational reduced mod p."""
+    entry = Fraction(entry)
+    if entry.denominator % p == 0:
+        raise ArithmeticError(
+            f"entry {entry} is not {p}-integral; upstream basis bug")
+    return entry.numerator * pow(entry.denominator, -1, p) % p
+
+
 def modp_rank(gram, p: int):
     """Reduce a p-integral rational matrix mod p and return (matrix, rank)."""
     k = len(gram)
-    reduced = []
-    for row in gram:
-        r = []
-        for entry in row:
-            entry = Fraction(entry)
-            if entry.denominator % p == 0:
-                raise ArithmeticError(
-                    f"entry {entry} is not {p}-integral; upstream basis bug")
-            r.append(entry.numerator * pow(entry.denominator, -1, p) % p)
-        reduced.append(r)
+    reduced = [[_mod_p(entry, p) for entry in row] for row in gram]
     mat = [row[:] for row in reduced]
     rank, lead = 0, 0
     for col in range(k):
@@ -280,19 +350,36 @@ def _check_weight_space_count(mu: Partition, tau: Partition, expected: int,
             f"weight-space count expects {expected}")
 
 
-def _basis(tau: Partition, p: int, representatives, intervals, norms: dict,
+def _basis(tau: Partition, rules, representatives, intervals, norms: dict,
            word=canonical_word) -> list:
     """Steps 2-4 for the orbit representatives (position tuples) of
-    T_{mu,tau}, in sort_key order: the symmetrized chains that a maximal
-    independent subset keeps, as (numerators, denominator) pairs.  ``norms``
-    gets the norm of every position the steps reach."""
+    T_{mu,tau}, in sort_key order: the (representative, symmetrized chain)
+    pairs that a maximal independent subset keeps, each chain in orbit
+    coordinates as a (numerators, denominator) pair.  ``rules`` is
+    ``_step_rules`` for |tau| and p; ``norms`` gets the orbit norm of every
+    representative the folds reach."""
     start = _row_reading(tau)
-    sym = []
-    for s in representatives:
-        nums, den = _phi_chain(word(s), start, p, norms)
-        if nums:
-            sym.append(_symmetrize(nums, den, intervals, norms))
-    return [sym[k] for k in _independent(nums for nums, _ in sym)]
+    slices = [(a - 1, b) for a, b in intervals if b > a]
+    sym = [(s, _fold(_walk(word(s), start, rules), slices, norms))
+           for s in representatives]
+    return [sym[k] for k in _independent(nums for _, (nums, _) in sym)]
+
+
+def _rank(vectors, norms: dict, p: int) -> int:
+    """The mod-p rank of the Gram matrix of the given vectors.  With one
+    vector, that is whether its one entry, the sum of c^2 norms[s] / den^2
+    over its numerators c, is a unit mod p, read off its lowest terms."""
+    if len(vectors) != 1:
+        return modp_rank(_gram(vectors, norms), p)[1]
+    (nums, den), = vectors
+    common = math.lcm(*(norms[s][1] for s in nums))
+    num = sum(c * c * norms[s][0] * (common // norms[s][1])
+              for s, c in nums.items())
+    den = den * den * common
+    g = math.gcd(num, den)
+    if den // g % p == 0:
+        _mod_p(Fraction(num, den), p)   # raises: not p-integral
+    return int(num // g % p != 0)
 
 
 def gram_report(mu: Partition, tau: Partition, p: int,
@@ -303,18 +390,20 @@ def gram_report(mu: Partition, tau: Partition, p: int,
     representatives = ladder_orbit_positions(
         mu, p, tau, allow_large=allow_large).get(tau, ())
     count = evaluate_at_one(first_approximation(mu, p).coefficient(tau))
-    ld, norms = ladder_decomposition(mu, p), {}
-    sym = _basis(tau, p, representatives, ld.ladder_group_intervals, norms,
-                 _word_of(word_strategy))
-    _check_weight_space_count(mu, tau, count, len(sym))
-    gram = _gram(sym, norms)
+    ld, norms, word = ladder_decomposition(mu, p), {}, _word_of(word_strategy)
+    intervals, start = ld.ladder_group_intervals, _row_reading(tau)
+    rules = _step_rules(sum(tau), p)
+    kept = _basis(tau, rules, representatives, intervals, norms, word)
+    _check_weight_space_count(mu, tau, count, len(kept))
+    gram = _gram([v for _, v in kept], norms)
     gram_p, rank = modp_rank(gram, p)
     return GramReport(mu=mu, tau=tau, p=p,
                       basis_size_before_symmetrization=(
                           len(representatives) * ld.ladder_group_order()),
-                      basis_size=len(sym),
-                      basis=tuple(SeminormalVector.from_numerators(tau, *v)
-                                  for v in sym),
+                      basis_size=len(kept),
+                      basis=tuple(SeminormalVector.from_numerators(
+                          tau, *_symmetrize(*_phi_chain(word(s), start, rules),
+                                            intervals)) for s, _ in kept),
                       gram=gram, gram_mod_p=gram_p, rank=rank)
 
 
@@ -332,6 +421,7 @@ def weight_space_dims(mu: Partition, p: int, counts) -> dict:
     mu = _require_valid_mu(mu, p)
     representatives = ladder_orbit_positions(mu, p)
     intervals = ladder_decomposition(mu, p).ladder_group_intervals
+    rules = _step_rules(sum(mu), p)
     shapes = set(representatives)
     shapes.update(tau for tau, count in counts.items() if count)
     dims = {}
@@ -339,9 +429,10 @@ def weight_space_dims(mu: Partition, p: int, counts) -> dict:
         if not is_p_restricted(tau, p):
             continue
         norms = {}
-        sym = _basis(tau, p, representatives.get(tau, ()), intervals, norms)
+        sym = [v for _, v in _basis(tau, rules, representatives.get(tau, ()),
+                                    intervals, norms)]
         _check_weight_space_count(mu, tau, counts.get(tau, 0), len(sym))
-        rank = modp_rank(_gram(sym, norms), p)[1]
+        rank = _rank(sym, norms, p)
         if rank:
             dims[tau] = rank
     return dims

@@ -32,10 +32,10 @@ denominators (h for d(h), h^2 for e(h) with h < -1) and reports that factor,
 so no rational is formed and no tableau is built; sigma_i s is a swap of two
 positions.  ``act_by_word`` runs a word of steps and reduces the result by one
 gcd, and ``sigma_action`` and ``phi_action`` are one-letter words.  ``norm``
-gives gamma as an integer pair from the position tuple; ``seminormal_step``
-can instead carry such pairs from each position to the ones it reaches.
-``step_factors`` is the per-term rule, d(h), e(h) and the norm ratio, that
-``seminormal_step`` and the chain walks of ``ranks`` both apply.
+gives gamma as an integer pair from the position tuple; the chain walks of
+``ranks`` instead carry such pairs from each position to the ones they
+reach.  ``step_factors`` is the per-term rule, d(h), e(h) and the norm
+ratio, that ``seminormal_step`` and those walks both apply.
 """
 
 import math
@@ -174,17 +174,13 @@ def step_factors(h: int, p=None) -> tuple:
     return diagonal, (hh - 1, hh), (hh, hh - 1)
 
 
-def seminormal_step(i: int, coeffs: dict, p=None, norms=None) -> tuple:
+def seminormal_step(i: int, coeffs: dict, p=None) -> tuple:
     """One step xi_s -> d(h) xi_s + e(h) xi_{sigma_i s} on integer numerators
     keyed by entry-position tuples: sigma_i when ``p`` is None, phi_i for the
     prime ``p`` otherwise, termwise by ``step_factors``.  Returns
     ``(numerators, scale)``: the image is the returned numerators over
     ``scale`` times the input's denominator, where ``scale`` is the lcm of
-    the denominators d(h) and e(h) take here.
-
-    ``norms``, when given, maps every position of ``coeffs`` to its norm (a
-    lowest-terms pair, as ``norm`` gives it) and is extended with the norm
-    of each sigma_i s not in it yet, carried from that of s by the ratio."""
+    the denominators d(h) and e(h) take here."""
     rules = []
     scale = 1
     for s in coeffs:
@@ -196,17 +192,12 @@ def seminormal_step(i: int, coeffs: dict, p=None, norms=None) -> tuple:
         if swap and scale % swap[1]:
             scale = math.lcm(scale, swap[1])
     out = {}
-    for (s, c), (diagonal, swap, ratio) in zip(coeffs.items(), rules):
+    for (s, c), (diagonal, swap, _) in zip(coeffs.items(), rules):
         if diagonal:
             out[s] = out.get(s, 0) + c * diagonal[0] * (scale // diagonal[1])
         if swap:
             t = s[:i - 2] + (s[i - 1], s[i - 2]) + s[i:]
             out[t] = out.get(t, 0) + c * swap[0] * (scale // swap[1])
-            if norms is not None and t not in norms:
-                num, den = norms[s]
-                num, den = num * ratio[0], den * ratio[1]
-                g = math.gcd(num, den)
-                norms[t] = num // g, den // g
     return {s: c for s, c in out.items() if c}, scale
 
 

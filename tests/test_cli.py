@@ -587,9 +587,30 @@ class TestJsonWriter:
         assert streamed(doc) == dumps({"a": [], "b": [], "c": {}, "d": [1]})
 
     def test_batches_keep_the_bytes(self, monkeypatch):
-        monkeypatch.setattr("spechtmod.cli._BATCH", 3)
+        monkeypatch.setattr("spechtmod.cli._BUDGET", 3)
         doc = {"rows": [[1, 2], [3]], "checks": [{"k": i} for i in range(9)]}
         assert streamed(doc) == dumps(doc)
+
+    def test_held_text_is_bounded_by_the_budget(self, monkeypatch):
+        # each write call carries at most the budget plus one piece: here a
+        # row of 40 entries (under 400 characters) or one check record
+        monkeypatch.setattr("spechtmod.cli._BUDGET", 1000)
+        rows = SparseRows([{k: k + 1} for k in range(40)] * 5, 40)
+        checks = {("mu", k): {"expected": 0, "lhs": k, "pass": False}
+                  for k in range(200)}
+        names = {"mu": "mu", **{k: str(k) for k in range(200)}}
+        doc = {"rows": rows, "checks": CheckRecords(checks, names)}
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        _write_json(doc, Recorder())
+        assert len(writes) > 20
+        assert max(map(len, writes)) < 1400
+        assert "".join(writes) == dumps({"rows": [list(row) for row in rows],
+                                         "checks": check_list(checks, names)})
 
     def test_int64_rule_in_lists(self):
         # all-int and mixed lists write out-of-range ints as _jint

@@ -353,21 +353,22 @@ def test_step_swaps_to_exactly_the_standard_fillings_n_le_8():
 
 
 def test_step_carries_norms_n_le_7():
-    """Given the norm of each input position, the step adds the norm of
-    every sigma_i s it reaches, equal to ``norm`` computed afresh, for
-    sigma_i and for phi_i; the numerators and scale are unchanged."""
+    """The norm ratio of ``step_factors`` carries the norm of s to that of
+    every sigma_i s a step reaches, equal to ``norm`` computed afresh, for
+    sigma_i and for phi_i."""
     carried = 0
     for p in (None, 3, 5):
         for lam in shapes_up_to(7):
             for t in standard_tableaux(lam):
                 s = t.sort_key()
                 for i in range(2, t.n + 1):
-                    norms = {s: norm(s)}
-                    assert seminormal_step(i, {s: 1}, p, norms) == \
-                        seminormal_step(i, {s: 1}, p)
-                    for u, value in norms.items():
-                        assert value == norm(u)
-                    carried += len(norms) - 1
+                    out, _ = seminormal_step(i, {s: 1}, p)
+                    ratio = step_factors(s[i - 2][1] - s[i - 2][0]
+                                         - s[i - 1][1] + s[i - 1][0], p)[2]
+                    for u in out.keys() - {s}:
+                        assert Fraction(*norm(u)) == \
+                            Fraction(*norm(s)) * Fraction(*ratio)
+                        carried += 1
     assert carried == 3 * 936     # the standard swaps sigma_i s, n <= 7
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import oracles
-from spechtmod import fock, seminormal, tableaux, verify
+from spechtmod import fock, ranks, seminormal, tableaux, verify
 from spechtmod.fock import evaluate_at_one, llt_canonical
 from spechtmod.partitions import (all_partitions, dominates,
                                   ladder_decomposition,
@@ -108,10 +108,11 @@ class TestMMatrix:
                     assert mat[a][b] == oracles.dim_e_tilde_D_oracle(mu, lam, 3)
 
     def test_verify_path_builds_no_tableau_vector_or_norm(self):
-        # chains, symmetrization and Gram entries run on position tuples
-        # with norms carried along the steps, so m_matrix builds no
-        # StandardTableau, SeminormalVector or GramReport, reads no ladder
-        # tableau and computes no norm or bubble-sort word
+        # chains and Gram entries run on position tuples with norms carried
+        # along the steps, and the ladder-group average is read off orbit
+        # representatives, so m_matrix builds no StandardTableau,
+        # SeminormalVector or GramReport, reads no ladder tableau, computes
+        # no norm or bubble-sort word and never symmetrizes a vector
         forbidden = {fn.__code__: name for name, fn in (
             ("StandardTableau", StandardTableau.__init__),
             ("from_positions", StandardTableau.from_positions.__func__),
@@ -119,7 +120,8 @@ class TestMMatrix:
             ("from_numerators", SeminormalVector.from_numerators.__func__),
             ("GramReport", GramReport.__init__),
             ("norm", seminormal.norm),
-            ("reduced_word", tableaux.reduced_word))}
+            ("reduced_word", tableaux.reduced_word),
+            ("_symmetrize", ranks._symmetrize))}
         called = set()
 
         def profile(frame, event, arg):
