@@ -63,8 +63,9 @@ from .partitions import (Partition, check_partition, is_p_restricted,
                          ladder_decomposition, validate_ladder_lengths)
 from .seminormal import (SeminormalVector, norm, reduce_numerators,
                          seminormal_step, step_factors)
-from .tableaux import (StandardTableau, canonical_word, d_reduced_word,
-                       ladder_class_of_shape, ladder_orbit_positions)
+from .tableaux import (StandardTableau, canonical_word, check_class_cap,
+                       d_reduced_word, ladder_class_of_shape,
+                       ladder_orbit_positions)
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,9 @@ def phi_chain_basis(mu: Partition, tau: Partition, p: int,
                     word_strategy: str = "canonical",
                     allow_large: bool = False) -> tuple:
     """The intertwiner-chain vectors, one per member of T_{mu,tau}."""
-    mu, tau = _require_valid_mu(mu, p), check_partition(tau)
+    mu, tau = check_partition(mu), check_partition(tau)
+    check_class_cap(sum(mu), allow_large, "class enumeration")
+    mu = _require_valid_mu(mu, p)     # builds ladder data: after the cap
     members = ladder_class_of_shape(mu, tau, p, allow_large=allow_large)
     word, start = _word_of(word_strategy), _row_reading(tau)
     rules = _step_rules(sum(tau), p)
@@ -386,7 +389,9 @@ def gram_report(mu: Partition, tau: Partition, p: int,
                 word_strategy: str = "canonical",
                 allow_large: bool = False) -> GramReport:
     """Run steps 1-6 and package the result."""
-    mu, tau = _require_valid_mu(mu, p), check_partition(tau)
+    mu, tau = check_partition(mu), check_partition(tau)
+    check_class_cap(sum(mu), allow_large, "class enumeration")
+    mu = _require_valid_mu(mu, p)     # builds ladder data: after the cap
     representatives = ladder_orbit_positions(
         mu, p, tau, allow_large=allow_large).get(tau, ())
     count = evaluate_at_one(first_approximation(mu, p).coefficient(tau))

@@ -5,21 +5,23 @@ Tableaux are stored row-wise as tuples of tuples.  All tableau orderings are
 lexicographic on the entry-position sequence (the node of 1, then of 2, ...),
 so enumerations are reproducible run to run.
 
-Two standard tableaux are p-equivalent when their residue sequences agree; the
-equivalence classes are enumerated by the incremental construction: start from
-the one-node diagram and add, at each step k, an addable node of the k-th
-prescribed residue in every possible way.  ``ladder_class_of_shape`` specializes
-the class of the ladder tableau of mu to members of a fixed shape, the index set
-T_{mu,lambda} of the eigenspace algorithm.
+Every set of tableaux listed here comes from one forward walk, ``_fill``:
+start from the empty diagram and, at each step, add nodes of the step's
+residue in every possible way, keeping a frontier of the entry-position tuples
+that reach each shape.  Two standard tableaux are p-equivalent when their
+residue sequences agree; a class (``tableau_class``) is the walk with one node
+per step along the residue sequence, and ``ladder_class_of_shape`` keeps the
+members of the class of the ladder tableau of mu that fit in a fixed shape,
+the index set T_{mu,lambda} of the eigenspace algorithm.  ``standard_tableaux``
+is the walk with any addable node inside the shape at each step.
 
 The ladder group of mu permutes the entries within each ladder interval and
 acts freely on that class.  ``ladder_orbit_positions`` lists one member per
-orbit as an entry-position tuple, the one whose interval entries go down the
-rows, without listing the class: at interval k of m entries it fills an
-m-subset of the addable nodes of residue iota_k, top to bottom, in one forward
-pass over the intervals.  Adding an i-node creates and destroys no other
-addable i-node (p >= 3), so these subsets are all the choices; this is the
-subset form of the divided power f_i^(m).
+orbit, the one whose interval entries go down the rows, without listing the
+class: at interval k of m entries the walk fills an m-subset of the addable
+nodes of residue iota_k, top to bottom.  Adding an i-node creates and destroys
+no other addable i-node (p >= 3), so these subsets are all the choices; this
+is the subset form of the divided power f_i^(m).
 
 Permutations act on tableaux on the left by place permutation: applying g
 replaces entry k by g(k).  The permutation d(t) with d(t) t^lam = t (t^lam the
@@ -29,7 +31,7 @@ sigma_i = (i-1, i), 2 <= i <= n, by a deterministic bubble sort;
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .partitions import (Partition, Node, check_partition, addable_nodes,
                          all_addable_nodes, ladder_decomposition)
@@ -143,25 +145,7 @@ def row_reading_tableau(lam: Partition) -> StandardTableau:
 def standard_tableaux(lam: Partition) -> tuple:
     """All standard tableaux of shape lam, lexicographic on position sequences."""
     lam = check_partition(lam)
-    n = sum(lam)
-    out = []
-
-    def grow(node_seq, shape):
-        k = len(node_seq)
-        if k == n:
-            out.append(StandardTableau.from_positions(node_seq))
-            return
-        for g in _inside(all_addable_nodes(shape), lam):
-            grow(node_seq + (g,), _grown(shape, (g,)))
-
-    grow((), ())
-    return tuple(out)
-
-
-def _inside(nodes, target) -> tuple:
-    """The given nodes that lie in the diagram of ``target``."""
-    return tuple(g for g in nodes
-                 if g[0] <= len(target) and g[1] <= target[g[0] - 1])
+    return _tableaux(_fill([(None, 1)] * sum(lam), None, lam)[lam])
 
 
 def _grown(shape: Partition, nodes) -> Partition:
@@ -213,16 +197,12 @@ def check_class_cap(n: int, allow_large=None,
 
 
 def tableau_class(rs: ResidueSequence, allow_large: bool = False) -> tuple:
-    """All standard tableaux (of any shape) with residue sequence ``rs``.
-
-    Built by the incremental addable-node construction, memoized on the pair
-    (prefix length, prefix shape): all prefixes reaching the same shape at the
-    same step share their completions.  May be empty.  The members come out
-    in ``sort_key`` order with no sort: each step tries the addable nodes by
-    increasing row, so the node sequences are generated lexicographically.
-    """
+    """All standard tableaux (of any shape) with residue sequence ``rs``, in
+    ``sort_key`` order: the walk adds one node of residue ``rs[k]`` at step k.
+    May be empty."""
     check_class_cap(len(rs), allow_large)
-    return _class_members(rs, None)
+    frontier = _fill([(r, 1) for r in rs.values], rs.p)
+    return _tableaux(chain.from_iterable(frontier.values()))
 
 
 def ladder_class_of_shape(mu: Partition, lam: Partition, p: int,
@@ -231,9 +211,9 @@ def ladder_class_of_shape(mu: Partition, lam: Partition, p: int,
     mu, lam = check_partition(mu), check_partition(lam)
     if sum(mu) != sum(lam):
         raise ValueError(f"size mismatch: {mu} vs {lam}")
+    check_class_cap(sum(mu), allow_large, "class enumeration")
     rs = ladder_decomposition(mu, p).ladder_residue_sequence
-    check_class_cap(len(rs), allow_large, "class enumeration")
-    return _class_members(rs, lam)
+    return _tableaux(_fill([(r, 1) for r in rs.values], p, lam).get(lam, ()))
 
 
 def ladder_orbit_positions(mu: Partition, p: int, target=None,
@@ -243,53 +223,47 @@ def ladder_orbit_positions(mu: Partition, p: int, target=None,
     when given), each list in ``sort_key`` order.
 
     The representative of an orbit is its member whose entries in each ladder
-    interval go down the rows.  One forward pass over the intervals keeps a
-    frontier of the position tuples reaching each shape: interval k extends
-    every tuple of a shape by each ``|L_k|``-subset of the addable nodes of
-    residue iota_k, filled top to bottom.  Each shape's list is sorted once
-    at the end.
+    interval go down the rows: the walk's step k adds a ``|L_k|``-subset of
+    the addable nodes of residue iota_k, filled top to bottom.
     """
     mu = check_partition(mu)
     if target is not None and sum(target) != sum(mu):
         raise ValueError(f"size mismatch: {mu} vs {target}")
-    ld = ladder_decomposition(mu, p)
     check_class_cap(sum(mu), allow_large, "class enumeration")
-    frontier = {(): [()]}
-    for residue, m in zip(ld.residues, ld.sizes):
-        grown = {}
-        for shape, seqs in frontier.items():
-            nodes = addable_nodes(shape, residue, p)
-            if target is not None:
-                nodes = _inside(nodes, target)
-            for subset in combinations(nodes, m):
-                grown.setdefault(_grown(shape, subset), []).extend(
-                    s + subset for s in seqs)
-        frontier = grown
+    ld = ladder_decomposition(mu, p)
+    frontier = _fill(zip(ld.residues, ld.sizes), p, target)
     for seqs in frontier.values():
         seqs.sort()
     return frontier
 
 
-def _class_members(rs: ResidueSequence, target) -> tuple:
-    """Members of the class of ``rs``; restricted to shape ``target`` if given."""
-    n, p = len(rs), rs.p
-    memo = {}
-
-    def completions(k, shape):
-        # node sequences for entries k+1..n starting from ``shape``
-        if k == n:
-            return ((),)
-        key = (k, shape)
-        if key not in memo:
-            nodes = addable_nodes(shape, rs.values[k], p)
+def _fill(steps, p, target=None) -> dict:
+    """The forward walk: ``{shape: [entry-position tuple, ...]}`` over every
+    way of taking, at each step ``(residue, m)``, an m-subset of the addable
+    nodes of that residue (any addable node when the residue is None), inside
+    ``target`` when one is given, filled top to bottom.  A frontier of the
+    tuples reaching each shape is extended one step at a time; the lists come
+    out unsorted."""
+    frontier = {(): [()]}
+    for residue, m in steps:
+        grown = {}
+        for shape, seqs in frontier.items():
+            nodes = (all_addable_nodes(shape) if residue is None
+                     else addable_nodes(shape, residue, p))
             if target is not None:
-                nodes = _inside(nodes, target)
-            memo[key] = tuple((g,) + rest for g in nodes
-                              for rest in completions(k + 1,
-                                                      _grown(shape, (g,))))
-        return memo[key]
+                nodes = [g for g in nodes
+                         if g[0] <= len(target) and g[1] <= target[g[0] - 1]]
+            for subset in combinations(nodes, m):
+                grown.setdefault(_grown(shape, subset), []).extend(
+                    s + subset for s in seqs)
+        frontier = grown
+    return frontier
 
-    return tuple(map(StandardTableau.from_positions, completions(0, ())))
+
+def _tableaux(seqs) -> tuple:
+    """The tableaux with the given entry-position tuples, in ``sort_key``
+    order."""
+    return tuple(map(StandardTableau.from_positions, sorted(seqs)))
 
 
 @dataclass(frozen=True)

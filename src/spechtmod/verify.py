@@ -247,6 +247,10 @@ def gram_oracle_dimD(tau: Partition, p: int, allow_large: bool = False) -> int:
     tau = check_partition(tau)
     if not is_p_restricted(tau, p):
         raise ValueError(f"{tau} is not {p}-restricted")
+    if sum(tau) > _ORACLE_CAP and not allow_large:
+        raise ValueError(
+            f"|tau| = {sum(tau)} > {_ORACLE_CAP} needs allow_large=True "
+            "(--allow-large)")
     size = standard_tableau_count(tau)
     if size > _ORACLE_CAP and not allow_large:
         raise ValueError(

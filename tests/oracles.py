@@ -646,6 +646,33 @@ def ladder_orbit_positions_recursive(mu, p, target=None):
     return grouped
 
 
+def tableau_class_recursive(residues, p, target=None):
+    """The former package class enumerator: the entry-position tuples of the
+    standard tableaux with residue sequence ``residues`` (of shape
+    ``target`` only, when given), by a recursion over the entries memoized on
+    (entries placed, shape).  Addable nodes are tried by increasing row, so
+    the tuples come out in lexicographic order with no sort."""
+    memo = {}
+
+    def completions(k, shape):
+        if k == len(residues):
+            return ((),)
+        if (k, shape) not in memo:
+            out = []
+            for g in _addable_of_residue(shape, residues[k], p):
+                if target is not None and not (g[0] <= len(target)
+                                               and g[1] <= target[g[0] - 1]):
+                    continue
+                grown = list(shape) + [0]
+                grown[g[0] - 1] += 1
+                out.extend((g,) + rest for rest in completions(
+                    k + 1, tuple(a for a in grown if a)))
+            memo[(k, shape)] = tuple(out)
+        return memo[(k, shape)]
+
+    return completions(0, ())
+
+
 def seminormal_step_reference(i, vec, p=None):
     """The former package step over Fractions, on {rows: Fraction}:
     xi_s -> d(h) xi_s + e(h) xi_{sigma_i s} with h = c_s(i-1) - c_s(i),

@@ -161,6 +161,19 @@ class TestRankCommand:
         assert rc == 2 and out == ""
         assert "--allow-large" in err
 
+    def test_class_cap_comes_before_any_ladder_data(self, capsys, monkeypatch):
+        def no_ladders(lam, p):
+            raise AssertionError("ladder data built before the class cap")
+
+        for module in ("partitions", "ranks", "tableaux"):
+            monkeypatch.setattr(f"spechtmod.{module}.ladder_decomposition",
+                                no_ladders)
+        rc, out, err = run_cli(["rank", "--p", "3", "--mu", "1^41",
+                                "--tau", "1^41"], capsys)
+        assert rc == 2 and out == ""
+        assert ("class enumeration with n=41 > 40 needs allow_large=True "
+                "(--allow-large)") in err
+
     @pytest.mark.parametrize("argv, digest", [
         (["--p", "5", "--mu", "6,3,1^3", "--tau", "7,3,1,1"],
          "a92d47cdbff321592b10c20938d06c5b1c781a63143d8485ea9cecb55f21e60c"),
@@ -352,6 +365,24 @@ class TestOracleCommand:
         assert rc == 2 and out == ""
         assert "= 292864 > 20000 needs allow_large=True" in err
         assert "--allow-large" in err
+
+    def test_long_column_is_answered(self, capsys):
+        # 1200 entries: the enumeration keeps no call frame per entry
+        rc, doc, _ = run_json(["oracle", "--p", "3", "--tau", "1^1200"],
+                              capsys)
+        assert rc == 0 and doc["dim_D"] == 1
+
+    def test_oracle_size_cap_is_exit_2_before_counting(self, capsys,
+                                                       monkeypatch):
+        def no_count(lam):
+            raise AssertionError("counted before the size cap")
+
+        monkeypatch.setattr("spechtmod.verify.standard_tableau_count",
+                            no_count)
+        rc, out, err = run_cli(["oracle", "--p", "3", "--tau", "1^20001"],
+                               capsys)
+        assert rc == 2 and out == ""
+        assert "|tau| = 20001 > 20000 needs allow_large=True" in err
 
 
 class TestValidation:

@@ -76,8 +76,9 @@ def test_row_reading_tableau():
 
 @given(shape_strategy())
 def test_enumeration_matches_bruteforce(lam):
-    ours = {t.rows for t in standard_tableaux(lam)}
-    assert ours == set(oracles.standard_fillings(lam))
+    ours = [t.rows for t in standard_tableaux(lam)]
+    assert ours == sorted(oracles.standard_fillings(lam),
+                          key=oracles._positions)
 
 
 def test_residue_sequence_example():
@@ -171,21 +172,20 @@ def test_forward_orbit_walk_matches_recursive_reference():
 
 
 def test_classes_come_out_in_sort_key_order():
-    """The class recursion yields members in sort_key order by itself (476
-    classes): addable nodes are tried by increasing row."""
-    from spechtmod.partitions import ladder_decomposition
+    """The walk's classes, whole and by shape, are the members the memoized
+    recursion over entries lists, in the same sort_key order (476 classes)."""
     classes = 0
     for p, top in ((3, 9), (5, 11), (7, 12)):
         for n in range(top + 1):
             for mu in restricted_partitions(n, p):
                 rs = ladder_decomposition(mu, p).ladder_residue_sequence
                 members = tableau_class(rs)
-                assert list(members) == sorted(
-                    members, key=StandardTableau.sort_key)
+                assert tuple(t.sort_key() for t in members) == (
+                    oracles.tableau_class_recursive(rs.values, p))
                 for shape in {t.shape for t in members}:
                     of_shape = ladder_class_of_shape(mu, shape, p)
-                    assert list(of_shape) == sorted(
-                        of_shape, key=StandardTableau.sort_key)
+                    assert tuple(t.sort_key() for t in of_shape) == (
+                        oracles.tableau_class_recursive(rs.values, p, shape))
                 classes += 1
     assert classes == 476
 
