@@ -14,8 +14,8 @@ eigenspace algorithm in :mod:`spechtmod.ranks`.
 """
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 
 Partition = tuple
@@ -97,14 +97,15 @@ def node_residue(node: Node, p: int) -> int:
 
 
 def all_addable_nodes(lam: Partition) -> tuple:
-    """Nodes whose addition gives a partition, by increasing row."""
+    """Nodes whose addition gives a partition, by increasing row: one at the
+    end of the first row of each run of equal parts, found by bisection, and
+    the node below the last row."""
     lam = tuple(lam)
-    out = []
-    for r in range(1, len(lam) + 2):
-        row = lam[r - 1] if r <= len(lam) else 0
-        above = lam[r - 2] if r >= 2 else None
-        if above is None or row < above:
-            out.append((r, row + 1))
+    out, r = [], 0
+    while r < len(lam):
+        out.append((r + 1, lam[r] + 1))
+        r = bisect_right(lam, -lam[r], r, key=operator.neg)
+    out.append((len(lam) + 1, 1))
     return tuple(out)
 
 
@@ -227,9 +228,6 @@ class LadderData:
         return order
 
 
-# cached: 492 hits on verify-p5n16 (ladder checks, orbits, symmetrizer
-# intervals); the Fock side reads its ladder steps from the shape instead
-@cache
 def ladder_decomposition(lam: Partition, p: int) -> LadderData:
     """Full ladder data of a p-restricted partition.
 

@@ -59,13 +59,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fock import evaluate_at_one, first_approximation
-from .partitions import (Partition, check_partition, is_p_restricted,
-                         ladder_decomposition, validate_ladder_lengths)
+from .partitions import (LadderData, Partition, check_partition,
+                         is_p_restricted, ladder_decomposition)
 from .seminormal import (SeminormalVector, norm, reduce_numerators,
                          seminormal_step, step_factors)
-from .tableaux import (StandardTableau, canonical_word, check_class_cap,
-                       d_reduced_word, ladder_class_of_shape,
-                       ladder_orbit_positions)
+from .tableaux import (StandardTableau, _orbit_positions, canonical_word,
+                       check_class_cap, d_reduced_word, ladder_class_of_shape)
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,13 @@ class GramReport:
     rank: int
 
 
-def _require_valid_mu(mu: Partition, p: int) -> Partition:
-    mu = check_partition(mu)
-    if not is_p_restricted(mu, p):
-        raise ValueError(f"{mu} is not {p}-restricted")
-    if not validate_ladder_lengths(mu, p):
-        raise ValueError(f"{mu} has a ladder of length >= {p}")
-    return mu
+def _require_valid_mu(mu: Partition, p: int) -> LadderData:
+    """The ladder data of mu, read once; mu must be p-restricted with every
+    ladder shorter than p."""
+    ld = ladder_decomposition(mu, p)
+    if max(ld.sizes, default=0) >= p:
+        raise ValueError(f"{ld.partition} has a ladder of length >= {p}")
+    return ld
 
 
 def _word_of(strategy: str):
@@ -206,7 +205,7 @@ def phi_chain_basis(mu: Partition, tau: Partition, p: int,
     """The intertwiner-chain vectors, one per member of T_{mu,tau}."""
     mu, tau = check_partition(mu), check_partition(tau)
     check_class_cap(sum(mu), allow_large, "class enumeration")
-    mu = _require_valid_mu(mu, p)     # builds ladder data: after the cap
+    _require_valid_mu(mu, p)          # builds ladder data: after the cap
     members = ladder_class_of_shape(mu, tau, p, allow_large=allow_large)
     word, start = _word_of(word_strategy), _row_reading(tau)
     rules = _step_rules(sum(tau), p)
@@ -275,8 +274,7 @@ def ladder_symmetrize(mu: Partition, basis, p: int) -> tuple:
     """Average each vector over the ladder group of mu, then keep a maximal
     independent subset.  The images of the chains of one orbit are nonzero
     multiples of each other (not equal), so at most one per orbit is kept."""
-    mu = _require_valid_mu(mu, p)
-    intervals = ladder_decomposition(mu, p).ladder_group_intervals
+    intervals = _require_valid_mu(mu, p).ladder_group_intervals
     return independent_subset(
         SeminormalVector.from_numerators(
             v.shape, *_symmetrize(v.nums, v.den, intervals))
@@ -391,17 +389,21 @@ def gram_report(mu: Partition, tau: Partition, p: int,
     """Run steps 1-6 and package the result."""
     mu, tau = check_partition(mu), check_partition(tau)
     check_class_cap(sum(mu), allow_large, "class enumeration")
-    mu = _require_valid_mu(mu, p)     # builds ladder data: after the cap
-    representatives = ladder_orbit_positions(
-        mu, p, tau, allow_large=allow_large).get(tau, ())
+    ld = _require_valid_mu(mu, p)     # builds ladder data: after the cap
+    if sum(tau) != sum(mu):
+        raise ValueError(f"size mismatch: {mu} vs {tau}")
+    representatives = _orbit_positions(ld, tau).get(tau, ())
     count = evaluate_at_one(first_approximation(mu, p).coefficient(tau))
-    ld, norms, word = ladder_decomposition(mu, p), {}, _word_of(word_strategy)
+    norms, word = {}, _word_of(word_strategy)
     intervals, start = ld.ladder_group_intervals, _row_reading(tau)
     rules = _step_rules(sum(tau), p)
     kept = _basis(tau, rules, representatives, intervals, norms, word)
     _check_weight_space_count(mu, tau, count, len(kept))
     gram = _gram([v for _, v in kept], norms)
-    gram_p, rank = modp_rank(gram, p)
+    try:
+        gram_p, rank = modp_rank(gram, p)
+    except ArithmeticError as e:
+        raise type(e)(f"mu={mu}, tau={tau}: {e}") from e
     return GramReport(mu=mu, tau=tau, p=p,
                       basis_size_before_symmetrization=(
                           len(representatives) * ld.ladder_group_order()),
@@ -423,10 +425,17 @@ def weight_space_dims(mu: Partition, p: int, counts) -> dict:
     restricted shapes with representatives or a nonzero count are visited,
     in restricted_partitions order (descending lexicographic); on every
     other shape both sides are 0."""
-    mu = _require_valid_mu(mu, p)
-    representatives = ladder_orbit_positions(mu, p)
-    intervals = ladder_decomposition(mu, p).ladder_group_intervals
-    rules = _step_rules(sum(mu), p)
+    mu = check_partition(mu)
+    check_class_cap(sum(mu), False, "class enumeration")
+    return _weight_space_dims(_require_valid_mu(mu, p), counts,
+                              _step_rules(sum(mu), p))
+
+
+def _weight_space_dims(ld: LadderData, counts, rules) -> dict:
+    """``weight_space_dims`` for mu's checked ladder data ``ld``, with
+    ``rules`` the ``_step_rules`` for |mu| and p."""
+    mu, p = ld.partition, ld.p
+    representatives, intervals = _orbit_positions(ld), ld.ladder_group_intervals
     shapes = set(representatives)
     shapes.update(tau for tau, count in counts.items() if count)
     dims = {}
@@ -437,7 +446,10 @@ def weight_space_dims(mu: Partition, p: int, counts) -> dict:
         sym = [v for _, v in _basis(tau, rules, representatives.get(tau, ()),
                                     intervals, norms)]
         _check_weight_space_count(mu, tau, counts.get(tau, 0), len(sym))
-        rank = _rank(sym, norms, p)
+        try:
+            rank = _rank(sym, norms, p)
+        except ArithmeticError as e:
+            raise type(e)(f"mu={mu}, tau={tau}: {e}") from e
         if rank:
             dims[tau] = rank
     return dims

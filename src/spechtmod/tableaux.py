@@ -230,8 +230,13 @@ def ladder_orbit_positions(mu: Partition, p: int, target=None,
     if target is not None and sum(target) != sum(mu):
         raise ValueError(f"size mismatch: {mu} vs {target}")
     check_class_cap(sum(mu), allow_large, "class enumeration")
-    ld = ladder_decomposition(mu, p)
-    frontier = _fill(zip(ld.residues, ld.sizes), p, target)
+    return _orbit_positions(ladder_decomposition(mu, p), target)
+
+
+def _orbit_positions(ld, target=None) -> dict:
+    """``ladder_orbit_positions`` for the ladder data ``ld`` of mu, with no
+    check of size or cap."""
+    frontier = _fill(zip(ld.residues, ld.sizes), ld.p, target)
     for seqs in frontier.values():
         seqs.sort()
     return frontier

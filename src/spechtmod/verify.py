@@ -33,9 +33,9 @@ from itertools import product
 from .fock import (SparseRows, evaluate_at_one, invert_unitriangular,
                    llt_canonical, nmat_at_one)
 from .partitions import (Partition, all_partitions, check_partition, dominates,
-                         is_p_restricted, restricted_partitions,
-                         standard_tableau_count, validate_ladder_lengths)
-from .ranks import gram_matrix, modp_rank, weight_space_dims
+                         is_p_restricted, ladder_decomposition,
+                         restricted_partitions, standard_tableau_count)
+from .ranks import _step_rules, _weight_space_dims, gram_matrix, modp_rank
 from .seminormal import SeminormalVector, act_by_word
 from .tableaux import (check_class_cap, d_reduced_word, row_reading_tableau,
                        standard_tableaux)
@@ -144,8 +144,8 @@ class VerificationReport:
 def _m_column(args):
     """The nonzero entries {tau: dim} of the column of mu, from one
     enumeration of the class of mu."""
-    p, mu, counts = args
-    return mu, weight_space_dims(mu, p, counts)
+    ld, counts, rules = args
+    return ld.partition, _weight_space_dims(ld, counts, rules)
 
 
 def m_matrix(n: int, p: int, counts, jobs: int = 1) -> SparseRows:
@@ -156,9 +156,10 @@ def m_matrix(n: int, p: int, counts, jobs: int = 1) -> SparseRows:
     None in every row.  At most min(jobs, columns, CPUs) worker processes are started.
     The class-size cap is checked first, before any partition is listed."""
     check_class_cap(n)
-    order = restricted_partitions(n, p)
-    valid = [mu for mu in order if validate_ladder_lengths(mu, p)]
-    tasks = [(p, mu, counts[mu]) for mu in valid]
+    order, rules = restricted_partitions(n, p), _step_rules(n, p)
+    lds = (ladder_decomposition(mu, p) for mu in order)
+    tasks = [(ld, counts[ld.partition], rules) for ld in lds
+             if max(ld.sizes, default=0) < p]
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         import multiprocessing

@@ -710,6 +710,16 @@ def _addable_of_residue(lam, i, p):
     return out
 
 
+def addable_nodes_of(lam):
+    """Addable nodes (row, col) of lam, by increasing row."""
+    out = []
+    for r in range(1, len(lam) + 2):
+        row = lam[r - 1] if r <= len(lam) else 0
+        if r == 1 or lam[r - 2] > row:
+            out.append((r, row + 1))
+    return out
+
+
 def removable_nodes_of(lam):
     """Removable nodes (row, col) of lam, by increasing row."""
     out = []

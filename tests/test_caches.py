@@ -1,11 +1,11 @@
-"""The package keeps only caches that the benchmark workloads hit, each
-keyed by partitions or sizes only.
+"""The package keeps no cache, and nothing it allocates outlives a call.
 
-Every ``functools`` cache in the ``spechtmod`` modules must be on the
-allow-list below and carry a comment, directly above its decorator, naming
-a workload of ``perfbench/workloads.json`` that hits it.  A cache added
-without a reason, or one left after its traffic is gone, fails here.  A
-cache keyed by tableaux or vectors would grow with the work done, not with
+The ladder data of each mu is read once and handed down, so no cache is
+needed.  A new ``functools`` cache in the ``spechtmod`` modules must be put
+on the allow-list below and carry a comment, directly above its decorator,
+naming a workload of ``perfbench/workloads.json`` that hits it.  A cache
+added without a reason, or one left after its traffic is gone, fails here.
+A cache keyed by tableaux or vectors would grow with the work done, not with
 the sizes asked for, so none may hold such keys over a long session.
 """
 
@@ -14,6 +14,7 @@ import importlib
 import inspect
 import json
 import pathlib
+import tracemalloc
 
 from spechtmod.fock import FockVector
 from spechtmod.seminormal import SeminormalVector
@@ -22,9 +23,7 @@ from spechtmod.verify import conjecture_check
 MODULES = ("partitions", "tableaux", "fock", "seminormal", "ranks", "verify",
            "cli")
 
-KEPT = {
-    "partitions.ladder_decomposition",
-}
+KEPT = set()
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
     "workloads.json"
@@ -55,6 +54,21 @@ def comment_above(fn) -> str:
 
 def test_caches_are_exactly_the_allow_list():
     assert set(package_caches()) == KEPT
+
+
+def test_no_package_allocation_outlives_a_check():
+    # every byte allocated by spechtmod code during the check is freed
+    # once its report is dropped
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert conjecture_check(16, 5).overall
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces([tracemalloc.Filter(True, "*/spechtmod/*")])
+    assert sum(stat.size for stat in held.statistics("filename")) == 0
 
 
 def test_every_cache_names_a_workload_that_hits_it():

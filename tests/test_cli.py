@@ -336,7 +336,7 @@ class TestVerifyCommand:
             raise AssertionError("ladder lengths checked before the cap")
 
         monkeypatch.setattr("spechtmod.tableaux._CLASS_CAP", 4)
-        monkeypatch.setattr("spechtmod.verify.validate_ladder_lengths",
+        monkeypatch.setattr("spechtmod.verify.ladder_decomposition",
                             no_ladders)
         rc, out, err = run_cli(["verify", "--p", "3", "--n", "5"], capsys)
         assert rc == 2 and out == ""

@@ -179,11 +179,13 @@ def test_addable_removable_nodes(lam, p):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_residue_nodes_are_the_filtered_node_lists(p):
     # the one-pass residue tests give the filtered lists, order included;
-    # residues outside 0..p-1 are read mod p
+    # residues outside 0..p-1 are read mod p; all_addable_nodes, which skips
+    # along runs of equal parts, gives the unfiltered list
     for n in range(13):
         for lam in all_partitions(n):
-            adds = all_addable_nodes(lam)
+            adds = tuple(oracles.addable_nodes_of(lam))
             rems = tuple(oracles.removable_nodes_of(lam))
+            assert all_addable_nodes(lam) == adds
             for res in range(-p, 2 * p):
                 assert addable_nodes(lam, res, p) == tuple(
                     (i, j) for i, j in adds if (j - i - res) % p == 0)

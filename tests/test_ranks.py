@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -371,9 +372,28 @@ def test_non_p_integral_entry_raises(monkeypatch, mu, tau, size, entry):
         nums, den = fold(ends, slices, norms)
         return nums, den * p
     monkeypatch.setattr(ranks, "_fold", fold_over_p)
-    with pytest.raises(ArithmeticError,
-                       match=f"entry {entry} is not 3-integral"):
-        weight_space_dims(mu, p, counts)
+    # the error names the pair, ahead of the entry
+    for run in (lambda: weight_space_dims(mu, p, counts),
+                lambda: gram_report(mu, tau, p)):
+        with pytest.raises(ArithmeticError,
+                           match=f"entry {entry} is not 3-integral") as err:
+            run()
+        assert f"mu={mu}" in str(err.value)
+        assert f"tau={tau}" in str(err.value)
+
+
+def test_weight_space_dims_checks_the_cap_before_any_ladder_data(
+        monkeypatch):
+    def no_ladders(lam, p):
+        raise AssertionError("ladder data built before the class cap")
+
+    for module in ("partitions", "ranks", "tableaux"):
+        monkeypatch.setattr(f"spechtmod.{module}.ladder_decomposition",
+                            no_ladders)
+    with pytest.raises(ValueError, match=re.escape(
+            "class enumeration with n=41 > 40 needs allow_large=True "
+            "(--allow-large)")):
+        weight_space_dims((1,) * 41, 3, {})
 
 
 def counts_at_one(mu, p):

@@ -129,7 +129,6 @@ class TestMMatrix:
                 called.add(forbidden[frame.f_code])
 
         counts = counts_at_one(16, 5)
-        ladder_decomposition.cache_clear()
         sys.setprofile(profile)
         try:
             mat = m_matrix(16, 5, counts)
@@ -137,6 +136,33 @@ class TestMMatrix:
             sys.setprofile(None)
         assert called == set()
         assert sum(map(len, mat.rows)) == 196
+
+    def test_ladders_read_once_per_mu_and_step_table_once(self, monkeypatch):
+        # m_matrix reads each restricted mu's ladders once and builds the
+        # step table once, and hands both down to every column; a module
+        # that does not bind a name cannot call it by that name
+        counts = counts_at_one(16, 5)
+        read, tables = [], []
+
+        def reading(lam, p):
+            read.append(lam)
+            return ladder_decomposition(lam, p)
+
+        def building(n, p):
+            tables.append((n, p))
+            return step_rules(n, p)
+
+        step_rules = ranks._step_rules
+        for module in ("partitions", "tableaux", "ranks", "verify"):
+            monkeypatch.setattr(f"spechtmod.{module}.ladder_decomposition",
+                                reading, raising=False)
+        for module in ("ranks", "verify"):
+            monkeypatch.setattr(f"spechtmod.{module}._step_rules", building,
+                                raising=False)
+        m_matrix(16, 5, counts)
+        assert len(read) == 164
+        assert sorted(read) == sorted(restricted_partitions(16, 5))
+        assert tables == [(16, 5)]
 
 
 class TestConjectureCheck:
