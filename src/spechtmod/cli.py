@@ -20,10 +20,15 @@ of mu and its tail (pass, tau), each built once; the records of one mu are
 one join, and a passing column reuses one list of parts.  Every table of
 the report (``nmat1``, ``amat``, ``mmat``, the check lhs, the decomposition)
 is held as its entries other than 0 and written row by row from them: the
-zeros between them are one repeated piece of text.
+zeros between them are one repeated piece of text.  The Laurent polynomials
+of ``fock`` (A(mu), G(mu) and n(lam, mu)) are handed to the writer as they
+are, and the text of each distinct polynomial is built once per indent; the
+text of each partition is built once.
 Exit status: 0 on success (and all checks passing), 1 when a verification
 check or the nonnegativity finding fails, 2 on invalid input (an
-``--output`` path that cannot be opened included).
+``--output`` path that cannot be opened included).  When an identity fails,
+``verify`` names the first failing (mu, tau) in check order on stderr, with
+its lhs and expected value.
 """
 
 import argparse
@@ -74,8 +79,12 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _poly_json(f: LaurentPoly) -> dict:
-    return {str(e): _jint(f.coeffs[e]) for e in sorted(f.coeffs)}
+class _Names(dict):
+    """partition -> its text, each built on its first read."""
+
+    def __missing__(self, lam):
+        text = self[lam] = partition_str(lam)
+        return text
 
 
 def seminormal_vector_json(v) -> dict:
@@ -112,6 +121,12 @@ def _not_scalar(value):
                     "scalar")
 
 
+def _int_text(value: int) -> str:
+    """The JSON text of ``_jint(value)``."""
+    return (int.__repr__(value) if abs(value) <= _INT64_MAX
+            else encode_basestring_ascii(str(value)))
+
+
 def _int_list_text(pairs, size: int, pad: str) -> str:
     """The JSON text, at indent ``pad``, of a list of ``size`` entries given
     those other than 0 as (column, value) pairs by ascending column; None is
@@ -123,9 +138,7 @@ def _int_list_text(pairs, size: int, pad: str) -> str:
     zero, pieces, at = "0" + sep, [], 0
     for k, value in pairs:
         pieces.append(zero * (k - at))
-        pieces.append(("null" if value is None
-                       else int.__repr__(value) if abs(value) <= _INT64_MAX
-                       else encode_basestring_ascii(str(value))) + sep)
+        pieces.append(("null" if value is None else _int_text(value)) + sep)
         at = k + 1
     pieces.append(zero * (size - at))
     return "[" + sep[1:] + "".join(pieces)[:-len(sep)] + pad + "]"
@@ -146,13 +159,17 @@ def _write_json(obj, fh) -> None:
     """Write ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` to fh.
 
     Handles dicts with str keys, lists, tuples and generators (written as
-    lists), ``SparseRows`` (a list of lists), ``CheckRecords``, str, int,
-    bool and None; anything else raises TypeError.  An int inside a list
-    obeys the int64 rule of ``_jint``; an int in an object, a check record
-    included, is written as it is.  Each row of a ``SparseRows`` is written
-    by ``_int_list_text`` from its stored entries.  The text goes out in one
-    write call whenever more than ``_BUDGET`` characters are held, so what
-    is held stays under that plus one piece, whatever N is.
+    lists), ``SparseRows`` (a list of lists), ``CheckRecords``,
+    ``LaurentPoly``, str, int, bool and None; anything else raises
+    TypeError.  An int inside a list obeys the int64 rule of ``_jint``; an
+    int in an object, a check record included, is written as it is.  Each
+    row of a ``SparseRows`` is written by ``_int_list_text`` from its stored
+    entries.  A ``LaurentPoly`` is the object {str(e): _jint(c)} over its
+    terms c q^e, keys in string order; the text of each distinct polynomial
+    is built once per indent and kept for the rest of the call.  The text
+    goes out in one write call whenever more than ``_BUDGET`` characters
+    are held, so what is held stays under that plus one piece, whatever N
+    is.
 
     A check record is ``head(expected, lhs) + name(mu) + tail(pass, tau)``,
     and each head and tail is built once, keyed by its values and their
@@ -163,6 +180,7 @@ def _write_json(obj, fh) -> None:
     columns and other Mappings are written record by record."""
     out = []
     held = 0            # characters in out
+    polys = {}          # (indent, polynomial) -> its text
 
     def put(text):
         nonlocal held
@@ -172,11 +190,6 @@ def _write_json(obj, fh) -> None:
             fh.write("".join(out))
             out.clear()
             held = 0
-
-    def key_text(key):
-        if type(key) is not str:
-            raise TypeError(f"JSON object key {key!r} is not a str")
-        return encode_basestring_ascii(key) + ": "
 
     def write_checks(obj, pad):
         inner = pad + "  "
@@ -233,11 +246,24 @@ def _write_json(obj, fh) -> None:
                 sep = "," + inner
         put(pad + "]" if sep[0] == "," else "[]")
 
+    def poly_text(f, pad):
+        key = (pad, frozenset(f.coeffs.items()))
+        if key not in polys:
+            sep = "," + pad + '  "'
+            # '"' sorts before '-' and every digit: the entries sort as keys
+            polys[key] = ("{" + sep[1:] + sep.join(sorted(
+                f'{e}": {_int_text(c)}' for e, c in f.coeffs.items()))
+                + pad + "}") if f.coeffs else "{}"
+        return polys[key]
+
     def walk(obj, pad):
         inner = pad + "  "
         kind = type(obj)
         if kind is CheckRecords:
             write_checks(obj, pad)
+            return
+        if kind is LaurentPoly:
+            put(poly_text(obj, pad))
             return
         if kind is SparseRows:
             sep = "[" + inner
@@ -247,7 +273,8 @@ def _write_json(obj, fh) -> None:
             put(pad + "]" if obj.rows else "[]")
             return
         if kind is dict:
-            items = ((key_text(k), obj[k]) for k in sorted(obj))
+            items = [(encode_basestring_ascii(k) + ": ", obj[k])
+                     for k in sorted(obj)]
             brackets = "{}"
         elif kind is list or kind is tuple or kind is GeneratorType:
             items = (("", _jint(x) if type(x) is int else x) for x in obj)
@@ -257,11 +284,13 @@ def _write_json(obj, fh) -> None:
         sep = brackets[0] + inner
         for prefix, value in items:
             scalar = _SCALARS.get(type(value))
-            if scalar is None:
+            if scalar is not None:
+                put(sep + prefix + scalar(value))
+            elif type(value) is LaurentPoly:
+                put(sep + prefix + poly_text(value, inner))
+            else:
                 put(sep + prefix)
                 walk(value, inner)
-            else:
-                put(sep + prefix + scalar(value))
             sep = "," + inner
         if sep[0] == ",":
             put(pad + brackets[1])
@@ -296,21 +325,20 @@ def _cmd_fock(args) -> int:
     pos = {mu: k for k, mu in enumerate(table.order)}
     keys = sorted([(mu, mu) for mu in table.order] + list(table.nmat),
                   key=lambda key: (pos[key[1]], pos[key[0]]))
+    names, one = _Names(), LaurentPoly.one()
+
+    def terms(v):
+        return {names[lam]: c for lam, c in v.terms.items()}
+
     doc = {
         "command": "fock",
         "p": args.p,
         "n": args.n,
-        "order": [partition_str(mu) for mu in table.order],
-        "A": {partition_str(mu): {partition_str(lam): _poly_json(c)
-                                  for lam, c in sorted(
-                                      table.A[mu].terms.items())}
-              for mu in table.order},
-        "G": {partition_str(mu): {partition_str(lam): _poly_json(c)
-                                  for lam, c in sorted(
-                                      table.G[mu].terms.items())}
-              for mu in table.order},
-        "nmat": ({"lam": partition_str(lam), "mu": partition_str(mu),
-                  "poly": _poly_json(table.nmat_entry(lam, mu))}
+        "order": [names[mu] for mu in table.order],
+        "A": {names[mu]: terms(table.A[mu]) for mu in table.order},
+        "G": {names[mu]: terms(table.G[mu]) for mu in table.order},
+        "nmat": ({"lam": names[lam], "mu": names[mu],
+                  "poly": one if lam == mu else table.nmat[lam, mu]}
                  for lam, mu in keys),
         "nmat1": nmat_at_one(table),
     }
@@ -346,6 +374,13 @@ def _cmd_verify(args) -> int:
     report = conjecture_check(args.n, args.p, jobs=args.jobs)
     violations = report.nonnegativity_violations()
     ok = report.overall and not violations
+    if not report.overall:
+        for (mu, tau), rec in report.checks.items():
+            if rec["pass"] is False:
+                print(f"identity fails at mu={partition_str(mu)}, "
+                      f"tau={partition_str(tau)}: lhs {rec['lhs']}, "
+                      f"expected {rec['expected']}", file=sys.stderr)
+                break
     rows, cols, body = report.decomposition_matrix()
     names = {mu: partition_str(mu) for mu in report.order}
     if args.format == "csv":

@@ -220,6 +220,11 @@ class LadderData:
         return ResidueSequence(self.p, tuple(
             r for r, m in zip(self.residues, self.sizes) for _ in range(m)))
 
+    def ladders_below_p(self) -> bool:
+        """True iff every ladder has length < p, so that the ladder-group
+        symmetrizers 1/|L_k|! exist mod p (true when there is no ladder)."""
+        return max(self.sizes, default=0) < self.p
+
     def ladder_group_order(self) -> int:
         order = 1
         for m in self.sizes:
@@ -254,4 +259,4 @@ def ladder_decomposition(lam: Partition, p: int) -> LadderData:
 def validate_ladder_lengths(lam: Partition, p: int) -> bool:
     """True iff every ladder of lam has length < p (so that the ladder-group
     symmetrizers 1/|L_k|! exist mod p); guaranteed whenever ``|lam| < p**2``."""
-    return all(m < p for m in ladder_decomposition(lam, p).sizes)
+    return ladder_decomposition(lam, p).ladders_below_p()

@@ -63,8 +63,8 @@ from .partitions import (LadderData, Partition, check_partition,
                          is_p_restricted, ladder_decomposition)
 from .seminormal import (SeminormalVector, norm, reduce_numerators,
                          seminormal_step, step_factors)
-from .tableaux import (StandardTableau, _orbit_positions, canonical_word,
-                       check_class_cap, d_reduced_word, ladder_class_of_shape)
+from .tableaux import (StandardTableau, _class_of_shape, _orbit_positions,
+                       canonical_word, check_class_cap, d_reduced_word)
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def _require_valid_mu(mu: Partition, p: int) -> LadderData:
     """The ladder data of mu, read once; mu must be p-restricted with every
     ladder shorter than p."""
     ld = ladder_decomposition(mu, p)
-    if max(ld.sizes, default=0) >= p:
+    if not ld.ladders_below_p():
         raise ValueError(f"{ld.partition} has a ladder of length >= {p}")
     return ld
 
@@ -205,8 +205,10 @@ def phi_chain_basis(mu: Partition, tau: Partition, p: int,
     """The intertwiner-chain vectors, one per member of T_{mu,tau}."""
     mu, tau = check_partition(mu), check_partition(tau)
     check_class_cap(sum(mu), allow_large, "class enumeration")
-    _require_valid_mu(mu, p)          # builds ladder data: after the cap
-    members = ladder_class_of_shape(mu, tau, p, allow_large=allow_large)
+    ld = _require_valid_mu(mu, p)     # builds ladder data: after the cap
+    if sum(tau) != sum(mu):
+        raise ValueError(f"size mismatch: {mu} vs {tau}")
+    members = _class_of_shape(ld, tau)
     word, start = _word_of(word_strategy), _row_reading(tau)
     rules = _step_rules(sum(tau), p)
     return tuple(SeminormalVector.from_numerators(

@@ -212,8 +212,14 @@ def ladder_class_of_shape(mu: Partition, lam: Partition, p: int,
     if sum(mu) != sum(lam):
         raise ValueError(f"size mismatch: {mu} vs {lam}")
     check_class_cap(sum(mu), allow_large, "class enumeration")
-    rs = ladder_decomposition(mu, p).ladder_residue_sequence
-    return _tableaux(_fill([(r, 1) for r in rs.values], p, lam).get(lam, ()))
+    return _class_of_shape(ladder_decomposition(mu, p), lam)
+
+
+def _class_of_shape(ld, lam) -> tuple:
+    """``ladder_class_of_shape`` for the ladder data ``ld`` of mu, with no
+    check of size or cap: one node of the ladder's residue per entry."""
+    steps = [(r, 1) for r, m in zip(ld.residues, ld.sizes) for _ in range(m)]
+    return _tableaux(_fill(steps, ld.p, lam).get(lam, ()))
 
 
 def ladder_orbit_positions(mu: Partition, p: int, target=None,

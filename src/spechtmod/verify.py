@@ -159,7 +159,7 @@ def m_matrix(n: int, p: int, counts, jobs: int = 1) -> SparseRows:
     order, rules = restricted_partitions(n, p), _step_rules(n, p)
     lds = (ladder_decomposition(mu, p) for mu in order)
     tasks = [(ld, counts[ld.partition], rules) for ld in lds
-             if max(ld.sizes, default=0) < p]
+             if ld.ladders_below_p()]
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         import multiprocessing

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from spechtmod.cli import (CheckRecords, _jint, _write_json, main,
                            parse_partition, partition_str)
-from spechtmod.fock import SparseRows
+from spechtmod.fock import LaurentPoly, SparseRows, llt_canonical, nmat_at_one
 from spechtmod.verify import (Grid, VerificationReport, check_record,
                               conjecture_check)
 
@@ -300,8 +300,10 @@ class TestVerifyCommand:
             overall=False, outside_region=False)
         monkeypatch.setattr("spechtmod.cli.conjecture_check",
                             lambda n, p, jobs=1: stub)
-        rc, doc, _ = run_json(["verify", "--p", "3", "--n", "2"], capsys)
+        rc, doc, err = run_json(["verify", "--p", "3", "--n", "2"], capsys)
         assert rc == 1 and doc["overall"] is False
+        # the first failing identity is named on stderr
+        assert err == "identity fails at mu=2, tau=1,1: lhs 1, expected 0\n"
 
     def test_negative_entry_is_exit_1(self, capsys, monkeypatch):
         stub = VerificationReport(
@@ -467,7 +469,14 @@ def grid_checks_equal_json_dumps(rows) -> bool:
     return streamed(doc) == dumps({"checks": plain, "deeper": [[plain]]})
 
 
+def poly_json(f: LaurentPoly) -> dict:
+    """A Laurent polynomial as json.dumps is given it: {str(e): _jint(c)}."""
+    return {str(e): _jint(f.coeffs[e]) for e in sorted(f.coeffs)}
+
+
 def as_plain(doc):
+    if isinstance(doc, LaurentPoly):
+        return poly_json(doc)
     if isinstance(doc, Checks):
         return check_list(doc.checks, doc.names)
     if isinstance(doc, dict):
@@ -516,8 +525,20 @@ check_maps = st.lists(strings, min_size=1, max_size=3, unique=True).flatmap(
                                "lhs": record_scalars,
                                "pass": record_scalars}),
         max_size=4).map(lambda checks: Checks(checks, names)))
+# exponents of both signs past one digit, where string order is not numeric
+# order; coefficients past int64 (written as strings); the zero polynomial;
+# equal polynomials built in different orders
+exponents = st.integers(-3, 3) | st.sampled_from([-100, -12, -10, 10, 12, 100])
+coefficients = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from([INT64, -INT64, INT64 + 1, -INT64 - 1, 2 ** 80, -2 ** 80]))
+polys = st.one_of(
+    st.dictionaries(exponents, coefficients, max_size=5).map(LaurentPoly),
+    st.sampled_from([LaurentPoly(), LaurentPoly.one(),
+                     LaurentPoly({-2: 1, 2: 1, 10: -1}),
+                     LaurentPoly({10: -1, 2: 1, -2: 1})]))
 documents = st.recursive(
-    scalars | int_rows | check_maps,
+    scalars | int_rows | check_maps | polys,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -643,6 +664,24 @@ class TestJsonWriter:
         assert "".join(writes) == dumps({"rows": [list(row) for row in rows],
                                          "checks": check_list(checks, names)})
 
+    def test_fock_report_held_text_is_bounded_by_the_budget(self,
+                                                            monkeypatch):
+        # a fock report's pieces are at most an nmat1 row of 60 entries
+        # (under 400 characters) or one polynomial
+        monkeypatch.setattr("spechtmod.cli._BUDGET", 1000)
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        monkeypatch.setattr("sys.stdout", Recorder())
+        assert main(["fock", "--p", "5", "--n", "12"]) == 0
+        assert len(writes) > 20
+        assert max(map(len, writes)) < 1400
+        table = llt_canonical(12, 5)
+        assert "".join(writes) == dumps(old_fock_doc(table, 12, 5))
+
     def test_int64_rule_in_lists(self):
         # all-int and mixed lists write out-of-range ints as _jint
         row = [1, 2 ** 63, -(2 ** 63)]
@@ -717,6 +756,31 @@ def old_verify_doc(report):
     }
 
 
+def old_fock_doc(table, n, p):
+    """The fock document as built before the writer took polynomials."""
+    pos = {mu: k for k, mu in enumerate(table.order)}
+    keys = sorted([(mu, mu) for mu in table.order] + list(table.nmat),
+                  key=lambda key: (pos[key[1]], pos[key[0]]))
+    return {
+        "command": "fock",
+        "p": p,
+        "n": n,
+        "order": [partition_str(mu) for mu in table.order],
+        "A": {partition_str(mu): {partition_str(lam): poly_json(c)
+                                  for lam, c in sorted(
+                                      table.A[mu].terms.items())}
+              for mu in table.order},
+        "G": {partition_str(mu): {partition_str(lam): poly_json(c)
+                                  for lam, c in sorted(
+                                      table.G[mu].terms.items())}
+              for mu in table.order},
+        "nmat": [{"lam": partition_str(lam), "mu": partition_str(mu),
+                  "poly": poly_json(table.nmat_entry(lam, mu))}
+                 for lam, mu in keys],
+        "nmat1": [[_jint(x) for x in row] for row in nmat_at_one(table)],
+    }
+
+
 BIG = 2 ** 70
 STUBS = {
     "failing-and-skipped": VerificationReport(
@@ -766,6 +830,14 @@ class TestStreamedVerify:
                               "--outside-region"], capsys)
         assert rc == 0
         assert out == dumps(old_verify_doc(conjecture_check(n, p)))
+
+
+@pytest.mark.parametrize("p, n", [(3, n) for n in range(11)] +
+                                 [(5, n) for n in range(13)])
+def test_real_fock_report_matches_old_document(capsys, p, n):
+    rc, out, _ = run_cli(["fock", "--p", str(p), "--n", str(n)], capsys)
+    assert rc == 0
+    assert out == dumps(old_fock_doc(llt_canonical(n, p), n, p))
 
 
 @pytest.mark.parametrize("argv", [

@@ -249,6 +249,17 @@ def test_validate_ladder_lengths_exhaustive_p3_and_p5():
                    for mu in restricted_partitions(n, 5))
 
 
+def test_ladders_below_p_is_the_ladder_length_rule():
+    # one rule for every caller; the empty partition has no ladder
+    for p in (3, 5):
+        for n in range(13):
+            for mu in restricted_partitions(n, p):
+                ld = ladder_decomposition(mu, p)
+                assert ld.ladders_below_p() == all(m < p for m in ld.sizes)
+                assert validate_ladder_lengths(mu, p) == ld.ladders_below_p()
+    assert ladder_decomposition((), 3).ladders_below_p()
+
+
 def test_ladder_length_violation_outside_region():
     # for p = 3, n = 9 the shape (5,3,1) has a ladder of length 3
     assert not validate_ladder_lengths((5, 3, 1), 3)

@@ -457,3 +457,31 @@ def test_weight_space_dims_names_the_first_offending_shape(mismatch, empty,
 def test_weight_space_dims_rejects_bad_input():
     with pytest.raises(ValueError):
         weight_space_dims((4, 1), 3, {})    # not 3-restricted
+
+
+def test_phi_chain_basis_reads_the_ladders_once(monkeypatch):
+    # mu is checked and its class walked from one ladder read
+    mu, tau = (3, 2, 1, 1), (4, 2, 1)
+    want = phi_chain_basis(mu, tau, 3)
+    read = []
+
+    def reading(lam, p):
+        read.append(lam)
+        return ladder_decomposition(lam, p)
+
+    for module in ("partitions", "tableaux", "ranks"):
+        monkeypatch.setattr(f"spechtmod.{module}.ladder_decomposition",
+                            reading)
+    assert phi_chain_basis(mu, tau, 3) == want and want
+    assert read == [mu]
+
+
+@pytest.mark.parametrize("mu, tau, message", [
+    ((4, 1), (3, 2), "(4, 1) is not 3-restricted"),
+    ((5, 3, 1), (5, 3, 1), "(5, 3, 1) has a ladder of length >= 3"),
+    ((3, 2), (4, 1, 1), "size mismatch: (3, 2) vs (4, 1, 1)"),
+    ((4, 1), (4, 1, 1), "(4, 1) is not 3-restricted"),
+])
+def test_phi_chain_basis_rejects_bad_input(mu, tau, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        phi_chain_basis(mu, tau, 3)
