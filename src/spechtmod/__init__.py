@@ -15,16 +15,15 @@ from .partitions import (all_partitions, check_partition, dominates,
                          validate_ladder_lengths)
 from .tableaux import (StandardTableau, ResidueSequence, d_reduced_word,
                        ladder_class_of_shape, residue_sequence,
-                       row_reading_tableau, standard_tableaux, tableau_class)
-from .fock import (CanonicalBasisTable, FockVector, LaurentPoly, bar,
-                   divided_f, evaluate_at_one, f_action,
-                   first_approximation, first_approximations, gaussian,
-                   gaussian_factorial, invert_unitriangular, llt_canonical,
-                   nmat_at_one)
-from .seminormal import (Rational, SeminormalVector, class_project, gamma,
+                       row_reading_tableau, standard_tableaux)
+from .fock import (CanonicalBasisTable, FockVector, LaurentPoly, divided_f,
+                   evaluate_at_one, first_approximation, first_approximations,
+                   gaussian, gaussian_factorial, invert_unitriangular,
+                   llt_canonical, nmat_at_one)
+from .seminormal import (SeminormalVector, class_project, gamma,
                          inner_product, jm_action, phi_action, sigma_action)
-from .ranks import (GramReport, dim_e_tilde_D, gram_matrix, gram_report,
-                    ladder_symmetrize, modp_rank, phi_chain_basis)
+from .ranks import (GramReport, gram_matrix, gram_report, ladder_symmetrize,
+                    modp_rank, phi_chain_basis)
 from .verify import (VerificationReport, conjecture_check, consistency_check,
                      gram_oracle_dimD, m_matrix)
 

@@ -35,6 +35,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from types import GeneratorType
 
@@ -42,7 +43,8 @@ from .fock import LaurentPoly, SparseRows, llt_canonical, nmat_at_one
 from .partitions import check_partition, is_p_restricted
 from .ranks import gram_report
 from .tableaux import check_class_cap
-from .verify import Grid, check_record, conjecture_check, gram_oracle_dimD
+from .verify import (Grid, check_oracle_cap, check_record, conjecture_check,
+                     gram_oracle_dimD)
 
 _INT64_MAX = 2 ** 63 - 1
 _P_LIMIT = 2 ** 31          # --p is trial-divided, so it is bounded first
@@ -53,9 +55,10 @@ def _jint(x: int):
     return x if abs(x) <= _INT64_MAX else str(x)
 
 
-def parse_partition(text: str) -> tuple:
-    """Parse '3,2' or exponent shorthand '2,1^3' into a partition tuple."""
-    parts = []
+def _runs(text: str) -> list:
+    """The (part, count) runs of '3,2' or exponent shorthand '2,1^3', as
+    written and not expanded."""
+    runs = []
     for token in text.split(","):
         token = token.strip()
         if "^" in token:
@@ -63,12 +66,41 @@ def parse_partition(text: str) -> tuple:
             count = int(exp)
             if count < 1:
                 raise ValueError(f"exponent below 1 in partition {text!r}")
-            parts.extend([int(base)] * count)
+            runs.append((int(base), count))
         elif token:
-            parts.append(int(token))
+            runs.append((int(token), 1))
         else:
             raise ValueError(f"empty component in partition {text!r}")
-    return check_partition(tuple(parts))
+    return runs
+
+
+def parse_partition(text: str) -> tuple:
+    """Parse '3,2' or exponent shorthand '2,1^3' into a partition tuple."""
+    return check_partition(tuple(chain.from_iterable(
+        repeat(base, count) for base, count in _runs(text))))
+
+
+def _refuse_over_cap(args) -> None:
+    """Raise the size-cap error of ``rank`` or ``oracle`` from the runs of
+    its partitions, without listing their parts, when the runs pass every
+    check that comes before the cap: positive and weakly decreasing parts,
+    |mu| = |tau|, json format, and mu (rank) or tau (oracle) p-restricted.
+    The run bases pass the first and last exactly when the parts do.
+    Otherwise do nothing: ``main`` then lists the parts and raises at its
+    first failing check."""
+    if args.command not in ("rank", "oracle") or args.allow_large \
+            or args.format != "json":
+        return
+    try:
+        runs = [_runs(getattr(args, attr)) for attr in ("mu", "tau")
+                if getattr(args, attr, None) is not None]
+        bases = [check_partition([base for base, _ in r]) for r in runs]
+    except ValueError:
+        return
+    sizes = {sum(base * count for base, count in r) for r in runs}
+    if len(sizes) == 1 and is_p_restricted(bases[0], args.p):
+        (check_class_cap if args.command == "rank" else check_oracle_cap)(
+            sizes.pop(), False)
 
 
 def partition_str(lam) -> str:
@@ -495,6 +527,7 @@ def main(argv=None) -> int:
             raise ValueError(f"--n must be nonnegative, got {args.n}")
         if getattr(args, "jobs", 1) < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        _refuse_over_cap(args)
         for attr in ("mu", "tau"):
             if getattr(args, attr, None) is not None:
                 setattr(args, attr, parse_partition(getattr(args, attr)))

@@ -18,7 +18,8 @@ S of addable i-nodes of :math:`\lambda` (Lascoux-Leclerc-Thibon 1996),
 
 where :math:`N_i(\lambda, S)` sums, over each :math:`\gamma \in S`, the
 addable i-nodes of :math:`\lambda` not in S in strictly smaller columns minus
-the removable i-nodes of :math:`\lambda` in strictly smaller columns.
+the removable i-nodes of :math:`\lambda` in strictly smaller columns.  The
+package computes :math:`f_i` itself as ``divided_f(i, 1, v, p)``.
 
 For a p-restricted mu with ladders L_1 < ... < L_m of residues
 :math:`\iota_k`, the first approximation is the ladder product of divided
@@ -43,8 +44,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .partitions import (Partition, check_partition, is_p_restricted,
-                         restricted_partitions, addable_nodes, removable_nodes,
-                         add_node, dominates, total_order_key)
+                         restricted_partitions, dominates, total_order_key)
 
 
 class LaurentPoly:
@@ -142,10 +142,6 @@ class LaurentPoly:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def bar(f: LaurentPoly) -> LaurentPoly:
-    return f.bar()
-
-
 def evaluate_at_one(f: LaurentPoly) -> int:
     """Sum of coefficients, as a plain integer."""
     return sum(f.coeffs.values())
@@ -227,20 +223,6 @@ class FockVector:
         parts = [f"({c!r})*{lam}" for lam, c in
                  sorted(self.terms.items(), key=lambda kv: total_order_key(kv[0]))]
         return " + ".join(parts) if parts else "0"
-
-
-def f_action(i: int, v: FockVector, p: int) -> FockVector:
-    """The residue-i raising operator (adds an i-node to each term)."""
-    out = {}
-    for lam, c in v.terms.items():
-        adds = addable_nodes(lam, i, p)
-        rems = removable_nodes(lam, i, p)
-        for g in adds:
-            npow = (sum(1 for a in adds if a[1] < g[1])
-                    - sum(1 for r in rems if r[1] < g[1]))
-            mu = add_node(lam, g)
-            out[mu] = out.get(mu, LaurentPoly.zero()) + c * LaurentPoly.q_power(npow)
-    return FockVector(v.n + 1, out)
 
 
 def divided_f(i: int, k: int, v: FockVector, p: int) -> FockVector:

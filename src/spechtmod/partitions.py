@@ -124,17 +124,6 @@ def addable_nodes(lam: Partition, i: int, p: int) -> tuple:
     return tuple(out)
 
 
-def removable_nodes(lam: Partition, i: int, p: int) -> tuple:
-    """Removable nodes of residue ``i`` (mod p), by increasing row."""
-    lam = tuple(lam)
-    i %= p
-    out = []
-    for r, (row, below) in enumerate(zip(lam, lam[1:] + (0,)), 1):
-        if row > below and (row - r) % p == i:
-            out.append((r, row))
-    return tuple(out)
-
-
 def add_node(lam: Partition, node: Node) -> Partition:
     i, j = node
     parts = list(lam)

@@ -204,7 +204,7 @@ def phi_chain_basis(mu: Partition, tau: Partition, p: int,
                     allow_large: bool = False) -> tuple:
     """The intertwiner-chain vectors, one per member of T_{mu,tau}."""
     mu, tau = check_partition(mu), check_partition(tau)
-    check_class_cap(sum(mu), allow_large, "class enumeration")
+    check_class_cap(sum(mu), allow_large)
     ld = _require_valid_mu(mu, p)     # builds ladder data: after the cap
     if sum(tau) != sum(mu):
         raise ValueError(f"size mismatch: {mu} vs {tau}")
@@ -390,7 +390,7 @@ def gram_report(mu: Partition, tau: Partition, p: int,
                 allow_large: bool = False) -> GramReport:
     """Run steps 1-6 and package the result."""
     mu, tau = check_partition(mu), check_partition(tau)
-    check_class_cap(sum(mu), allow_large, "class enumeration")
+    check_class_cap(sum(mu), allow_large)
     ld = _require_valid_mu(mu, p)     # builds ladder data: after the cap
     if sum(tau) != sum(mu):
         raise ValueError(f"size mismatch: {mu} vs {tau}")
@@ -417,7 +417,7 @@ def gram_report(mu: Partition, tau: Partition, p: int,
 
 
 def weight_space_dims(mu: Partition, p: int, counts) -> dict:
-    """{tau: dim_e_tilde_D(mu, tau, p)} over the taus of
+    """{tau: gram_report(mu, tau, p).rank} over the taus of
     restricted_partitions(|mu|, p) whose dim is not 0, enumerating the orbit
     representatives of every shape once; a shape without any gets rank 0.
     ``counts`` maps tau to the coefficient of tau in A(mu) at q = 1, as the
@@ -428,7 +428,7 @@ def weight_space_dims(mu: Partition, p: int, counts) -> dict:
     in restricted_partitions order (descending lexicographic); on every
     other shape both sides are 0."""
     mu = check_partition(mu)
-    check_class_cap(sum(mu), False, "class enumeration")
+    check_class_cap(sum(mu), False)
     return _weight_space_dims(_require_valid_mu(mu, p), counts,
                               _step_rules(sum(mu), p))
 
@@ -455,10 +455,3 @@ def _weight_space_dims(ld: LadderData, counts, rules) -> dict:
         if rank:
             dims[tau] = rank
     return dims
-
-
-def dim_e_tilde_D(mu: Partition, tau: Partition, p: int,
-                  word_strategy: str = "canonical",
-                  allow_large: bool = False) -> int:
-    """dim of the mu-weight space of the simple module of tau: steps 1-6."""
-    return gram_report(mu, tau, p, word_strategy, allow_large).rank

@@ -43,8 +43,6 @@ from fractions import Fraction
 
 from .tableaux import StandardTableau, ResidueSequence
 
-Rational = Fraction
-
 
 class SeminormalVector:
     """Sparse rational combination of seminormal basis vectors of one shape:
@@ -84,7 +82,7 @@ class SeminormalVector:
         return {StandardTableau.from_positions(s): Fraction(c, self.den)
                 for s, c in self.nums.items()}
 
-    def coefficient(self, t: StandardTableau) -> Rational:
+    def coefficient(self, t: StandardTableau) -> Fraction:
         return Fraction(self.nums.get(t.sort_key(), 0), self.den)
 
     def support(self) -> tuple:
@@ -145,7 +143,7 @@ def norm(positions) -> tuple:
     return num // g, den // g
 
 
-def gamma(t: StandardTableau) -> Rational:
+def gamma(t: StandardTableau) -> Fraction:
     """The seminormal norm <xi_t, xi_t> (see ``norm``).  E.g. gamma of any
     row-reading tableau telescopes to the product of the row factorials."""
     return Fraction(*norm(t.sort_key()))
@@ -231,7 +229,7 @@ def phi_action(i: int, v: SeminormalVector, p: int) -> SeminormalVector:
     return act_by_word((i,), v, p)
 
 
-def inner_product(u: SeminormalVector, v: SeminormalVector) -> Rational:
+def inner_product(u: SeminormalVector, v: SeminormalVector) -> Fraction:
     """The invariant form, diagonal on the seminormal basis with norms gamma,
     summed over the rational views: the reference for ``ranks.gram_matrix``."""
     if u.shape != v.shape:

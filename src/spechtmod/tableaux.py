@@ -1,5 +1,5 @@
-"""Standard tableaux, residue sequences, tableau classes, orbit
-representatives, and reduced words.
+"""Standard tableaux, residue sequences, the ladder classes T_{mu,lambda},
+orbit representatives, and reduced words.
 
 Tableaux are stored row-wise as tuples of tuples.  All tableau orderings are
 lexicographic on the entry-position sequence (the node of 1, then of 2, ...),
@@ -9,9 +9,9 @@ Every set of tableaux listed here comes from one forward walk, ``_fill``:
 start from the empty diagram and, at each step, add nodes of the step's
 residue in every possible way, keeping a frontier of the entry-position tuples
 that reach each shape.  Two standard tableaux are p-equivalent when their
-residue sequences agree; a class (``tableau_class``) is the walk with one node
-per step along the residue sequence, and ``ladder_class_of_shape`` keeps the
-members of the class of the ladder tableau of mu that fit in a fixed shape,
+residue sequences agree.  The class of a residue sequence is the walk with
+one node per step along it; ``ladder_class_of_shape`` keeps the members of
+the class of the ladder tableau of mu that fit in a fixed shape,
 the index set T_{mu,lambda} of the eigenspace algorithm.  ``standard_tableaux``
 is the walk with any addable node inside the shape at each step.
 
@@ -31,7 +31,7 @@ sigma_i = (i-1, i), 2 <= i <= n, by a deterministic bubble sort;
 """
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 from .partitions import (Partition, Node, check_partition, addable_nodes,
                          all_addable_nodes, ladder_decomposition)
@@ -164,9 +164,6 @@ class ResidueSequence:
     p: int
     values: tuple
 
-    def __len__(self):
-        return len(self.values)
-
     def swap(self, i: int) -> "ResidueSequence":
         """The sequence with positions i-1 and i exchanged (action of sigma_i)."""
         v = list(self.values)
@@ -181,28 +178,20 @@ def residue_sequence(t: StandardTableau, p: int) -> ResidueSequence:
 _CLASS_CAP = 40
 
 
-def check_class_cap(n: int, allow_large=None,
-                    what: str = "tableau_class") -> None:
+def check_class_cap(n: int, allow_large=None) -> None:
     """Refuse a class enumeration of size n > _CLASS_CAP unless allowed.
 
-    ``allow_large=None`` marks a caller with no override to offer (``verify``,
-    ``fock``), so its message names the cap only."""
+    A caller with an override to offer passes ``allow_large`` as a bool (the
+    class enumerations, ``gram_report``, the ``rank`` command), and the
+    message names the flag.  ``allow_large=None`` marks a caller with none
+    (``verify``, ``fock``), so its message names the cap only."""
     if n > _CLASS_CAP and not allow_large:
         if allow_large is None:
             raise ValueError(
                 f"class enumeration is capped at n = {_CLASS_CAP}, got n={n}")
         raise ValueError(
-            f"{what} with n={n} > {_CLASS_CAP} needs allow_large=True "
-            "(--allow-large)")
-
-
-def tableau_class(rs: ResidueSequence, allow_large: bool = False) -> tuple:
-    """All standard tableaux (of any shape) with residue sequence ``rs``, in
-    ``sort_key`` order: the walk adds one node of residue ``rs[k]`` at step k.
-    May be empty."""
-    check_class_cap(len(rs), allow_large)
-    frontier = _fill([(r, 1) for r in rs.values], rs.p)
-    return _tableaux(chain.from_iterable(frontier.values()))
+            f"class enumeration with n={n} > {_CLASS_CAP} needs "
+            "allow_large=True (--allow-large)")
 
 
 def ladder_class_of_shape(mu: Partition, lam: Partition, p: int,
@@ -211,7 +200,7 @@ def ladder_class_of_shape(mu: Partition, lam: Partition, p: int,
     mu, lam = check_partition(mu), check_partition(lam)
     if sum(mu) != sum(lam):
         raise ValueError(f"size mismatch: {mu} vs {lam}")
-    check_class_cap(sum(mu), allow_large, "class enumeration")
+    check_class_cap(sum(mu), allow_large)
     return _class_of_shape(ladder_decomposition(mu, p), lam)
 
 
@@ -235,7 +224,7 @@ def ladder_orbit_positions(mu: Partition, p: int, target=None,
     mu = check_partition(mu)
     if target is not None and sum(target) != sum(mu):
         raise ValueError(f"size mismatch: {mu} vs {target}")
-    check_class_cap(sum(mu), allow_large, "class enumeration")
+    check_class_cap(sum(mu), allow_large)
     return _orbit_positions(ladder_decomposition(mu, p), target)
 
 
@@ -284,13 +273,6 @@ class PermutationWord:
     sigma_{word[0]} sigma_{word[1]} ... reproduces ``one_line``."""
     one_line: tuple
     word: tuple
-
-
-def inversions(one_line: tuple) -> int:
-    """The number of inversions of ``one_line``: the length of every reduced
-    word of it, the tests' reference for ``reduced_word``."""
-    return sum(1 for a in range(len(one_line)) for b in range(a + 1, len(one_line))
-               if one_line[a] > one_line[b])
 
 
 def reduced_word(one_line: tuple, strategy: str = "canonical") -> tuple:
@@ -353,16 +335,3 @@ def canonical_word(positions) -> tuple:
         in_row[r] += 1
     return tuple(word)
 
-
-def swap_entries(t: StandardTableau, i: int):
-    """sigma_i . t (entries i-1 and i exchanged), or None when not standard.
-
-    Requires ``t`` standard and ``2 <= i <= t.n``.  Then sigma_i t is standard
-    exactly when i-1 and i share neither a row nor a column, so only those two
-    positions are read."""
-    (a, b), (c, d) = t._positions[i - 1], t._positions[i]
-    if a == c or b == d:
-        return None
-    rows = [list(row) for row in t.rows]
-    rows[a - 1][b - 1], rows[c - 1][d - 1] = i, i - 1
-    return StandardTableau(rows)

@@ -237,6 +237,13 @@ def conjecture_check(n: int, p: int, jobs: int = 1) -> VerificationReport:
 _ORACLE_CAP = 20000
 
 
+def check_oracle_cap(n: int, allow_large: bool = False) -> None:
+    """Refuse an oracle run on |tau| = n > _ORACLE_CAP unless allowed."""
+    if n > _ORACLE_CAP and not allow_large:
+        raise ValueError(f"|tau| = {n} > {_ORACLE_CAP} needs allow_large=True "
+                         "(--allow-large)")
+
+
 def gram_oracle_dimD(tau: Partition, p: int, allow_large: bool = False) -> int:
     """Mod-p rank of the full Specht Gram matrix: the dimension of D(tau).
 
@@ -248,10 +255,7 @@ def gram_oracle_dimD(tau: Partition, p: int, allow_large: bool = False) -> int:
     tau = check_partition(tau)
     if not is_p_restricted(tau, p):
         raise ValueError(f"{tau} is not {p}-restricted")
-    if sum(tau) > _ORACLE_CAP and not allow_large:
-        raise ValueError(
-            f"|tau| = {sum(tau)} > {_ORACLE_CAP} needs allow_large=True "
-            "(--allow-large)")
+    check_oracle_cap(sum(tau), allow_large)
     size = standard_tableau_count(tau)
     if size > _ORACLE_CAP and not allow_large:
         raise ValueError(

@@ -145,6 +145,27 @@ def transposition(a, b, n):
     return tuple(w)
 
 
+def inversions(one_line):
+    """The number of inversions of ``one_line``: the length of every reduced
+    word of it."""
+    return sum(1 for a, b in itertools.combinations(one_line, 2) if a > b)
+
+
+def swap_entries(rows, i):
+    """The rows of sigma_i t (entries i-1 and i exchanged) for the standard
+    tableau t with rows ``rows``, or None when that is not standard.
+
+    Requires ``2 <= i <= n``.  sigma_i t is standard exactly when i-1 and i
+    share neither a row nor a column, so only those two positions are
+    read."""
+    at = {e: (r, c) for r, row in enumerate(rows) for c, e in enumerate(row)}
+    (a, b), (c, d) = at[i - 1], at[i]
+    if a == c or b == d:
+        return None
+    return tuple(tuple(i - 1 if e == i else i if e == i - 1 else e
+                       for e in row) for row in rows)
+
+
 # ------------------------------------------------------------ tabloid model
 
 def tabloids_of(shape):

@@ -413,6 +413,29 @@ class TestValidation:
                                 "--tau", "2"], capsys)
         assert rc == 2 and out == "" and "exponent" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "--p", "3", "--tau", "1^1000000000000"],
+         "|tau| = 1000000000000 > 20000"),
+        (["rank", "--p", "3", "--mu", "1^1000000000000",
+          "--tau", "1^1000000000000"],
+         "class enumeration with n=1000000000000 > 40"),
+    ], ids=["oracle", "rank"])
+    def test_over_cap_shorthand_is_refused_unexpanded(self, argv, message):
+        # under a 512 MB address-space limit, listing 10^12 parts would
+        # raise MemoryError (exit 1); the runs alone decide the refusal
+        import resource
+
+        def limit_memory():
+            limit = 512 << 20
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "spechtmod", *argv], capture_output=True,
+            text=True, timeout=120, preexec_fn=limit_memory)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (f"error: {message} needs allow_large=True "
+                               "(--allow-large)\n")
+
     def test_csv_limited_to_verify(self, capsys):
         rc, _, err = run_cli(["fock", "--p", "3", "--n", "3",
                               "--format", "csv"], capsys)

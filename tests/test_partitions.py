@@ -15,7 +15,6 @@ from spechtmod.partitions import (
     hook_lengths,
     ladder_decomposition,
     ladder_index,
-    removable_nodes,
     restricted_partitions,
     standard_tableau_count,
     total_order_key,
@@ -162,7 +161,7 @@ def test_sum_of_squares_of_standard_counts():
 
 
 @given(partition_strategy(max_n=10), st.sampled_from([3, 5, 7]))
-def test_addable_removable_nodes(lam, p):
+def test_addable_nodes(lam, p):
     for res in range(p):
         for node in addable_nodes(lam, res, p):
             i, j = node
@@ -170,27 +169,20 @@ def test_addable_removable_nodes(lam, p):
             bigger = list(lam) + [0] * (i - len(lam))
             bigger[i - 1] += 1
             assert tuple(a for a in bigger if a) in all_partitions(sum(lam) + 1)
-        for node in removable_nodes(lam, res, p):
-            i, j = node
-            assert (j - i) % p == res
-            assert lam[i - 1] == j
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_residue_nodes_are_the_filtered_node_lists(p):
-    # the one-pass residue tests give the filtered lists, order included;
+    # the one-pass residue test gives the filtered list, order included;
     # residues outside 0..p-1 are read mod p; all_addable_nodes, which skips
     # along runs of equal parts, gives the unfiltered list
     for n in range(13):
         for lam in all_partitions(n):
             adds = tuple(oracles.addable_nodes_of(lam))
-            rems = tuple(oracles.removable_nodes_of(lam))
             assert all_addable_nodes(lam) == adds
             for res in range(-p, 2 * p):
                 assert addable_nodes(lam, res, p) == tuple(
                     (i, j) for i, j in adds if (j - i - res) % p == 0)
-                assert removable_nodes(lam, res, p) == tuple(
-                    (i, j) for i, j in rems if (j - i - res) % p == 0)
 
 
 def test_ladder_index_slope():

@@ -13,7 +13,6 @@ from spechtmod.partitions import (all_partitions, is_p_restricted,
                                   validate_ladder_lengths)
 from spechtmod.ranks import (
     GramReport,
-    dim_e_tilde_D,
     gram_matrix,
     gram_report,
     independent_subset,
@@ -136,7 +135,7 @@ def test_reduced_word_invariance_p3_n_le_7():
 def test_diagonal_dim_is_one_p3_n_le_8():
     for n in range(1, 9):
         for mu in restricted_partitions(n, 3):
-            assert dim_e_tilde_D(mu, mu, 3) == 1
+            assert gram_report(mu, mu, 3).rank == 1
 
 
 def test_fitting_oracle_agreement_p3_n_le_6():
@@ -150,7 +149,7 @@ def test_fitting_oracle_agreement_p3_n_le_6():
     for n in range(1, 7):
         for tau in restricted_partitions(n, 3):
             for mu in restricted_partitions(n, 3):
-                assert dim_e_tilde_D(mu, tau, 3) == \
+                assert gram_report(mu, tau, 3).rank == \
                     oracles.dim_e_tilde_D_oracle(mu, tau, 3)
 
 
@@ -412,7 +411,7 @@ def test_weight_space_dims_match_per_pair_ranks():
                 if not validate_ladder_lengths(mu, p):
                     continue
                 dims = weight_space_dims(mu, p, counts_at_one(mu, p))
-                ranks = {tau: dim_e_tilde_D(mu, tau, p) for tau in taus}
+                ranks = {tau: gram_report(mu, tau, p).rank for tau in taus}
                 want = {tau: dim for tau, dim in ranks.items() if dim}
                 assert dims == want and list(dims) == list(want)
 
