@@ -32,6 +32,7 @@ its lhs and expected value.
 """
 
 import argparse
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -42,9 +43,9 @@ from types import GeneratorType
 from .fock import LaurentPoly, SparseRows, llt_canonical, nmat_at_one
 from .partitions import check_partition, is_p_restricted
 from .ranks import gram_report
-from .tableaux import check_class_cap
-from .verify import (Grid, check_oracle_cap, check_record, conjecture_check,
-                     gram_oracle_dimD)
+from .tableaux import _CLASS_CAP, check_class_cap
+from .verify import (_ORACLE_CAP, Grid, check_oracle_cap, check_record,
+                     conjecture_check, gram_oracle_dimD)
 
 _INT64_MAX = 2 ** 63 - 1
 _P_LIMIT = 2 ** 31          # --p is trial-divided, so it is bounded first
@@ -57,7 +58,8 @@ def _jint(x: int):
 
 def _runs(text: str) -> list:
     """The (part, count) runs of '3,2' or exponent shorthand '2,1^3', as
-    written and not expanded."""
+    written and not expanded, less any trailing runs of 0 (which
+    ``check_partition`` drops)."""
     runs = []
     for token in text.split(","):
         token = token.strip()
@@ -71,36 +73,67 @@ def _runs(text: str) -> list:
             runs.append((int(token), 1))
         else:
             raise ValueError(f"empty component in partition {text!r}")
+    while runs and runs[-1][0] == 0:
+        runs.pop()
     return runs
+
+
+def _parts(runs) -> tuple:
+    """The parts of the runs, checked by ``check_partition``."""
+    return check_partition(tuple(chain.from_iterable(
+        repeat(base, count) for base, count in runs)))
 
 
 def parse_partition(text: str) -> tuple:
     """Parse '3,2' or exponent shorthand '2,1^3' into a partition tuple."""
-    return check_partition(tuple(chain.from_iterable(
-        repeat(base, count) for base, count in _runs(text))))
+    return _parts(_runs(text))
+
+
+def _runs_text(runs, sep=",") -> str:
+    """A partition named by its runs: a run of c > 1 parts b is b^c."""
+    return sep.join(f"{b}^{c}" if c > 1 else str(b) for b, c in runs)
 
 
 def _refuse_over_cap(args) -> None:
-    """Raise the size-cap error of ``rank`` or ``oracle`` from the runs of
-    its partitions, without listing their parts, when the runs pass every
-    check that comes before the cap: positive and weakly decreasing parts,
-    |mu| = |tau|, json format, and mu (rank) or tau (oracle) p-restricted.
-    The run bases pass the first and last exactly when the parts do.
-    Otherwise do nothing: ``main`` then lists the parts and raises at its
-    first failing check."""
-    if args.command not in ("rank", "oracle") or args.allow_large \
-            or args.format != "json":
+    """Refuse ``rank`` or ``oracle`` from the runs of its partitions when one
+    of them has more parts than the size cap, and so is over it, without
+    listing those parts.  ``main``'s checks run in ``main``'s order, and the
+    first that fails raises; when all pass, the cap check raises.  A
+    partition with at most cap parts is listed and checked as ``main``
+    checks it, so its messages are ``main``'s; a longer one is named by its
+    runs.  When no partition is longer than the cap, do nothing: ``main``
+    then lists at most cap parts of each."""
+    if args.command not in ("rank", "oracle") or args.allow_large:
         return
-    try:
-        runs = [_runs(getattr(args, attr)) for attr in ("mu", "tau")
-                if getattr(args, attr, None) is not None]
-        bases = [check_partition([base for base, _ in r]) for r in runs]
-    except ValueError:
+    cap = _CLASS_CAP if args.command == "rank" else _ORACLE_CAP
+    given, long = [], False
+    for attr in ("mu", "tau"):
+        if getattr(args, attr, None) is None:
+            continue
+        runs = _runs(getattr(args, attr))
+        if sum(count for _, count in runs) <= cap:
+            given.append((runs, partition_str(_parts(runs))))
+            continue
+        long, bases = True, [base for base, _ in runs]
+        if min(bases) <= 0:
+            raise ValueError("partition parts must be positive: "
+                             f"({_runs_text(runs, ', ')})")
+        if any(map(operator.lt, bases, bases[1:])):
+            raise ValueError("partition parts must be weakly decreasing: "
+                             f"({_runs_text(runs, ', ')})")
+        given.append((runs, _runs_text(runs)))
+    if not long:
         return
-    sizes = {sum(base * count for base, count in r) for r in runs}
-    if len(sizes) == 1 and is_p_restricted(bases[0], args.p):
-        (check_class_cap if args.command == "rank" else check_oracle_cap)(
-            sizes.pop(), False)
+    sizes = [sum(base * count for base, count in runs) for runs, _ in given]
+    if args.command == "rank" and sizes[0] != sizes[1]:
+        raise ValueError(f"|mu| = {sizes[0]} != |tau| = {sizes[1]}")
+    if args.format == "csv":
+        raise ValueError("csv format is available for verify only")
+    runs, name = given[0]           # mu for rank, tau for oracle
+    if not is_p_restricted([base for base, _ in runs], args.p):
+        raise ValueError(f"{name} is not {args.p}-restricted")
+    (check_class_cap if args.command == "rank" else check_oracle_cap)(
+        sizes[0], False)
 
 
 def partition_str(lam) -> str:

@@ -37,11 +37,21 @@ The canonical basis vector G(mu) is characterized by bar-invariance and
 G(mu) = mu mod qZ[q]; ``llt_canonical`` extracts it by subtracting
 bar-symmetric corrections n(q) G(nu) at dominance-greater nu, most dominant
 first, and records the transition matrix n.
+
+Inside, vectors are plain dicts {partition: {exponent: coefficient}} and
+polynomials plain dicts {exponent: coefficient}: the divided-power kernel
+``_divided``, the path stack of ``_products``, the elimination of
+``llt_canonical`` and the reconstruction of ``_assert_table_invariants`` all
+run on them.  ``FockVector`` and ``LaurentPoly`` start at the public
+results: ``divided_f`` and ``first_approximations`` wrap each result once,
+and ``llt_canonical`` wraps A(mu), G(mu) and n(lam, mu) once each, where it
+assembles its ``CanonicalBasisTable``.
 """
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress, cycle
 
 from .partitions import (Partition, check_partition, is_p_restricted,
                          restricted_partitions, dominates, total_order_key)
@@ -225,9 +235,28 @@ class FockVector:
         return " + ".join(parts) if parts else "0"
 
 
-def divided_f(i: int, k: int, v: FockVector, p: int) -> FockVector:
-    """The divided power f_i^(k) = f_i^k / [k]_q!, as a sum over k-subsets S
-    of addable i-nodes (see the module docstring).
+def _poly(coeffs: dict) -> LaurentPoly:
+    """The polynomial holding ``coeffs`` itself, which has no zero
+    coefficient: taken over, not copied or filtered."""
+    f = object.__new__(LaurentPoly)
+    f.coeffs = coeffs
+    return f
+
+
+def _vector(n: int, terms: dict) -> FockVector:
+    """The FockVector of plain terms {partition of n: {exponent:
+    coefficient}} with no zero coefficient; each coefficient dict is taken
+    over by one ``_poly``, and no size is summed again."""
+    v = object.__new__(FockVector)
+    v.n, v.terms = n, {lam: _poly(c) for lam, c in terms.items()}
+    return v
+
+
+def _divided(i: int, k: int, terms: dict, p: int) -> dict:
+    """f_i^(k) on plain terms {partition: {exponent: coefficient}}, k >= 1:
+    the one divided-power rule, a sum over k-subsets S of addable i-nodes
+    (see the module docstring).  Coefficients are summed and not filtered,
+    so a 0 stays only where contributions of both signs cancel.
 
     Adding an i-node creates or destroys no other addable or removable i-node
     (p > 1), so along any ordering of S the f_i exponents sum to N(lam, S) +
@@ -237,85 +266,125 @@ def divided_f(i: int, k: int, v: FockVector, p: int) -> FockVector:
     the sum of the weights over S less the k(k-1)/2 pairs inside S.
 
     The weights come from one scan of lam by increasing column: the node
-    below the last row, then each row from the bottom up, its removable node
-    before its addable one.  Scan order is strict column order on i-nodes:
-    the only ties are the addable node of a row and the removable node of
-    the row above, and residues of adjacent rows differ by 1."""
-    if k <= 0:
-        raise ValueError("divided power needs k >= 1")
+    below the last row, then each run of equal parts from the bottom up, the
+    removable node of its last row before the addable node of its first.
+    Scan order is strict column order on i-nodes: the only ties are the
+    addable node of a row and the removable node of the row above, and
+    residues of adjacent rows differ by 1.  For k = 1 each grown partition
+    is sliced from lam, and a one-term coefficient is shifted without a
+    loop over its terms."""
     i %= p
     pairs = k * (k - 1) // 2
     out = {}
-    for lam, c in v.terms.items():
-        adds, count = [], 0      # (row index, weight); addable less removable
-        if -len(lam) % p == i:
-            adds.append((len(lam), 0))
+    for lam, c in terms.items():
+        length = len(lam)
+        adds, count = [], 0     # (row index, weight); addable less removable
+        if -length % p == i:
+            adds.append((length, 0))
             count = 1
-        below = 0
-        for r in range(len(lam) - 1, -1, -1):
-            row = lam[r]
-            d = (row - r - i) % p   # 1 or 0: (r+1, row) or (r+1, row+1)
-            if d == 1 and row > below:
+        r = length - 1
+        while r >= 0:           # the run of lam[r], rows top..r (0-based)
+            part = lam[r]
+            top = lam.index(part)
+            if (part - r - 1) % p == i:     # removable (r+1, part)
                 count -= 1
-            elif d == 0 and (r == 0 or row < lam[r - 1]):
-                adds.append((r, count))
+            if (part - top) % p == i:       # addable (top+1, part+1)
+                adds.append((top, count))
                 count += 1
-            below = row
+            r = top - 1
         adds.reverse()          # by increasing row
-        for subset in combinations(adds, k):
-            parts = list(lam) + [0]
-            shift = -pairs
-            for r, weight in subset:
-                parts[r] += 1
-                shift += weight
-            mu = tuple(parts) if parts[-1] else tuple(parts[:-1])
-            acc = out.setdefault(mu, {})
-            for e, x in c.coeffs.items():
-                acc[e + shift] = acc.get(e + shift, 0) + x
-    return FockVector(v.n + k,
-                      {mu: LaurentPoly(acc) for mu, acc in out.items()})
+        if k == 1:
+            grown = [(lam[:r] + (lam[r] + 1,) + lam[r + 1:] if r < length
+                      else lam + (1,), weight) for r, weight in adds]
+        else:
+            grown = []
+            for subset in combinations(adds, k):
+                parts = list(lam) + [0]
+                shift = -pairs
+                for r, weight in subset:
+                    parts[r] += 1
+                    shift += weight
+                grown.append((tuple(parts) if parts[-1]
+                              else tuple(parts[:-1]), shift))
+        if len(c) == 1:
+            (e, x), = c.items()
+            for mu, shift in grown:
+                acc = out.get(mu)
+                if acc is None:
+                    out[mu] = {e + shift: x}
+                else:
+                    acc[e + shift] = acc.get(e + shift, 0) + x
+        else:
+            for mu, shift in grown:
+                acc = out.setdefault(mu, {})
+                for e, x in c.items():
+                    acc[e + shift] = acc.get(e + shift, 0) + x
+    return out
 
 
-def _ladder_steps(mus, p: int) -> dict:
-    """Map each mu in ``mus``, normalized, to the (residue, size) of its
-    nonempty ladders, smallest ladder first; non-p-restricted mu raise.
+def divided_f(i: int, k: int, v: FockVector, p: int) -> FockVector:
+    """The divided power f_i^(k) = f_i^k / [k]_q! of ``v``: ``_divided`` on
+    the terms of v, with the zeros of cancelling terms dropped."""
+    if k <= 0:
+        raise ValueError("divided power needs k >= 1")
+    out = _divided(i, k, {lam: c.coeffs for lam, c in v.terms.items()}, p)
+    return FockVector(v.n + k, {mu: LaurentPoly(c) for mu, c in out.items()})
+
+
+def _steps_of(mu: Partition, p: int) -> tuple:
+    """The (residue, size) of each nonempty ladder of the p-restricted
+    partition mu, smallest ladder first.
 
     Row i (0-based) holds one node on each of the ladders (p-1)i + 1 ...
     (p-1)i + mu[i], so one running count of row starts less row ends gives
     every ladder size, and ladder b has residue (b - 1) mod p."""
+    count = [0] * ((p - 1) * len(mu) + max(mu, default=0) + 1)
+    for i, part in enumerate(mu):
+        count[(p - 1) * i] += 1
+        count[(p - 1) * i + part] -= 1
+    sizes = list(accumulate(count))
+    return tuple(compress(zip(cycle(range(p)), sizes), sizes))
+
+
+def _ladder_steps(mus, p: int) -> dict:
+    """Map each mu in ``mus``, normalized, to ``_steps_of(mu, p)``;
+    non-p-restricted mu raise."""
     out = {}
     for mu in mus:
         mu = check_partition(mu)
         if not is_p_restricted(mu, p):
             raise ValueError(f"{mu} is not {p}-restricted")
-        count = [0] * ((p - 1) * len(mu) + max(mu, default=0) + 1)
-        for i, part in enumerate(mu):
-            count[(p - 1) * i] += 1
-            count[(p - 1) * i + part] -= 1
-        out[mu] = tuple(((b - 1) % p, size) for b, size
-                        in enumerate(accumulate(count), 1) if size)
+        out[mu] = _steps_of(mu, p)
+    return out
+
+
+def _products(steps: dict, p: int) -> dict:
+    """The ladder products on plain terms, {mu: terms of A(mu)} in the order
+    of ``steps`` (checked mu -> their steps).
+
+    The mu are visited in sorted order of their steps.  A path stack holds
+    the products for the current prefix: pop back to the prefix shared with
+    the previous mu, push one divided power per remaining step.  So each
+    distinct prefix costs one ``_divided`` call.  Every coefficient is a sum
+    of positive terms, so none is 0."""
+    out, path, prev = dict.fromkeys(steps), [{(): {0: 1}}], ()
+    for mu in sorted(steps, key=steps.get):
+        cur, d = steps[mu], 0
+        shared = min(len(prev), len(cur))
+        while d < shared and prev[d] == cur[d]:
+            d += 1
+        del path[d + 1:]
+        for iota, m in cur[d:]:
+            path.append(_divided(iota, m, path[-1], p))
+        out[mu], prev = path[-1], cur
     return out
 
 
 def first_approximations(mus, p: int) -> dict:
-    """A(mu) for each mu in ``mus``, keyed in input order.
-
-    Each mu's (residue, ladder size) steps are read from its parts alone.
-    The mu are visited in sorted order of their steps.  A path stack holds
-    the products for the current prefix: pop back to the prefix shared with
-    the previous mu, push one divided power per remaining step.  So each
-    distinct prefix costs one ``divided_f`` call."""
-    steps = _ladder_steps(mus, p)
-    out, path, prev = dict.fromkeys(steps), [FockVector.vacuum()], ()
-    for mu in sorted(steps, key=steps.get):
-        cur, d = steps[mu], 0
-        while d < min(len(prev), len(cur)) and prev[d] == cur[d]:
-            d += 1
-        del path[d + 1:]
-        for iota, m in cur[d:]:
-            path.append(divided_f(iota, m, path[-1], p))
-        out[mu], prev = path[-1], cur
-    return out
+    """A(mu) for each mu in ``mus``, keyed in input order: the products of
+    ``_products``, each made a FockVector once."""
+    products = _products(_ladder_steps(mus, p), p)
+    return {mu: _vector(sum(mu), terms) for mu, terms in products.items()}
 
 
 def first_approximation(mu: Partition, p: int) -> FockVector:
@@ -343,85 +412,128 @@ class CanonicalBasisTable:
         return self.nmat.get((lam, mu), LaurentPoly.zero())
 
 
-def _bar_symmetric_correction(c: LaurentPoly) -> LaurentPoly:
-    """The unique bar-symmetric polynomial agreeing with c in degrees <= 0."""
+def _bar_symmetric_correction(c: dict) -> dict:
+    """The unique bar-symmetric polynomial agreeing with c in degrees <= 0,
+    both as {exponent: coefficient}."""
     out = {}
-    for e, coef in c.coeffs.items():
-        if e == 0:
-            out[0] = out.get(0, 0) + coef
-        elif e < 0:
-            out[e] = out.get(e, 0) + coef
-            out[-e] = out.get(-e, 0) + coef
-    return LaurentPoly(out)
+    for e, coef in c.items():
+        if e <= 0:
+            out[e] = coef
+            if e:
+                out[-e] = coef
+    return out
+
+
+def _add_product(terms: dict, f: dict, g: dict) -> None:
+    """terms += f g in place, for plain terms ``terms`` and ``g`` and a
+    polynomial f, all as dicts; a coefficient or partition that reaches 0
+    is removed."""
+    for lam, c in g.items():
+        prod = {}
+        for e2, y in c.items():
+            for e1, x in f.items():
+                prod[e1 + e2] = prod.get(e1 + e2, 0) + x * y
+        acc = terms.setdefault(lam, {})
+        for e, x in prod.items():
+            if x:
+                x += acc.get(e, 0)
+                if x:
+                    acc[e] = x
+                else:
+                    del acc[e]
+        if not acc:
+            del terms[lam]
 
 
 def llt_canonical(n: int, p: int, order=None) -> CanonicalBasisTable:
     """Compute G(mu) and n(lam, mu) for every p-restricted mu of n.
 
-    The A(mu) come from one ``first_approximations`` call, whose ladder
-    products share their prefixes through one path stack.  Processing mu
-    most dominant first, the current vector starts at A(mu) and
-    bar-symmetric corrections n(q) G(nu) are subtracted at the most dominant
-    nu != mu whose coefficient still has a term of non-positive degree; a
+    The A(mu) come from one ``_products`` walk, whose ladder products share
+    their prefixes through one path stack.  Processing mu most dominant
+    first, the current vector starts at A(mu) and bar-symmetric corrections
+    n(q) G(nu) are subtracted at the most dominant nu != mu whose coefficient
+    still has a term of non-positive degree.  The vector is updated in place,
+    and after a correction only the terms of G(nu) are checked again; a
     subtraction can re-dirty strictly more dominant coefficients, but each
     cascade strictly decreases the negative depth, so the loop terminates (a
     generous iteration cap guards this).  On exit every non-leading coefficient
     lies in qZ[q]; bar-invariance of the recorded corrections, unitriangularity
-    and exact reconstruction A = nmat . G are asserted.
+    and exact reconstruction A = nmat . G are asserted.  All of this runs on
+    plain dicts, and the table's FockVectors and LaurentPolys are made once,
+    at the end.
     """
     restricted = restricted_partitions(n, p)
     order = restricted if order is None else tuple(check_partition(m) for m in order)
     if set(order) != set(restricted) or len(set(order)) != len(order):
         raise ValueError("order must enumerate the p-restricted partitions of n")
     pos = {mu: k for k, mu in enumerate(order)}
-    A = first_approximations(order, p)
+    A = _products({mu: _steps_of(mu, p) for mu in order}, p)
     G, nmat = {}, {}
     cap = 1000 + 20 * len(order) * len(order)
     for mu in order:
-        cur = A[mu]
-        for lam in cur.terms:
-            if not dominates(lam, mu):
+        bound = tuple(accumulate(mu))
+        for lam in A[mu]:
+            if not all(map(operator.ge, accumulate(lam), bound)):
                 raise AssertionError(
                     f"triangularity failure: {lam} in A({mu}) does not dominate")
+        cur, top = {lam: dict(c) for lam, c in A[mu].items()}, pos[mu]
+        dirty = {pos[nu] for nu, c in cur.items()
+                 if pos.get(nu, top) < top and min(c) <= 0}
         steps = 0
-        while True:
-            dirty = [pos[nu] for nu, c in cur.terms.items()
-                     if pos.get(nu, pos[mu]) < pos[mu] and c.min_degree() <= 0]
-            if not dirty:
-                break
+        while dirty:
             offender = order[min(dirty)]
             steps += 1
             if steps > cap:
                 raise AssertionError("canonical-basis elimination did not stabilize")
-            corr = _bar_symmetric_correction(cur.coefficient(offender))
-            cur = cur - G[offender].scale(corr)
-            key = (offender, mu)
-            nmat[key] = nmat.get(key, LaurentPoly.zero()) + corr
-            if not nmat[key]:
-                del nmat[key]
+            corr = _bar_symmetric_correction(cur[offender])
+            _add_product(cur, {e: -x for e, x in corr.items()}, G[offender])
+            for lam in G[offender]:
+                k = pos.get(lam, top)
+                if k < top:
+                    if lam in cur and min(cur[lam]) <= 0:
+                        dirty.add(k)
+                    else:
+                        dirty.discard(k)
+            # n(offender, mu) += corr
+            _add_product(nmat, corr, {(offender, mu): {0: 1}})
         # global-basis congruence: all non-leading coefficients in qZ[q]
-        if cur.coefficient(mu) != LaurentPoly.one():
+        if cur.get(mu) != {0: 1}:
             raise AssertionError(f"leading coefficient of G({mu}) is not 1")
-        for lam, c in cur.terms.items():
-            if lam != mu and c.min_degree() <= 0:
+        for lam, c in cur.items():
+            if lam != mu and min(c) <= 0:
                 raise AssertionError(
-                    f"coefficient of {lam} in G({mu}) not in qZ[q]: {c!r}")
+                    f"coefficient of {lam} in G({mu}) not in qZ[q]: {_poly(c)!r}")
         G[mu] = cur
-    table = CanonicalBasisTable(p, n, order, A, G, nmat)
+    table = CanonicalBasisTable(
+        p, n, order, {mu: _vector(n, A[mu]) for mu in order},
+        {mu: _vector(n, G[mu]) for mu in order},
+        {key: _poly(c) for key, c in nmat.items()})
     _assert_table_invariants(table)
     return table
 
 
 def _assert_table_invariants(table: CanonicalBasisTable):
-    recon = dict(table.G)
+    """Each nmat entry is bar-invariant and above the diagonal in dominance,
+    and A(mu) = sum_lam nmat(lam, mu) G(lam) for every mu, summed on plain
+    dicts one column at a time."""
+    columns = {mu: [] for mu in table.order}
     for (lam, mu), c in table.nmat.items():
         if not c.is_bar_symmetric():
             raise AssertionError(f"nmat({lam},{mu}) is not bar-invariant: {c!r}")
         if lam == mu or not dominates(lam, mu):
             raise AssertionError(f"nmat({lam},{mu}) breaks unitriangularity")
-        recon[mu] = recon[mu] + table.G[lam].scale(c)
-    for mu in table.order:
-        if recon[mu] != table.A[mu]:
+        columns[mu].append((lam, c.coeffs))
+
+    def plain(v):
+        return {lam: c.coeffs for lam, c in v.terms.items()}
+
+    for mu, column in columns.items():
+        recon = plain(table.G[mu])
+        if column:
+            recon = {lam: dict(c) for lam, c in recon.items()}
+        for lam, c in column:
+            _add_product(recon, c, plain(table.G[lam]))
+        if recon != plain(table.A[mu]):
             raise AssertionError(f"A({mu}) != sum nmat . G reconstruction")
 
 

@@ -68,7 +68,28 @@ def restricted_partitions(n: int, p: int) -> tuple:
     >>> restricted_partitions(5, 3)
     ((3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1))
     """
-    return tuple(lam for lam in all_partitions(n) if is_p_restricted(lam, p))
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+    # tail[a]: the least size of the parts after a part a, which step down
+    # by p - 1 to a part below p
+    tail = [0] * (n + 1)
+    for a in range(p, n + 1):
+        tail[a] = a - p + 1 + tail[a - p + 1]
+    out = []
+
+    def fill(prefix, m, low, high):
+        # the parts of m after ``prefix``, the next one in [low, high]; a
+        # part is tried only when the rest can be completed
+        if m == 0:
+            out.append(prefix)
+            return
+        for first in range(min(m, high), low - 1, -1):
+            if m - first >= tail[first]:
+                fill(prefix + (first,), m - first, max(first - p + 1, 1), first)
+
+    fill((), n, 1, n)
+    return tuple(out)
 
 
 def dominates(lam: Partition, mu: Partition) -> bool:

@@ -60,7 +60,7 @@ from fractions import Fraction
 
 from .fock import evaluate_at_one, first_approximation
 from .partitions import (LadderData, Partition, check_partition,
-                         is_p_restricted, ladder_decomposition)
+                         ladder_decomposition, restricted_partitions)
 from .seminormal import (SeminormalVector, norm, reduce_numerators,
                          seminormal_step, step_factors)
 from .tableaux import (StandardTableau, _class_of_shape, _orbit_positions,
@@ -394,7 +394,7 @@ def gram_report(mu: Partition, tau: Partition, p: int,
     ld = _require_valid_mu(mu, p)     # builds ladder data: after the cap
     if sum(tau) != sum(mu):
         raise ValueError(f"size mismatch: {mu} vs {tau}")
-    representatives = _orbit_positions(ld, tau).get(tau, ())
+    representatives = sorted(_orbit_positions(ld, tau).get(tau, ()))
     count = evaluate_at_one(first_approximation(mu, p).coefficient(tau))
     norms, word = {}, _word_of(word_strategy)
     intervals, start = ld.ladder_group_intervals, _row_reading(tau)
@@ -429,23 +429,26 @@ def weight_space_dims(mu: Partition, p: int, counts) -> dict:
     other shape both sides are 0."""
     mu = check_partition(mu)
     check_class_cap(sum(mu), False)
-    return _weight_space_dims(_require_valid_mu(mu, p), counts,
-                              _step_rules(sum(mu), p))
+    ld = _require_valid_mu(mu, p)
+    return _weight_space_dims(ld, counts, _step_rules(sum(mu), p),
+                              frozenset(restricted_partitions(sum(mu), p)))
 
 
-def _weight_space_dims(ld: LadderData, counts, rules) -> dict:
+def _weight_space_dims(ld: LadderData, counts, rules, restricted) -> dict:
     """``weight_space_dims`` for mu's checked ladder data ``ld``, with
-    ``rules`` the ``_step_rules`` for |mu| and p."""
+    ``rules`` the ``_step_rules`` for |mu| and p and ``restricted`` the set
+    of p-restricted partitions of |mu|.  Only the representatives of
+    restricted shapes are sorted; the others are never read."""
     mu, p = ld.partition, ld.p
     representatives, intervals = _orbit_positions(ld), ld.ladder_group_intervals
-    shapes = set(representatives)
-    shapes.update(tau for tau, count in counts.items() if count)
+    shapes = {tau for tau in representatives if tau in restricted}
+    shapes.update(tau for tau, count in counts.items()
+                  if count and tau in restricted)
     dims = {}
     for tau in sorted(shapes, reverse=True):
-        if not is_p_restricted(tau, p):
-            continue
         norms = {}
-        sym = [v for _, v in _basis(tau, rules, representatives.get(tau, ()),
+        sym = [v for _, v in _basis(tau, rules,
+                                    sorted(representatives.get(tau, ())),
                                     intervals, norms)]
         _check_weight_space_count(mu, tau, counts.get(tau, 0), len(sym))
         try:

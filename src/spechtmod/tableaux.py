@@ -225,16 +225,17 @@ def ladder_orbit_positions(mu: Partition, p: int, target=None,
     if target is not None and sum(target) != sum(mu):
         raise ValueError(f"size mismatch: {mu} vs {target}")
     check_class_cap(sum(mu), allow_large)
-    return _orbit_positions(ladder_decomposition(mu, p), target)
+    frontier = _orbit_positions(ladder_decomposition(mu, p), target)
+    for seqs in frontier.values():
+        seqs.sort()
+    return frontier
 
 
 def _orbit_positions(ld, target=None) -> dict:
     """``ladder_orbit_positions`` for the ladder data ``ld`` of mu, with no
-    check of size or cap."""
-    frontier = _fill(zip(ld.residues, ld.sizes), ld.p, target)
-    for seqs in frontier.values():
-        seqs.sort()
-    return frontier
+    check of size or cap, each list unsorted: a caller sorts the lists it
+    reads."""
+    return _fill(zip(ld.residues, ld.sizes), ld.p, target)
 
 
 def _fill(steps, p, target=None) -> dict:

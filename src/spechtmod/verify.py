@@ -144,8 +144,8 @@ class VerificationReport:
 def _m_column(args):
     """The nonzero entries {tau: dim} of the column of mu, from one
     enumeration of the class of mu."""
-    ld, counts, rules = args
-    return ld.partition, _weight_space_dims(ld, counts, rules)
+    ld, counts, rules, restricted = args
+    return ld.partition, _weight_space_dims(ld, counts, rules, restricted)
 
 
 def m_matrix(n: int, p: int, counts, jobs: int = 1) -> SparseRows:
@@ -157,8 +157,9 @@ def m_matrix(n: int, p: int, counts, jobs: int = 1) -> SparseRows:
     The class-size cap is checked first, before any partition is listed."""
     check_class_cap(n)
     order, rules = restricted_partitions(n, p), _step_rules(n, p)
+    restricted = frozenset(order)
     lds = (ladder_decomposition(mu, p) for mu in order)
-    tasks = [(ld, counts[ld.partition], rules) for ld in lds
+    tasks = [(ld, counts[ld.partition], rules, restricted) for ld in lds
              if ld.ladders_below_p()]
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:

@@ -436,6 +436,60 @@ class TestValidation:
         assert proc.stderr == (f"error: {message} needs allow_large=True "
                                "(--allow-large)\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "--p", "3", "--tau", "4^20000000"],
+         "4^20000000 is not 3-restricted"),
+        (["rank", "--p", "3", "--mu", "1^20000000", "--tau", "1^19999999"],
+         "|mu| = 20000000 != |tau| = 19999999"),
+        (["rank", "--p", "3", "--mu", "1^20000000,2", "--tau", "x"],
+         "partition parts must be weakly decreasing: (1^20000000, 2)"),
+        (["oracle", "--p", "3", "--tau=2,1^20000000,-1,0^5"],
+         "partition parts must be positive: (2, 1^20000000, -1)"),
+        (["rank", "--p", "3", "--mu", "2,1^19999998", "--tau", "1^20000000",
+          "--format", "csv"], "csv format is available for verify only"),
+        (["rank", "--p", "3", "--mu", "40,7", "--tau", "1^47"],
+         "40,7 is not 3-restricted"),
+        (["rank", "--p", "3", "--mu", "2,3", "--tau", "1^20000000"],
+         "partition parts must be weakly decreasing: (2, 3)"),
+        (["rank", "--p", "3", "--mu", "1^20000000", "--tau", "1,,1"],
+         "empty component in partition '1,,1'"),
+    ])
+    def test_failing_long_shorthand_is_refused_from_its_runs(
+            self, capsys, monkeypatch, argv, message):
+        # a partition with more parts than the cap is never listed: every
+        # check runs on its runs, in main's order, and names it by its runs;
+        # one with at most cap parts keeps main's message
+        def refuse(text):
+            raise AssertionError(f"{text} was listed")
+
+        monkeypatch.setattr("spechtmod.cli.parse_partition", refuse)
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--p", "3", "--tau", "4^5"],
+        ["oracle", "--p", "3", "--tau", "2,3"],
+        ["oracle", "--p", "3", "--tau", "2,0,1"],
+        ["oracle", "--p", "3", "--tau", "2,1,0^30"],
+        ["oracle", "--p", "5", "--tau", "9^3", "--format", "csv"],
+        ["oracle", "--p", "3", "--tau", "2^20000"],
+        ["oracle", "--p", "3", "--tau", "100000"],
+        ["rank", "--p", "3", "--mu", "1^40", "--tau", "1^39"],
+        ["rank", "--p", "3", "--mu", "4,1", "--tau", "5"],
+        ["rank", "--p", "3", "--mu", "2^20,1", "--tau", "1^41"],
+        ["rank", "--p", "3", "--mu", "2^21", "--tau", "2^21"],
+        ["rank", "--p", "3", "--mu", "100", "--tau", "1^20,80"],
+        ["rank", "--p", "3", "--mu", "2,1", "--tau", "2,1", "--format",
+         "csv"],
+    ])
+    def test_short_partitions_keep_mains_messages(self, capsys, monkeypatch,
+                                                  argv):
+        # at most cap parts each: the same exit code and bytes as main
+        # without the refusal from runs
+        want = run_cli(argv, capsys)
+        monkeypatch.setattr("spechtmod.cli._refuse_over_cap", lambda args: None)
+        assert run_cli(argv, capsys) == want
+
     def test_csv_limited_to_verify(self, capsys):
         rc, _, err = run_cli(["fock", "--p", "3", "--n", "3",
                               "--format", "csv"], capsys)

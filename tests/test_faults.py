@@ -1,11 +1,14 @@
-"""The fault suite: each row patches one fault into the Gram side and checks
+"""The fault suite: each row patches one fault into the package and checks
 that the guard named for it fails at the (n, p) named for it.
 
-Rows so far, both at p = 3, n = 8:
+Rows so far, all at p = 3, n = 8:
 
 - a rank of 1 read as 0: the identity m . n^-1 = I fails;
 - one orbit representative dropped from a p-restricted shape: the
-  weight-space count check raises and names mu and tau.
+  weight-space count check raises and names mu and tau;
+- every bar-symmetric correction of the LLT elimination doubled: the
+  elimination's iteration cap raises.  This also pins that the elimination
+  takes every correction from the one rule ``fock._bar_symmetric_correction``.
 
 Dropping a representative of a shape that is not p-restricted changes
 nothing: such a shape is never ranked, so that fault has no row.
@@ -13,7 +16,7 @@ nothing: such a shape is never ranked, so that fault has no row.
 
 import pytest
 
-from spechtmod import ranks
+from spechtmod import fock, ranks
 from spechtmod.partitions import is_p_restricted
 from spechtmod.verify import conjecture_check
 
@@ -53,3 +56,17 @@ def test_dropped_representative_fails_the_weight_space_count(monkeypatch):
     with pytest.raises(AssertionError,
                        match=r"mu=\(3, 3, 1, 1\), tau=\(4, 3, 1\)"):
         conjecture_check(8, 3)
+
+
+def test_doubled_correction_stops_the_elimination(monkeypatch):
+    correction, calls = fock._bar_symmetric_correction, []
+
+    def faulty(c):
+        calls.append(1)
+        return {e: 2 * x for e, x in correction(c).items()}
+
+    monkeypatch.setattr(fock, "_bar_symmetric_correction", faulty)
+    with pytest.raises(AssertionError,
+                       match="canonical-basis elimination did not stabilize"):
+        conjecture_check(8, 3)
+    assert calls

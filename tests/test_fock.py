@@ -176,8 +176,8 @@ def test_first_approximations_keep_input_order():
 @pytest.mark.parametrize("p, n, prefixes", [(5, 14, 398), (7, 22, 3756)])
 def test_first_approximations_one_divided_power_per_prefix(monkeypatch, p, n,
                                                           prefixes):
-    # one divided_f call per distinct non-empty (residue, size) prefix,
-    # whatever order the partitions come in
+    # one call of the divided-power kernel per distinct non-empty
+    # (residue, size) prefix, whatever order the partitions come in
     order = restricted_partitions(n, p)
     distinct = set()
     for mu in order:
@@ -185,8 +185,8 @@ def test_first_approximations_one_divided_power_per_prefix(monkeypatch, p, n,
         distinct.update(steps[:d] for d in range(1, len(steps) + 1))
     assert len(distinct) == prefixes
     calls = []
-    real = fock.divided_f
-    monkeypatch.setattr(fock, "divided_f",
+    real = fock._divided
+    monkeypatch.setattr(fock, "_divided",
                         lambda *args: calls.append(1) or real(*args))
     shuffled = random.Random(0).sample(order, len(order))
     for listing in (order, order[::-1], shuffled):
@@ -264,25 +264,19 @@ def test_nmat_at_one_stores_no_zero_at_q_equals_one():
     assert n1[0] == (1, 0, 0, 0, 3) and n1[0][3] == 0
 
 
-def test_llt_oracle_cross_check_n6_and_n7():
-    for n in (6, 7):
-        table = llt_canonical(n, 3)
-        a_map = {mu: {lam: dict(c.coeffs)
-                      for lam, c in table.A[mu].terms.items()}
-                 for mu in table.order}
-        g_map, nmat = oracles.llt_solve(a_map, table.order)
-        for mu in table.order:
-            assert g_map[mu] == {lam: dict(c.coeffs)
-                                 for lam, c in table.G[mu].terms.items()}
-        ours = {}
-        for lam in table.order:
-            for mu in table.order:
-                if lam == mu:
-                    continue
-                poly = table.nmat_entry(lam, mu)
-                if not poly.is_zero():
-                    ours[(lam, mu)] = dict(poly.coeffs)
-        assert ours == nmat
+@pytest.mark.parametrize("p, n", [(3, n) for n in range(10)]
+                         + [(5, n) for n in range(5, 12)]
+                         + [(7, n) for n in range(7, 11)])
+def test_llt_matches_linear_algebra_solve(p, n):
+    # G and nmat equal those of the global linear solve, which starts from
+    # the reference first approximations and has no correction loop
+    table = llt_canonical(n, p)
+    a_map = {mu: oracles.first_approximation_reference(mu, p)
+             for mu in table.order}
+    g_map, nmat = oracles.llt_solve(a_map, table.order)
+    assert {mu: {lam: c.coeffs for lam, c in table.G[mu].terms.items()}
+            for mu in table.order} == g_map
+    assert {key: c.coeffs for key, c in table.nmat.items()} == nmat
 
 
 def test_bar_invariance_of_expansion_n_le_9():

@@ -13,6 +13,7 @@ from spechtmod.partitions import (
     conjugate,
     dominates,
     hook_lengths,
+    is_p_restricted,
     ladder_decomposition,
     ladder_index,
     restricted_partitions,
@@ -84,6 +85,16 @@ def test_restricted_partitions_against_bruteforce():
         for n in range(10):
             assert set(restricted_partitions(n, p)) == \
                 set(oracles.restricted_of(n, p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_restricted_partitions_are_the_filtered_listing(p):
+    # generated directly, in the order of all_partitions
+    for n in range(25):
+        assert restricted_partitions(n, p) == tuple(
+            lam for lam in all_partitions(n) if is_p_restricted(lam, p))
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        restricted_partitions(-1, p)
 
 
 def test_restricted_counts_p3():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from spechtmod import ranks
+from spechtmod import ranks, tableaux
 from spechtmod.fock import evaluate_at_one, first_approximation
 from spechtmod.partitions import (all_partitions, is_p_restricted,
                                   ladder_decomposition, restricted_partitions,
@@ -451,6 +451,36 @@ def test_weight_space_dims_names_the_first_offending_shape(mismatch, empty,
     with pytest.raises(AssertionError) as excinfo:
         weight_space_dims(mu, p, bad)
     assert f"mu={mu}, tau={first} has" in str(excinfo.value)
+
+
+def test_weight_space_dims_reads_only_restricted_shapes(monkeypatch):
+    """The representatives of a shape that is not p-restricted are listed by
+    the walk but never read, not even to be sorted."""
+    fill, read = tableaux._fill, []
+
+    class Watched(list):
+        def __iter__(self):
+            read.append(self.shape)
+            return super().__iter__()
+
+        def sort(self, *args, **kwargs):
+            read.append(self.shape)
+            super().sort(*args, **kwargs)
+
+    def watched(*args):
+        out = fill(*args)
+        for shape, seqs in out.items():
+            out[shape] = Watched(seqs)
+            out[shape].shape = shape
+        return out
+
+    monkeypatch.setattr(tableaux, "_fill", watched)
+    for p, n in ((3, 8), (5, 10)):
+        for mu in restricted_partitions(n, p):
+            read.clear()
+            dims = weight_space_dims(mu, p, counts_at_one(mu, p))
+            assert all(is_p_restricted(tau, p) for tau in read), mu
+            assert set(dims) <= set(read), mu
 
 
 def test_weight_space_dims_rejects_bad_input():

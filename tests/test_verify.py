@@ -209,7 +209,7 @@ class TestConjectureCheck:
         # and the Fock side makes one divided power per distinct ladder
         # prefix (residue, size) of the restricted partitions
         calls, tables = [], []
-        real_f, real_llt = fock.divided_f, verify.llt_canonical
+        real_f, real_llt = fock._divided, verify.llt_canonical
 
         def counted(*args):
             calls.append(args[:2])
@@ -221,7 +221,7 @@ class TestConjectureCheck:
 
         monkeypatch.setattr("spechtmod.ranks.first_approximation",
                             no_gram_side_fock)
-        monkeypatch.setattr("spechtmod.fock.divided_f", counted)
+        monkeypatch.setattr("spechtmod.fock._divided", counted)
         monkeypatch.setattr("spechtmod.verify.llt_canonical", kept)
         assert conjecture_check(8, 3, jobs=jobs).overall
         restricted = restricted_partitions(8, 3)
