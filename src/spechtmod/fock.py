@@ -245,10 +245,12 @@ def _poly(coeffs: dict) -> LaurentPoly:
 
 def _vector(n: int, terms: dict) -> FockVector:
     """The FockVector of plain terms {partition of n: {exponent:
-    coefficient}} with no zero coefficient; each coefficient dict is taken
-    over by one ``_poly``, and no size is summed again."""
+    coefficient}} with no zero coefficient.  The dict is taken over, each
+    coefficient made a ``_poly`` in place, and no size is summed again."""
+    for lam, c in terms.items():
+        terms[lam] = _poly(c)
     v = object.__new__(FockVector)
-    v.n, v.terms = n, {lam: _poly(c) for lam, c in terms.items()}
+    v.n, v.terms = n, terms
     return v
 
 
@@ -460,7 +462,7 @@ def llt_canonical(n: int, p: int, order=None) -> CanonicalBasisTable:
     lies in qZ[q]; bar-invariance of the recorded corrections, unitriangularity
     and exact reconstruction A = nmat . G are asserted.  All of this runs on
     plain dicts, and the table's FockVectors and LaurentPolys are made once,
-    at the end.
+    at the end; a G(mu) that needed no correction is A(mu) itself.
     """
     restricted = restricted_partitions(n, p)
     order = restricted if order is None else tuple(check_partition(m) for m in order)
@@ -476,9 +478,11 @@ def llt_canonical(n: int, p: int, order=None) -> CanonicalBasisTable:
             if not all(map(operator.ge, accumulate(lam), bound)):
                 raise AssertionError(
                     f"triangularity failure: {lam} in A({mu}) does not dominate")
-        cur, top = {lam: dict(c) for lam, c in A[mu].items()}, pos[mu]
+        cur, top = A[mu], pos[mu]
         dirty = {pos[nu] for nu, c in cur.items()
                  if pos.get(nu, top) < top and min(c) <= 0}
+        if dirty:       # else G(mu) is A(mu), the same dict
+            cur = {lam: dict(c) for lam, c in cur.items()}
         steps = 0
         while dirty:
             offender = order[min(dirty)]
@@ -504,10 +508,11 @@ def llt_canonical(n: int, p: int, order=None) -> CanonicalBasisTable:
                 raise AssertionError(
                     f"coefficient of {lam} in G({mu}) not in qZ[q]: {_poly(c)!r}")
         G[mu] = cur
-    table = CanonicalBasisTable(
-        p, n, order, {mu: _vector(n, A[mu]) for mu in order},
-        {mu: _vector(n, G[mu]) for mu in order},
-        {key: _poly(c) for key, c in nmat.items()})
+    A = {mu: _vector(n, A[mu]) for mu in order}
+    G = {mu: A[mu] if G[mu] is A[mu].terms else _vector(n, G[mu])
+         for mu in order}
+    table = CanonicalBasisTable(p, n, order, A, G,
+                                {key: _poly(c) for key, c in nmat.items()})
     _assert_table_invariants(table)
     return table
 
@@ -528,6 +533,8 @@ def _assert_table_invariants(table: CanonicalBasisTable):
         return {lam: c.coeffs for lam, c in v.terms.items()}
 
     for mu, column in columns.items():
+        if not column and table.G[mu] is table.A[mu]:
+            continue            # A(mu) = G(mu), one vector
         recon = plain(table.G[mu])
         if column:
             recon = {lam: dict(c) for lam, c in recon.items()}
