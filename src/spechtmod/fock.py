@@ -77,10 +77,6 @@ class LaurentPoly:
     def one(cls):
         return cls({0: 1})
 
-    @classmethod
-    def q_power(cls, k, coeff=1):
-        return cls({k: coeff})
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -127,9 +123,6 @@ class LaurentPoly:
 
     def is_bar_symmetric(self) -> bool:
         return self.coeffs == {-e: c for e, c in self.coeffs.items()}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def min_degree(self):
         return min(self.coeffs) if self.coeffs else None

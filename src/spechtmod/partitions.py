@@ -28,9 +28,10 @@ def check_partition(parts) -> Partition:
     >>> check_partition([3, 2, 0])
     (3, 2)
     """
-    parts = tuple(map(int, parts))
+    parts = list(map(int, parts))
     while parts and parts[-1] == 0:
-        parts = parts[:-1]
+        parts.pop()
+    parts = tuple(parts)
     if parts and min(parts) <= 0:
         raise ValueError(f"partition parts must be positive: {parts}")
     if any(map(operator.lt, parts, parts[1:])):
@@ -143,17 +144,6 @@ def addable_nodes(lam: Partition, i: int, p: int) -> tuple:
     if -len(lam) % p == i:          # the node (len + 1, 1) below the last row
         out.append((len(lam) + 1, 1))
     return tuple(out)
-
-
-def add_node(lam: Partition, node: Node) -> Partition:
-    i, j = node
-    parts = list(lam)
-    if i == len(parts) + 1:
-        parts.append(0)
-    parts[i - 1] += 1
-    if parts[i - 1] != j:
-        raise ValueError(f"{node} is not an addable node of {tuple(lam)}")
-    return check_partition(parts)
 
 
 def hook_lengths(lam: Partition) -> dict:

@@ -34,9 +34,13 @@ object until a caller asks for one:
    So e xi_s = c(s) f_O with c(s) the product of (h+1)/h over the pairs of
    interval boxes whose entries s puts in the wrong order, and the average
    of a chain is read off in the coordinates f_O with no step applied
-   (``_fold``).  The f_O are independent, so a maximal independent subset,
-   kept by elimination on these numerators, is the one the vectors
-   themselves give;
+   (``_fold``).  The chain of a representative s is xi_s plus terms at
+   tableaux before s in sort_key order (Murphy; Mathas, Ch. 3), so its
+   fold is f_O(s) plus terms at representatives before s: the basis is
+   unitriangular, hence independent, and each fold is checked to have s
+   as its largest key instead of being eliminated.  The number of
+   representatives is checked against the weight-space count before any
+   chain of the pair is walked;
 5. form the Gram matrix of the invariant form from the numerators weighted
    by the orbit norms over one common denominator, one ``Fraction`` per
    entry (for one vector, its lowest terms only); the entries must be
@@ -238,38 +242,32 @@ def _symmetrize(nums: dict, den: int, intervals) -> tuple:
     return nums, den
 
 
-def _independent(numerators) -> list:
-    """The indices of a maximal Q-linearly independent subset of the given
-    numerator dicts, greedily in input order.
+def independent_subset(vectors) -> tuple:
+    """Maximal Q-linearly independent subset of seminormal vectors, greedily
+    in input order.
 
-    Fraction-free Gaussian elimination, pivoting on the least position tuple
-    (``sort_key`` order); every stored pivot row is supported on its pivot
-    position and later ones, so each elimination step strictly advances the
-    leading position and terminates.
+    Fraction-free Gaussian elimination on the numerators, pivoting on the
+    least position tuple (``sort_key`` order); every stored pivot row is
+    supported on its pivot position and later ones, so each elimination
+    step strictly advances the leading position and terminates.
     """
     pivots = {}   # leading position -> numerators of the row led there
     kept = []
-    for k, work in enumerate(numerators):
+    for v in vectors:
+        work = v.nums
         while work:
             s = min(work)
             row = pivots.get(s)
             if row is None:
                 pivots[s] = work
-                kept.append(k)
+                kept.append(v)
                 break
             f, lead = work[s], row[s]
             out = {u: c * lead for u, c in work.items()}
             for u, c in row.items():
                 out[u] = out.get(u, 0) - f * c
             work = {u: c for u, c in out.items() if c}
-    return kept
-
-
-def independent_subset(vectors) -> tuple:
-    """Maximal Q-linearly independent subset of seminormal vectors, greedily
-    in input order (see ``_independent``)."""
-    vectors = tuple(vectors)
-    return tuple(vectors[k] for k in _independent(v.nums for v in vectors))
+    return tuple(kept)
 
 
 def ladder_symmetrize(mu: Partition, basis, p: int) -> tuple:
@@ -345,27 +343,36 @@ def modp_rank(gram, p: int):
 
 def _check_weight_space_count(mu: Partition, tau: Partition, expected: int,
                               size: int) -> None:
-    """Cross-check a basis size against the Fock-side weight-space count,
-    the coefficient of tau in the first approximation A(mu) at q = 1."""
+    """Cross-check the number of orbit representatives against the
+    Fock-side weight-space count, the coefficient of tau in the first
+    approximation A(mu) at q = 1."""
     if size != expected:
         raise AssertionError(
             f"symmetrized basis for mu={mu}, tau={tau} has size {size}, "
             f"weight-space count expects {expected}")
 
 
-def _basis(tau: Partition, rules, representatives, intervals, norms: dict,
-           word=canonical_word) -> list:
+def _basis(ld: LadderData, tau: Partition, rules, representatives,
+           norms: dict, word=canonical_word) -> list:
     """Steps 2-4 for the orbit representatives (position tuples) of
-    T_{mu,tau}, in sort_key order: the (representative, symmetrized chain)
-    pairs that a maximal independent subset keeps, each chain in orbit
-    coordinates as a (numerators, denominator) pair.  ``rules`` is
-    ``_step_rules`` for |tau| and p; ``norms`` gets the orbit norm of every
-    representative the folds reach."""
+    T_{mu,tau}, mu read from its ladder data ``ld``: the symmetrized chain
+    of each, in the given order and in orbit coordinates as a (numerators,
+    denominator) pair.  Each is checked to have its representative as its
+    largest key (step 4).  ``rules`` is ``_step_rules`` for |tau| and p;
+    ``norms`` gets the orbit norm of every representative the folds
+    reach."""
     start = _row_reading(tau)
-    slices = [(a - 1, b) for a, b in intervals if b > a]
-    sym = [(s, _fold(_walk(word(s), start, rules), slices, norms))
-           for s in representatives]
-    return [sym[k] for k in _independent(nums for _, (nums, _) in sym)]
+    slices = [(a - 1, b) for a, b in ld.ladder_group_intervals if b > a]
+    sym = []
+    for s in representatives:
+        nums, den = _fold(_walk(word(s), start, rules), slices, norms)
+        if not nums or max(nums) != s:
+            raise AssertionError(
+                f"folded chain for mu={ld.partition}, tau={tau} is not "
+                f"unitriangular: its largest key is not its representative "
+                f"s={s}")
+        sym.append((nums, den))
+    return sym
 
 
 def _rank(vectors, norms: dict, p: int) -> int:
@@ -396,12 +403,11 @@ def gram_report(mu: Partition, tau: Partition, p: int,
         raise ValueError(f"size mismatch: {mu} vs {tau}")
     representatives = sorted(_orbit_positions(ld, tau).get(tau, ()))
     count = evaluate_at_one(first_approximation(mu, p).coefficient(tau))
+    _check_weight_space_count(mu, tau, count, len(representatives))
     norms, word = {}, _word_of(word_strategy)
     intervals, start = ld.ladder_group_intervals, _row_reading(tau)
     rules = _step_rules(sum(tau), p)
-    kept = _basis(tau, rules, representatives, intervals, norms, word)
-    _check_weight_space_count(mu, tau, count, len(kept))
-    gram = _gram([v for _, v in kept], norms)
+    gram = _gram(_basis(ld, tau, rules, representatives, norms, word), norms)
     try:
         gram_p, rank = modp_rank(gram, p)
     except ArithmeticError as e:
@@ -409,10 +415,11 @@ def gram_report(mu: Partition, tau: Partition, p: int,
     return GramReport(mu=mu, tau=tau, p=p,
                       basis_size_before_symmetrization=(
                           len(representatives) * ld.ladder_group_order()),
-                      basis_size=len(kept),
+                      basis_size=len(representatives),
                       basis=tuple(SeminormalVector.from_numerators(
                           tau, *_symmetrize(*_phi_chain(word(s), start, rules),
-                                            intervals)) for s, _ in kept),
+                                            intervals))
+                          for s in representatives),
                       gram=gram, gram_mod_p=gram_p, rank=rank)
 
 
@@ -440,17 +447,16 @@ def _weight_space_dims(ld: LadderData, counts, rules, restricted) -> dict:
     of p-restricted partitions of |mu|.  Only the representatives of
     restricted shapes are sorted; the others are never read."""
     mu, p = ld.partition, ld.p
-    representatives, intervals = _orbit_positions(ld), ld.ladder_group_intervals
+    representatives = _orbit_positions(ld)
     shapes = {tau for tau in representatives if tau in restricted}
     shapes.update(tau for tau, count in counts.items()
                   if count and tau in restricted)
     dims = {}
     for tau in sorted(shapes, reverse=True):
+        reps = sorted(representatives.get(tau, ()))
+        _check_weight_space_count(mu, tau, counts.get(tau, 0), len(reps))
         norms = {}
-        sym = [v for _, v in _basis(tau, rules,
-                                    sorted(representatives.get(tau, ())),
-                                    intervals, norms)]
-        _check_weight_space_count(mu, tau, counts.get(tau, 0), len(sym))
+        sym = _basis(ld, tau, rules, reps, norms)
         try:
             rank = _rank(sym, norms, p)
         except ArithmeticError as e:

@@ -37,7 +37,7 @@ def laurent_strategy(draw, max_terms=5, max_exp=6, max_coeff=9):
 
 
 def test_laurent_basics():
-    q = LaurentPoly.q_power(1)
+    q = LaurentPoly({1: 1})
     one = LaurentPoly.one()
     f = q + q * q - one
     assert f.coefficient(2) == 1
@@ -45,7 +45,7 @@ def test_laurent_basics():
     assert f.coefficient(0) == -1
     assert f.coefficient(5) == 0
     assert evaluate_at_one(f) == 1
-    assert (f - f).is_zero()
+    assert not f - f
 
 
 @given(laurent_strategy(), laurent_strategy())
@@ -69,7 +69,7 @@ def test_bar_is_ring_involution(a, b):
 
 
 def test_gaussian_frozen_values():
-    assert gaussian(0).is_zero()
+    assert not gaussian(0)
     assert gaussian(1) == LaurentPoly.one()
     assert gaussian(2) == LaurentPoly({1: 1, -1: 1})
     assert gaussian(3) == LaurentPoly({2: 1, 0: 1, -2: 1})
@@ -299,7 +299,7 @@ def test_standard_basis_coefficients_are_not_termwise_bar_symmetric():
     # q (e.g. the coefficient of (3,) in A((2,1)) at p = 3), so termwise
     # bar-symmetry of standard-basis coefficients is not a real invariant
     a = first_approximation((2, 1), 3)
-    assert a.coefficient((3,)) == LaurentPoly.q_power(1)
+    assert a.coefficient((3,)) == LaurentPoly({1: 1})
     assert not a.coefficient((3,)).is_bar_symmetric()
 
 
@@ -444,7 +444,7 @@ def test_inverse_of_nmat_at_one_for_every_small_table():
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda nmat, lam, mu: {**nmat, (lam, mu): LaurentPoly.q_power(1)},
+    (lambda nmat, lam, mu: {**nmat, (lam, mu): LaurentPoly({1: 1})},
      "nmat({lam},{mu}) is not bar-invariant: q"),
     (lambda nmat, lam, mu: {**nmat, (mu, mu): LaurentPoly.one()},
      "nmat({mu},{mu}) breaks unitriangularity"),
@@ -470,12 +470,12 @@ def test_nmat_frozen_small_p3():
         for mu in table.order:
             for lam in table.order:
                 if lam != mu:
-                    assert table.nmat_entry(lam, mu).is_zero()
+                    assert not table.nmat_entry(lam, mu)
     nontrivial = {}
     table = llt_canonical(8, 3)
     for mu in table.order:
         for lam in table.order:
-            if lam != mu and not table.nmat_entry(lam, mu).is_zero():
+            if lam != mu and table.nmat_entry(lam, mu):
                 nontrivial[(lam, mu)] = dict(table.nmat_entry(lam, mu).coeffs)
     assert nontrivial == NMAT_OFFDIAG_83
     assert {(lam, mu): dict(llt_canonical(7, 3).nmat_entry(lam, mu).coeffs)

@@ -14,12 +14,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 from spechtmod.fock import FockVector
-from spechtmod.partitions import add_node
 from spechtmod.seminormal import SeminormalVector
 from spechtmod.tableaux import from_rows, reduced_word
 row, hook = from_rows([[1, 2, 3]]), from_rows([[1, 2], [3]])
 for call in (lambda: FockVector(3, {(5,): 1}),
-             lambda: add_node((2, 1), (1, 4)),
              lambda: SeminormalVector((2, 1), {row: 1}),
              lambda: SeminormalVector.unit(row) + SeminormalVector.unit(hook),
              lambda: FockVector.basis((1,)) + FockVector(2),

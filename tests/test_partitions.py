@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +58,13 @@ def test_check_partition(parts, expected):
         result = check_partition(parts)
         assert result == expected and type(result) is tuple
         assert all(type(a) is int for a in result)
+
+
+def test_check_partition_strips_trailing_zeros_in_one_pass():
+    # dropping them one slice at a time took 3.1 s at 40,000 zeros
+    start = time.perf_counter()
+    assert check_partition([1] + [0] * 100_000) == (1,)
+    assert time.perf_counter() - start < 1
 
 
 def test_all_partitions_counts():

@@ -293,14 +293,40 @@ def test_carried_norms_equal_norm():
         for n in range(1, top + 1):
             rules = ranks._step_rules(n, p)
             for mu in restricted_partitions(n, p):
-                intervals = ladder_decomposition(mu, p).ladder_group_intervals
+                ld = ladder_decomposition(mu, p)
+                intervals = ld.ladder_group_intervals
                 for tau, reps in ladder_orbit_positions(mu, p).items():
                     norms = {}
-                    ranks._basis(tau, rules, reps, intervals, norms)
+                    ranks._basis(ld, tau, rules, reps, norms)
                     for s, value in norms.items():
                         assert value == orbit_norm(s, intervals), (mu, tau, s)
                     positions += len(norms)
     assert positions == 342
+
+
+def test_folded_chains_are_unitriangular():
+    """Every folded chain of an orbit representative s, for every shape and
+    both word strategies, has s as its largest key: the chain basis is
+    unitriangular in sort_key order, which ``_basis`` checks instead of
+    eliminating."""
+    folds = 0
+    for p, top in ((3, 8), (5, 12)):
+        for n in range(1, top + 1):
+            rules = ranks._step_rules(n, p)
+            for mu in restricted_partitions(n, p):
+                slices = [(a - 1, b) for a, b in ladder_decomposition(
+                    mu, p).ladder_group_intervals if b > a]
+                for tau, reps in ladder_orbit_positions(mu, p).items():
+                    start = ranks._row_reading(tau)
+                    for strategy in ("canonical", "reverse"):
+                        word = ranks._word_of(strategy)
+                        for s in reps:
+                            nums, _ = ranks._fold(
+                                ranks._walk(word(s), start, rules), slices,
+                                {})
+                            assert max(nums) == s, (mu, tau, s, strategy)
+                            folds += 1
+    assert folds == 1246
 
 
 def fold_cases():
