@@ -50,11 +50,11 @@ assembles its ``CanonicalBasisTable``.
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate, combinations, compress, cycle
 
-from .partitions import (Partition, check_partition, is_p_restricted,
-                         restricted_partitions, dominates, total_order_key)
+from .partitions import (Partition, _Record, check_partition,
+                         is_p_restricted, restricted_partitions, dominates,
+                         total_order_key)
 
 
 class LaurentPoly:
@@ -388,17 +388,12 @@ def first_approximation(mu: Partition, p: int) -> FockVector:
     return a
 
 
-@dataclass(frozen=True)
-class CanonicalBasisTable:
+class CanonicalBasisTable(_Record):
     """First approximations A, canonical basis G, and the transition matrix
     nmat with A(mu) = sum_lam nmat(lam, mu) G(lam); nmat entries are stored for
     (lam, mu) with lam dominance-greater-or-equal mu only."""
-    p: int
-    n: int
-    order: tuple
-    A: dict
-    G: dict
-    nmat: dict
+
+    __slots__ = ("p", "n", "order", "A", "G", "nmat")
 
     def nmat_entry(self, lam, mu) -> LaurentPoly:
         lam, mu = tuple(lam), tuple(mu)

@@ -15,7 +15,6 @@ eigenspace algorithm in :mod:`spechtmod.ranks`.
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 
 Partition = tuple
@@ -181,8 +180,51 @@ def ladder_index(node: Node, p: int) -> int:
     return j + (p - 1) * (i - 1)
 
 
-@dataclass(frozen=True)
-class LadderData:
+class _Record:
+    """A record of the fields named by ``__slots__``, in that order: built
+    from positional or keyword values (``_defaults`` for the ones left
+    out), compared and hashed by its values, shown as ``Name(field=value,
+    ...)``, and read-only once built unless a subclass allows assignment."""
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names) or not set(kwargs) <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}, "
+                            f"got {len(args)} values and {sorted(kwargs)}")
+        values = {**self._defaults, **kwargs, **dict(zip(names, args))}
+        for key in names:
+            if key not in values:
+                raise TypeError(f"{type(self).__name__} is missing the field "
+                                f"{key!r}")
+            object.__setattr__(self, key, values[key])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, key) for key in self.__slots__)
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{key}={value!r}" for key, value in
+            zip(self.__slots__, self._values())) + ")"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class LadderData(_Record):
     """Ladder decomposition of a p-restricted partition.
 
     ``ladders[k]`` lists the nodes of the (k+1)-st nonempty ladder, top to
@@ -191,13 +233,9 @@ class LadderData:
     which the ladder group (a direct product of symmetric groups) acts.  The
     ladder tableau and its residue sequence are built when read.
     """
-    partition: Partition
-    p: int
-    ladders: tuple
-    sizes: tuple
-    residues: tuple
-    limits: tuple
-    ladder_group_intervals: tuple
+
+    __slots__ = ("partition", "p", "ladders", "sizes", "residues", "limits",
+                 "ladder_group_intervals")
 
     @property
     def ladder_tableau(self):
@@ -237,23 +275,36 @@ def ladder_decomposition(lam: Partition, p: int) -> LadderData:
     """Full ladder data of a p-restricted partition.
 
     Non-p-restricted input is rejected (its ladder tableau would be broken).
+    Row i holds one node on each ladder ``(p-1)(i-1) + j``, j = 1..lam_i
+    (``ladder_index``), so the rows are read top to bottom into the ladders.
     """
     lam = check_partition(lam)
     if not is_p_restricted(lam, p):
         raise ValueError(f"{lam} is not {p}-restricted")
     by_b = {}
-    for i in range(1, len(lam) + 1):
-        for j in range(1, lam[i - 1] + 1):
-            by_b.setdefault(ladder_index((i, j), p), []).append((i, j))
-    ladders = tuple(tuple(sorted(by_b[b])) for b in sorted(by_b))
-    sizes = tuple(len(L) for L in ladders)
-    residues = tuple(node_residue(L[0], p) for L in ladders)
-    limits = [0]
-    for m in sizes:
-        limits.append(limits[-1] + m)
-    intervals = tuple((limits[k] + 1, limits[k + 1]) for k in range(len(sizes)))
-    return LadderData(lam, p, ladders, sizes, residues, tuple(limits),
-                      intervals)
+    for i, part in enumerate(lam, start=1):
+        base = (p - 1) * (i - 1)
+        for j in range(1, part + 1):
+            by_b.setdefault(base + j, []).append((i, j))
+    keys = sorted(by_b)
+    ladders = tuple(tuple(by_b[b]) for b in keys)
+    sizes = tuple(map(len, ladders))
+    residues = tuple((b - 1) % p for b in keys)     # node_residue((1, b))
+    limits = (0, *accumulate(sizes))
+    intervals = tuple((a + 1, b) for a, b in zip(limits, limits[1:]))
+    return LadderData(lam, p, ladders, sizes, residues, limits, intervals)
+
+
+def _ladder_steps(lam: Partition, p: int) -> tuple:
+    """The ``(residue, size)`` of each nonempty ladder of the partition lam,
+    smallest ladder first: ``zip(residues, sizes)`` of its ladder data, with
+    no node listed.  Ladder b holds one node of each row i with
+    ``(p-1)(i-1) < b <= (p-1)(i-1) + lam_i`` and has residue (b - 1) mod p."""
+    sizes = {}
+    for i, part in enumerate(lam):
+        for b in range((p - 1) * i + 1, (p - 1) * i + part + 1):
+            sizes[b] = sizes.get(b, 0) + 1
+    return tuple(((b - 1) % p, sizes[b]) for b in sorted(sizes))
 
 
 def validate_ladder_lengths(lam: Partition, p: int) -> bool:

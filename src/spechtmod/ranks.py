@@ -14,11 +14,14 @@ object until a caller asks for one:
    enumerates every shape at once; a shape with no representative has rank
    0.  Its weight-space count must be 0 too, which is checked on the key
    sets: every restricted shape the Fock side counts must have
-   representatives;
+   representatives.  ``verify.m_matrix`` hands ``_weight_space_dims`` the
+   representatives of each mu from a path stack of walks, so mu with a
+   common prefix of ladder steps share the walk along it;
 2. read the canonical reduced word of d(s) off the positions of each
    representative s (``canonical_word``);
 3. apply the chain phi_{i_k} ... phi_{i_1} of that word to the seminormal
-   vector of the row-reading tableau of tau (rightmost letter first).  Each
+   vector of the row-reading tableau of tau (rightmost letter first), whose
+   positions and norm a caller ranking many mu builds once per tau.  Each
    term is walked on its own position list: a regular step (p not dividing
    h) swaps two entries and scales the coefficient by e(h), a step with
    |h| = 1 ends the walk at 0, and a singular step (p | h) also starts a
@@ -59,11 +62,10 @@ ladder symmetrization on D(tau)).
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fock import evaluate_at_one, first_approximation
-from .partitions import (LadderData, Partition, check_partition,
+from .partitions import (LadderData, Partition, _Record, check_partition,
                          ladder_decomposition, restricted_partitions)
 from .seminormal import (SeminormalVector, norm, reduce_numerators,
                          seminormal_step, step_factors)
@@ -71,18 +73,14 @@ from .tableaux import (StandardTableau, _class_of_shape, _orbit_positions,
                        canonical_word, check_class_cap, d_reduced_word)
 
 
-@dataclass(frozen=True)
-class GramReport:
-    """Outcome of the six-step rank computation for one pair (mu, tau)."""
-    mu: Partition
-    tau: Partition
-    p: int
-    basis_size_before_symmetrization: int
-    basis_size: int
-    basis: tuple           # the symmetrized vectors the Gram matrix is of
-    gram: tuple            # basis_size x basis_size, Fractions
-    gram_mod_p: tuple      # same shape over Z/p
-    rank: int
+class GramReport(_Record):
+    """Outcome of the six-step rank computation for one pair (mu, tau):
+    ``basis`` holds the symmetrized vectors the Gram matrix is of, ``gram``
+    is that basis_size x basis_size matrix of Fractions and ``gram_mod_p``
+    the same over Z/p."""
+
+    __slots__ = ("mu", "tau", "p", "basis_size_before_symmetrization",
+                 "basis_size", "basis", "gram", "gram_mod_p", "rank")
 
 
 def _require_valid_mu(mu: Partition, p: int) -> LadderData:
@@ -103,11 +101,15 @@ def _word_of(strategy: str):
                                     strategy).word
 
 
-def _row_reading(tau: Partition) -> tuple:
+def _row_reading(tau: Partition, nodes=None) -> tuple:
     """The positions of the row-reading tableau of tau and its norm, the
-    product of the row factorials, as a pair."""
+    product of the row factorials, as a pair.  Callers that keep many such
+    pairs pass them all one dict ``nodes``, through which they share each
+    node (r, c) instead of holding a copy of it."""
     positions = tuple((r, c) for r, part in enumerate(tau, start=1)
                       for c in range(1, part + 1))
+    if nodes is not None:
+        positions = tuple(nodes.setdefault(node, node) for node in positions)
     return positions, (math.prod(map(math.factorial, tau)), 1)
 
 
@@ -352,16 +354,15 @@ def _check_weight_space_count(mu: Partition, tau: Partition, expected: int,
             f"weight-space count expects {expected}")
 
 
-def _basis(ld: LadderData, tau: Partition, rules, representatives,
+def _basis(ld: LadderData, tau: Partition, start, rules, representatives,
            norms: dict, word=canonical_word) -> list:
     """Steps 2-4 for the orbit representatives (position tuples) of
     T_{mu,tau}, mu read from its ladder data ``ld``: the symmetrized chain
     of each, in the given order and in orbit coordinates as a (numerators,
     denominator) pair.  Each is checked to have its representative as its
-    largest key (step 4).  ``rules`` is ``_step_rules`` for |tau| and p;
-    ``norms`` gets the orbit norm of every representative the folds
-    reach."""
-    start = _row_reading(tau)
+    largest key (step 4).  ``start`` is ``_row_reading(tau)``, ``rules``
+    the ``_step_rules`` for |tau| and p; ``norms`` gets the orbit norm of
+    every representative the folds reach."""
     slices = [(a - 1, b) for a, b in ld.ladder_group_intervals if b > a]
     sym = []
     for s in representatives:
@@ -407,7 +408,8 @@ def gram_report(mu: Partition, tau: Partition, p: int,
     norms, word = {}, _word_of(word_strategy)
     intervals, start = ld.ladder_group_intervals, _row_reading(tau)
     rules = _step_rules(sum(tau), p)
-    gram = _gram(_basis(ld, tau, rules, representatives, norms, word), norms)
+    gram = _gram(_basis(ld, tau, start, rules, representatives, norms, word),
+                 norms)
     try:
         gram_p, rank = modp_rank(gram, p)
     except ArithmeticError as e:
@@ -437,17 +439,24 @@ def weight_space_dims(mu: Partition, p: int, counts) -> dict:
     mu = check_partition(mu)
     check_class_cap(sum(mu), False)
     ld = _require_valid_mu(mu, p)
-    return _weight_space_dims(ld, counts, _step_rules(sum(mu), p),
-                              frozenset(restricted_partitions(sum(mu), p)))
+    return _weight_space_dims(ld, _orbit_positions(ld), counts,
+                              _step_rules(sum(mu), p),
+                              frozenset(restricted_partitions(sum(mu), p)),
+                              {}, {})
 
 
-def _weight_space_dims(ld: LadderData, counts, rules, restricted) -> dict:
-    """``weight_space_dims`` for mu's checked ladder data ``ld``, with
-    ``rules`` the ``_step_rules`` for |mu| and p and ``restricted`` the set
-    of p-restricted partitions of |mu|.  Only the representatives of
-    restricted shapes are sorted; the others are never read."""
+def _weight_space_dims(ld: LadderData, representatives, counts, rules,
+                       restricted, starts: dict, nodes: dict) -> dict:
+    """``weight_space_dims`` for mu's checked ladder data ``ld`` and the
+    orbit representatives of its class, ``{shape: [position tuple, ...]}``
+    in any order (``_orbit_positions``), which are read and not changed.
+    ``rules`` is the ``_step_rules`` for |mu| and p, ``restricted`` the set
+    of p-restricted partitions of |mu|, and ``starts`` a table of
+    ``_row_reading(tau, nodes)`` by tau that this fills as it goes, so a
+    caller ranking many mu builds each start once, and the starts share
+    their nodes.  Only the representatives of restricted shapes are sorted;
+    the others are never read."""
     mu, p = ld.partition, ld.p
-    representatives = _orbit_positions(ld)
     shapes = {tau for tau in representatives if tau in restricted}
     shapes.update(tau for tau, count in counts.items()
                   if count and tau in restricted)
@@ -455,8 +464,11 @@ def _weight_space_dims(ld: LadderData, counts, rules, restricted) -> dict:
     for tau in sorted(shapes, reverse=True):
         reps = sorted(representatives.get(tau, ()))
         _check_weight_space_count(mu, tau, counts.get(tau, 0), len(reps))
+        start = starts.get(tau)
+        if start is None:
+            start = starts[tau] = _row_reading(tau, nodes)
         norms = {}
-        sym = _basis(ld, tau, rules, reps, norms)
+        sym = _basis(ld, tau, start, rules, reps, norms)
         try:
             rank = _rank(sym, norms, p)
         except ArithmeticError as e:

@@ -8,12 +8,15 @@ so enumerations are reproducible run to run.
 Every set of tableaux listed here comes from one forward walk, ``_fill``:
 start from the empty diagram and, at each step, add nodes of the step's
 residue in every possible way, keeping a frontier of the entry-position tuples
-that reach each shape.  Two standard tableaux are p-equivalent when their
-residue sequences agree.  The class of a residue sequence is the walk with
-one node per step along it; ``ladder_class_of_shape`` keeps the members of
-the class of the ladder tableau of mu that fit in a fixed shape,
-the index set T_{mu,lambda} of the eigenspace algorithm.  ``standard_tableaux``
-is the walk with any addable node inside the shape at each step.
+that reach each shape.  One step is ``_extend``, which leaves the frontier it
+starts from as it is, so walks that share their first steps can share those
+frontiers: ``verify.m_matrix`` keeps them on a path stack.  Two standard
+tableaux are p-equivalent when their residue sequences agree.  The class of
+a residue sequence is the walk with one node per step along it;
+``ladder_class_of_shape`` keeps the members of the class of the ladder
+tableau of mu that fit in a fixed shape, the index set T_{mu,lambda} of the
+eigenspace algorithm.  ``standard_tableaux`` is the walk with any addable
+node inside the shape at each step.
 
 The ladder group of mu permutes the entries within each ladder interval and
 acts freely on that class.  ``ladder_orbit_positions`` lists one member per
@@ -30,11 +33,11 @@ sigma_i = (i-1, i), 2 <= i <= n, by a deterministic bubble sort;
 ``canonical_word`` reads the same 'canonical' word off the entry positions.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .partitions import (Partition, Node, check_partition, addable_nodes,
-                         all_addable_nodes, ladder_decomposition)
+from .partitions import (Partition, Node, _Record, check_partition,
+                         addable_nodes, all_addable_nodes,
+                         ladder_decomposition)
 
 
 class StandardTableau:
@@ -158,11 +161,10 @@ def _grown(shape: Partition, nodes) -> Partition:
     return tuple(parts) if parts[-1] else tuple(parts[:-1])
 
 
-@dataclass(frozen=True)
-class ResidueSequence:
+class ResidueSequence(_Record):
     """A length-n word over Z/p: position k holds the residue of entry k."""
-    p: int
-    values: tuple
+
+    __slots__ = ("p", "values")
 
     def swap(self, i: int) -> "ResidueSequence":
         """The sequence with positions i-1 and i exchanged (action of sigma_i)."""
@@ -243,22 +245,29 @@ def _fill(steps, p, target=None) -> dict:
     way of taking, at each step ``(residue, m)``, an m-subset of the addable
     nodes of that residue (any addable node when the residue is None), inside
     ``target`` when one is given, filled top to bottom.  A frontier of the
-    tuples reaching each shape is extended one step at a time; the lists come
-    out unsorted."""
+    tuples reaching each shape is extended one step at a time (``_extend``);
+    the lists come out unsorted."""
     frontier = {(): [()]}
     for residue, m in steps:
-        grown = {}
-        for shape, seqs in frontier.items():
-            nodes = (all_addable_nodes(shape) if residue is None
-                     else addable_nodes(shape, residue, p))
-            if target is not None:
-                nodes = [g for g in nodes
-                         if g[0] <= len(target) and g[1] <= target[g[0] - 1]]
-            for subset in combinations(nodes, m):
-                grown.setdefault(_grown(shape, subset), []).extend(
-                    s + subset for s in seqs)
-        frontier = grown
+        frontier = _extend(frontier, residue, m, p, target)
     return frontier
+
+
+def _extend(frontier, residue, m, p, target=None) -> dict:
+    """One step ``(residue, m)`` of ``_fill`` from ``frontier``, as a new
+    frontier; ``frontier`` and its lists are left as they are, so a caller
+    may extend one frontier along several paths."""
+    grown = {}
+    for shape, seqs in frontier.items():
+        nodes = (all_addable_nodes(shape) if residue is None
+                 else addable_nodes(shape, residue, p))
+        if target is not None:
+            nodes = [g for g in nodes
+                     if g[0] <= len(target) and g[1] <= target[g[0] - 1]]
+        for subset in combinations(nodes, m):
+            grown.setdefault(_grown(shape, subset), []).extend(
+                s + subset for s in seqs)
+    return grown
 
 
 def _tableaux(seqs) -> tuple:
@@ -267,13 +276,12 @@ def _tableaux(seqs) -> tuple:
     return tuple(map(StandardTableau.from_positions, sorted(seqs)))
 
 
-@dataclass(frozen=True)
-class PermutationWord:
+class PermutationWord(_Record):
     """A permutation in one-line notation together with a reduced word in the
     generators sigma_i = (i-1, i); the word is in product order, so composing
     sigma_{word[0]} sigma_{word[1]} ... reproduces ``one_line``."""
-    one_line: tuple
-    word: tuple
+
+    __slots__ = ("one_line", "word")
 
 
 def reduced_word(one_line: tuple, strategy: str = "canonical") -> tuple:
@@ -328,11 +336,12 @@ def canonical_word(positions) -> tuple:
     >>> canonical_word(((1, 1), (2, 1), (1, 2)))    # rows (1, 3), (2,)
     (3,)
     """
-    word = []
+    word, last = [], 0                    # the lowest row so far
     in_row = [0] * (len(positions) + 2)   # entries so far in each row
     for j, (r, _c) in enumerate(positions, start=1):
-        below = sum(in_row[r + 1:])
-        word.extend(range(j, j - below, -1))
+        if r < last:                      # c_j > 0: a lower row has entries
+            word.extend(range(j, j - sum(in_row[r + 1:last + 1]), -1))
+        else:
+            last = r
         in_row[r] += 1
     return tuple(word)
-

@@ -27,18 +27,18 @@ carry an explicit marker and skip the mu columns whose ladder lengths reach p.
 
 import os
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 from .fock import (SparseRows, evaluate_at_one, invert_unitriangular,
                    llt_canonical, nmat_at_one)
-from .partitions import (Partition, all_partitions, check_partition, dominates,
-                         is_p_restricted, ladder_decomposition,
-                         restricted_partitions, standard_tableau_count)
+from .partitions import (Partition, _ladder_steps, _Record, all_partitions,
+                         check_partition, dominates, is_p_restricted,
+                         ladder_decomposition, restricted_partitions,
+                         standard_tableau_count)
 from .ranks import _step_rules, _weight_space_dims, gram_matrix, modp_rank
 from .seminormal import SeminormalVector, act_by_word
-from .tableaux import (check_class_cap, d_reduced_word, row_reading_tableau,
-                       standard_tableaux)
+from .tableaux import (_extend, check_class_cap, d_reduced_word,
+                       row_reading_tableau, standard_tableaux)
 
 
 class Grid(Mapping):
@@ -89,9 +89,19 @@ def check_record(i: int, j: int, lhs) -> dict:
             "pass": None if lhs is None else lhs == expected}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Everything the verify pipeline produced for one (n, p).
+
+    - ``order``: the p-restricted partitions, most dominant first;
+    - ``nmat1``: the transition matrix at q = 1, and ``amat`` its inverse;
+    - ``mmat``: the weight-space dims; a column is None when that mu has a
+      ladder of length >= p;
+    - ``checks``: (mu, tau) -> {"lhs", "expected", "pass"}, mu outer, from
+      the lhs column of each mu over tau, all None when mu is skipped;
+    - ``overall``: every evaluated check passed;
+    - ``outside_region``: n >= p*p, outside the stated region;
+    - ``decomposition``: (tau in Par_n, mu restricted) -> d(tau, mu), a
+      Grid over the rows of each tau; empty when left out.
 
     Every table is a ``SparseRows``, held as its entries other than 0.
     ``checks`` and ``decomposition`` are read-only Mappings over such
@@ -99,24 +109,17 @@ class VerificationReport:
     decomposition rows, and no per-entry key or record; each check record
     is built when it is read.  Any other Mapping may be passed for either;
     a ``decomposition`` Mapping is read into rows.  Dense rows passed for
-    ``nmat1``, ``amat`` or ``mmat`` are read with ``SparseRows.from_rows``."""
-    p: int
-    n: int
-    order: tuple                 # p-restricted partitions, most dominant first
-    nmat1: SparseRows            # transition matrix at q = 1
-    amat: SparseRows             # its inverse
-    mmat: SparseRows             # weight-space dims; a column is None when
-                                 # that mu has a ladder of length >= p
-    checks: Mapping              # (mu, tau) -> {"lhs", "expected", "pass"},
-                                 # mu outer; from the lhs column of each mu
-                                 # over tau, all None when mu is skipped
-    overall: bool                # every evaluated check passed
-    outside_region: bool         # n >= p*p: outside the stated region
-    decomposition: Mapping = field(default_factory=dict)
-                                 # (tau in Par_n, mu restricted) -> d(tau, mu),
-                                 # a Grid over the rows of each tau
+    ``nmat1``, ``amat`` or ``mmat`` are read with ``SparseRows.from_rows``.
+    Its fields may be assigned, and it is not hashable."""
 
-    def __post_init__(self):
+    __slots__ = ("p", "n", "order", "nmat1", "amat", "mmat", "checks",
+                 "overall", "outside_region", "decomposition")
+    _defaults = {"decomposition": ()}
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         for name in ("nmat1", "amat", "mmat"):
             if not isinstance(getattr(self, name), SparseRows):
                 setattr(self, name, SparseRows.from_rows(getattr(self, name)))
@@ -141,11 +144,35 @@ class VerificationReport:
         return d.row_keys, d.col_keys, d.rows
 
 
-def _m_column(args):
-    """The nonzero entries {tau: dim} of the column of mu, from one
-    enumeration of the class of mu."""
-    ld, counts, rules, restricted = args
-    return ld.partition, _weight_space_dims(ld, counts, rules, restricted)
+def _m_columns(args):
+    """The nonzero entries {tau: dim} of the column of each mu of a run
+    (mu, their counts, p, step rules, restricted set), in order, or None
+    where mu has a ladder of length >= p.  Each mu's ladder data is read
+    when its column runs.  Its orbit representatives come from a path stack
+    of ``_fill`` frontiers, one per ladder step of the current mu: pop back
+    to the steps it shares with the previous mu, extend by the rest, and
+    rank from the last frontier.  Sorted by their steps, mu that share a
+    prefix follow each other, so each distinct prefix is walked once per
+    run.  The row-reading starts are built once per run, for at most the N
+    restricted shapes, and share their nodes."""
+    mus, counts, p, rules, restricted = args
+    path, prev, starts, nodes, columns = [{(): [()]}], (), {}, {}, []
+    for mu, count in zip(mus, counts):
+        ld = ladder_decomposition(mu, p)
+        if not ld.ladders_below_p():
+            columns.append(None)
+            continue
+        steps, d = tuple(zip(ld.residues, ld.sizes)), 0
+        shared = min(len(prev), len(steps))
+        while d < shared and prev[d] == steps[d]:
+            d += 1
+        del path[d + 1:]
+        for residue, m in steps[d:]:
+            path.append(_extend(path[-1], residue, m, p))
+        columns.append(_weight_space_dims(ld, path[-1], count, rules,
+                                          restricted, starts, nodes))
+        prev = steps
+    return columns
 
 
 def m_matrix(n: int, p: int, counts, jobs: int = 1) -> SparseRows:
@@ -153,24 +180,29 @@ def m_matrix(n: int, p: int, counts, jobs: int = 1) -> SparseRows:
     over the p-restricted partitions of n in canonical order, with
     ``counts[mu]`` passed to ``weight_space_dims`` for column mu.  A column
     whose mu fails the ladder-length bound (possible only for n >= p*p) is
-    None in every row.  At most min(jobs, columns, CPUs) worker processes are started.
-    The class-size cap is checked first, before any partition is listed."""
+    None in every row.  The columns run in sorted order of their ladder
+    steps (``_m_columns``), split into one contiguous run per worker; at
+    most min(jobs, N, CPUs) worker processes are started.  The
+    class-size cap is checked first, before any partition is listed."""
     check_class_cap(n)
     order, rules = restricted_partitions(n, p), _step_rules(n, p)
     restricted = frozenset(order)
-    lds = (ladder_decomposition(mu, p) for mu in order)
-    tasks = [(ld, counts[ld.partition], rules, restricted) for ld in lds
-             if ld.ladders_below_p()]
-    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    mus = sorted(order, key=lambda mu: _ladder_steps(mu, p))
+    jobs = min(jobs, len(mus), os.cpu_count() or 1)
+    tasks = [(run, [counts[mu] for mu in run], p, rules, restricted)
+             for run in (mus[k * len(mus) // jobs:(k + 1) * len(mus) // jobs]
+                         for k in range(jobs))]
     if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_m_column, tasks)
+            results = pool.map(_m_columns, tasks)
     else:
-        results = [_m_column(t) for t in tasks]
-    columns, skipped = dict(results), dict.fromkeys(order)
-    return _from_columns([columns.get(mu, skipped) for mu in order], order)
+        results = map(_m_columns, tasks)
+    columns, skipped = dict(zip(mus, chain.from_iterable(results))), \
+        dict.fromkeys(order)
+    return _from_columns([skipped if columns[mu] is None else columns[mu]
+                          for mu in order], order)
 
 
 def _from_columns(columns, row_keys) -> SparseRows:

@@ -16,9 +16,10 @@ import json
 import pathlib
 import tracemalloc
 
+from spechtmod import verify
 from spechtmod.fock import FockVector
 from spechtmod.seminormal import SeminormalVector
-from spechtmod.verify import conjecture_check
+from spechtmod.verify import conjecture_check, m_matrix
 
 MODULES = ("partitions", "tableaux", "fock", "seminormal", "ranks", "verify",
            "cli")
@@ -69,6 +70,33 @@ def test_no_package_allocation_outlives_a_check():
         tracemalloc.stop()
     held = snapshot.filter_traces([tracemalloc.Filter(True, "*/spechtmod/*")])
     assert sum(stat.size for stat in held.statistics("filename")) == 0
+
+
+def test_m_matrix_streams_its_ladder_data(monkeypatch):
+    # each mu's ladder data is built when its column runs, not all first:
+    # at most two are alive between a creation and the end of a column
+    decomposition = verify.ladder_decomposition
+    dims = verify._weight_space_dims
+    created, finished, peak = [], [], []
+
+    def creating(lam, p):
+        created.append(lam)
+        peak.append(len(created) - len(finished))
+        return decomposition(lam, p)
+
+    def ranking(*args):
+        out = dims(*args)
+        finished.append(1)
+        return out
+
+    monkeypatch.setattr(verify, "ladder_decomposition", creating)
+    monkeypatch.setattr(verify, "_weight_space_dims", ranking)
+    table = verify.llt_canonical(16, 5)
+    m_matrix(16, 5, {mu: {tau: verify.evaluate_at_one(c)
+                          for tau, c in a.terms.items()}
+                     for mu, a in table.A.items()})
+    assert len(created) == len(finished) == 164
+    assert max(peak) <= 2
 
 
 def test_every_cache_names_a_workload_that_hits_it():

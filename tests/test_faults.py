@@ -18,7 +18,13 @@ Rows so far:
   rank above 1: the identity fails;
 - a wrong singular factor d(h) = (h+1)/h where p divides h: the identity
   fails at p = 3, n = 11, and the Gram entries stop being p-integral at
-  p = 5, n = 21.  At p = 5 the fault goes unseen for every n <= 20.
+  p = 5, n = 21.  At p = 5 the fault goes unseen for every n <= 20;
+- the residue of the first or of the last ladder shifted by one in the
+  ladder data the Gram side walks, at p = 3, n = 8: the weight-space count
+  check raises at the first mu.
+
+Where a row names the first (mu, tau) to fail, the mu are visited in sorted
+order of their ladder steps, as ``m_matrix`` visits them.
 
 Dropping a representative of a shape that is not p-restricted changes
 nothing: such a shape is never ranked, so that fault has no row.  A
@@ -29,8 +35,8 @@ counts would then agree.
 
 import pytest
 
-from spechtmod import fock, ranks
-from spechtmod.partitions import is_p_restricted
+from spechtmod import fock, ranks, verify
+from spechtmod.partitions import LadderData, is_p_restricted
 from spechtmod.verify import conjecture_check
 
 
@@ -48,32 +54,38 @@ def test_rank_of_one_read_as_zero_fails_the_identity(monkeypatch):
     report = conjecture_check(8, 3)
     assert patched
     assert not report.overall
-    assert sum(rec["pass"] is False for rec in report.checks.values()) == 2
+    # the first pair ranked with rank 1 is the diagonal one of the first mu
+    # in ladder-step order
+    mu = (2, 2, 1, 1, 1, 1)
+    assert [key for key, rec in report.checks.items()
+            if rec["pass"] is False] == [(mu, mu)]
 
 
 def _fault_first_restricted_shape(monkeypatch, edit):
     """Apply ``edit`` to the orbit representatives of the first restricted
     shape other than mu itself, in the order listed, of the first mu whose
-    class has one, and record the start positions of every chain walked.
-    Returns (patched, walked); patched gets (shape, number of chains walked
-    before the fault), and every chain walked after it belongs to that mu."""
-    positions, patched = ranks._orbit_positions, []
+    class has one once some chain has been walked, where the path stack
+    hands mu its frontier, and record the start positions of every chain
+    walked.  Returns (patched, walked); patched gets (shape, number of
+    chains walked before the fault), and every chain walked after it
+    belongs to that mu."""
+    dims, patched = verify._weight_space_dims, []
     walk, walked = ranks._walk, []
 
-    def faulty(ld, target=None):
-        out = positions(ld, target)
-        for shape in out:
-            if not patched and shape != ld.partition \
+    def faulty(ld, representatives, *args):
+        for shape in representatives:
+            if walked and not patched and shape != ld.partition \
                     and is_p_restricted(shape, ld.p):
                 patched.append((shape, len(walked)))
-                out[shape] = edit(out[shape])
-        return out
+                representatives = {**representatives,
+                                   shape: edit(representatives[shape])}
+        return dims(ld, representatives, *args)
 
     def walking(word, start, rules):
         walked.append(start[0])
         return walk(word, start, rules)
 
-    monkeypatch.setattr(ranks, "_orbit_positions", faulty)
+    monkeypatch.setattr(verify, "_weight_space_dims", faulty)
     monkeypatch.setattr(ranks, "_walk", walking)
     return patched, walked
 
@@ -82,7 +94,7 @@ def _raises_before_walking_the_pair(monkeypatch, edit, size):
     # the count check runs before any chain of the pair is walked
     patched, walked = _fault_first_restricted_shape(monkeypatch, edit)
     with pytest.raises(AssertionError,
-                       match=r"mu=\(3, 3, 1, 1\), tau=\(4, 3, 1\) has size "
+                       match=r"mu=\(2, 2, 2, 2\), tau=\(4, 3, 1\) has size "
                              rf"{size}, weight-space count expects 1"):
         conjecture_check(8, 3)
     (shape, mark), = patched
@@ -127,8 +139,9 @@ def test_dropped_leading_key_fails_the_unitriangularity_check(monkeypatch):
 
     monkeypatch.setattr(ranks, "_fold", faulty)
     with pytest.raises(AssertionError,
-                       match=r"folded chain for mu=\(3, 2, 1, 1, 1\), "
-                             r"tau=\(4, 2, 2\) is not unitriangular") as info:
+                       match=r"folded chain for mu=\(2, 2, 2, 1, 1\), "
+                             r"tau=\(3, 2, 2, 1\) is not "
+                             r"unitriangular") as info:
         conjecture_check(8, 3)
     # the key dropped is the representative s itself, which the error names
     assert patched and str(info.value).endswith(f"s={patched[0]}")
@@ -170,3 +183,23 @@ def test_wrong_singular_factor_fails_the_identity_and_p_integrality(
                              r"tau=\(10, 6, 2, 1, 1, 1\): entry .* is not "
                              r"5-integral"):
         conjecture_check(21, 5)
+
+
+@pytest.mark.parametrize("ladder", [0, -1], ids=["first", "last"])
+def test_off_by_one_ladder_residue_fails_the_weight_space_count(
+        monkeypatch, ladder):
+    decomposition = verify.ladder_decomposition
+
+    def faulty(lam, p):
+        ld = decomposition(lam, p)
+        residues = list(ld.residues)
+        residues[ladder] = (residues[ladder] + 1) % p
+        return LadderData(ld.partition, ld.p, ld.ladders, ld.sizes,
+                          tuple(residues), ld.limits,
+                          ld.ladder_group_intervals)
+
+    monkeypatch.setattr(verify, "ladder_decomposition", faulty)
+    with pytest.raises(AssertionError,
+                       match=r"mu=\(2, 2, 1, 1, 1, 1\), tau=\(3, 3, 1, 1\) "
+                             r"has size 0, weight-space count expects 1"):
+        conjecture_check(8, 3)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import time
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from spechtmod.partitions import (
+    LadderData,
     Partition,
+    _ladder_steps,
     addable_nodes,
     all_addable_nodes,
     all_partitions,
@@ -233,6 +236,42 @@ def test_ladder_decomposition_structure(p, lam):
     for size, limit in zip(ld.sizes, ld.limits[1:]):
         total += size
         assert limit == total
+
+
+def test_ladder_steps_are_the_ladder_data_steps():
+    # the sort key of m_matrix lists no node, and agrees with the ladder
+    # data each column reads
+    for p in (3, 5, 7):
+        for n in range(13):
+            for mu in restricted_partitions(n, p):
+                ld = ladder_decomposition(mu, p)
+                assert _ladder_steps(mu, p) == tuple(
+                    zip(ld.residues, ld.sizes)), (mu, p)
+
+
+def test_ladder_data_is_a_read_only_record():
+    ld = ladder_decomposition((3, 1), 3)
+    fields = dict(partition=ld.partition, p=ld.p, ladders=ld.ladders,
+                  sizes=ld.sizes, residues=ld.residues, limits=ld.limits,
+                  ladder_group_intervals=ld.ladder_group_intervals)
+    same = LadderData(**fields)
+    assert same == ld and hash(same) == hash(ld)
+    assert LadderData(*fields.values()) == ld
+    assert repr(ld) == "LadderData(" + ", ".join(
+        f"{key}={value!r}" for key, value in fields.items()) + ")"
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(ld, protocol)) == ld
+    assert ld != ladder_decomposition((2, 2), 3) and ld != fields
+    with pytest.raises(AttributeError):
+        ld.p = 5
+    with pytest.raises(AttributeError):
+        ld.extra = 1
+    with pytest.raises(TypeError, match="missing the field 'limits'"):
+        LadderData(*list(fields.values())[:5])
+    with pytest.raises(TypeError, match="'p'"):
+        LadderData(*fields.values(), p=3)
+    with pytest.raises(TypeError):
+        LadderData(*fields.values(), 0)
 
 
 def test_ladder_group_intervals_n5_p3():

@@ -297,7 +297,8 @@ def test_carried_norms_equal_norm():
                 intervals = ld.ladder_group_intervals
                 for tau, reps in ladder_orbit_positions(mu, p).items():
                     norms = {}
-                    ranks._basis(ld, tau, rules, reps, norms)
+                    ranks._basis(ld, tau, ranks._row_reading(tau), rules,
+                                 reps, norms)
                     for s, value in norms.items():
                         assert value == orbit_norm(s, intervals), (mu, tau, s)
                     positions += len(norms)

@@ -119,16 +119,23 @@ class TestMMatrix:
             ("from_positions", StandardTableau.from_positions.__func__),
             ("SeminormalVector", SeminormalVector.__init__),
             ("from_numerators", SeminormalVector.from_numerators.__func__),
-            ("GramReport", GramReport.__init__),
             ("norm", seminormal.norm),
             ("reduced_word", tableaux.reduced_word),
             ("_symmetrize", ranks._symmetrize),
             ("independent_subset", ranks.independent_subset))}
+        # GramReport shares its __init__ with the package's other records,
+        # so a call of it counts only when it builds a GramReport
+        record_init = GramReport.__init__.__code__
         called = set()
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code in forbidden:
+            if event != "call":
+                return
+            if frame.f_code in forbidden:
                 called.add(forbidden[frame.f_code])
+            elif frame.f_code is record_init and \
+                    type(frame.f_locals.get("self")) is GramReport:
+                called.add("GramReport")
 
         counts = counts_at_one(16, 5)
         sys.setprofile(profile)
@@ -138,6 +145,31 @@ class TestMMatrix:
             sys.setprofile(None)
         assert called == set()
         assert sum(map(len, mat.rows)) == 196
+
+    def test_stack_frontiers_are_the_orbit_representatives(self,
+                                                           monkeypatch):
+        # the path stack hands each valid mu, once, the representatives
+        # that ladder_orbit_positions lists from the empty shape (itself
+        # checked against oracles.ladder_orbit_positions_recursive)
+        frontiers = {}
+
+        def recording(ld, representatives, *args):
+            assert ld.partition not in frontiers
+            frontiers[ld.partition] = {
+                tau: sorted(reps) for tau, reps in representatives.items()}
+            return {}
+
+        monkeypatch.setattr(verify, "_weight_space_dims", recording)
+        for p, top in ((3, 10), (5, 13), (7, 13)):
+            for n in range(top + 1):
+                frontiers.clear()
+                m_matrix(n, p, dict.fromkeys(restricted_partitions(n, p)))
+                valid = [mu for mu in restricted_partitions(n, p)
+                         if validate_ladder_lengths(mu, p)]
+                assert sorted(frontiers) == sorted(valid), (n, p)
+                for mu in valid:
+                    assert frontiers[mu] == tableaux.ladder_orbit_positions(
+                        mu, p), (mu, p)
 
     def test_ladders_read_once_per_mu_and_step_table_once(self, monkeypatch):
         # m_matrix reads each restricted mu's ladders once and builds the
