@@ -50,9 +50,9 @@ assembles its ``CanonicalBasisTable``.
 
 import operator
 from collections.abc import Sequence
-from itertools import accumulate, combinations, compress, cycle
+from itertools import accumulate, combinations
 
-from .partitions import (Partition, _Record, check_partition,
+from .partitions import (Partition, _Record, _steps_of, check_partition,
                          is_p_restricted, restricted_partitions, dominates,
                          total_order_key)
 
@@ -324,21 +324,6 @@ def divided_f(i: int, k: int, v: FockVector, p: int) -> FockVector:
         raise ValueError("divided power needs k >= 1")
     out = _divided(i, k, {lam: c.coeffs for lam, c in v.terms.items()}, p)
     return FockVector(v.n + k, {mu: LaurentPoly(c) for mu, c in out.items()})
-
-
-def _steps_of(mu: Partition, p: int) -> tuple:
-    """The (residue, size) of each nonempty ladder of the p-restricted
-    partition mu, smallest ladder first.
-
-    Row i (0-based) holds one node on each of the ladders (p-1)i + 1 ...
-    (p-1)i + mu[i], so one running count of row starts less row ends gives
-    every ladder size, and ladder b has residue (b - 1) mod p."""
-    count = [0] * ((p - 1) * len(mu) + max(mu, default=0) + 1)
-    for i, part in enumerate(mu):
-        count[(p - 1) * i] += 1
-        count[(p - 1) * i + part] -= 1
-    sizes = list(accumulate(count))
-    return tuple(compress(zip(cycle(range(p)), sizes), sizes))
 
 
 def _ladder_steps(mus, p: int) -> dict:

@@ -15,7 +15,7 @@ eigenspace algorithm in :mod:`spechtmod.ranks`.
 
 import operator
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, compress, cycle
 
 Partition = tuple
 Node = tuple
@@ -184,9 +184,11 @@ class _Record:
     """A record of the fields named by ``__slots__``, in that order: built
     from positional or keyword values (``_defaults`` for the ones left
     out), compared and hashed by its values, shown as ``Name(field=value,
-    ...)``, and read-only once built unless a subclass allows assignment."""
+    ...)``, and read-only once built unless a subclass allows assignment.
+    Unlike a dataclass it has no ``__dict__``, ``__match_args__`` or
+    ``dataclasses.fields``; build a changed copy with the constructor."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
     _defaults = {}
 
     def __init__(self, *args, **kwargs):
@@ -275,36 +277,38 @@ def ladder_decomposition(lam: Partition, p: int) -> LadderData:
     """Full ladder data of a p-restricted partition.
 
     Non-p-restricted input is rejected (its ladder tableau would be broken).
-    Row i holds one node on each ladder ``(p-1)(i-1) + j``, j = 1..lam_i
-    (``ladder_index``), so the rows are read top to bottom into the ladders.
     """
     lam = check_partition(lam)
     if not is_p_restricted(lam, p):
         raise ValueError(f"{lam} is not {p}-restricted")
     by_b = {}
-    for i, part in enumerate(lam, start=1):
-        base = (p - 1) * (i - 1)
-        for j in range(1, part + 1):
-            by_b.setdefault(base + j, []).append((i, j))
-    keys = sorted(by_b)
-    ladders = tuple(tuple(by_b[b]) for b in keys)
-    sizes = tuple(map(len, ladders))
-    residues = tuple((b - 1) % p for b in keys)     # node_residue((1, b))
-    limits = (0, *accumulate(sizes))
-    intervals = tuple((a + 1, b) for a, b in zip(limits, limits[1:]))
-    return LadderData(lam, p, ladders, sizes, residues, limits, intervals)
+    for i in range(1, len(lam) + 1):
+        for j in range(1, lam[i - 1] + 1):
+            by_b.setdefault(ladder_index((i, j), p), []).append((i, j))
+    ladders = tuple(tuple(sorted(by_b[b])) for b in sorted(by_b))
+    sizes = tuple(len(L) for L in ladders)
+    residues = tuple(node_residue(L[0], p) for L in ladders)
+    limits = [0]
+    for m in sizes:
+        limits.append(limits[-1] + m)
+    intervals = tuple((limits[k] + 1, limits[k + 1]) for k in range(len(sizes)))
+    return LadderData(lam, p, ladders, sizes, residues, tuple(limits),
+                      intervals)
 
 
-def _ladder_steps(lam: Partition, p: int) -> tuple:
-    """The ``(residue, size)`` of each nonempty ladder of the partition lam,
-    smallest ladder first: ``zip(residues, sizes)`` of its ladder data, with
-    no node listed.  Ladder b holds one node of each row i with
-    ``(p-1)(i-1) < b <= (p-1)(i-1) + lam_i`` and has residue (b - 1) mod p."""
-    sizes = {}
-    for i, part in enumerate(lam):
-        for b in range((p - 1) * i + 1, (p - 1) * i + part + 1):
-            sizes[b] = sizes.get(b, 0) + 1
-    return tuple(((b - 1) % p, sizes[b]) for b in sorted(sizes))
+def _steps_of(mu: Partition, p: int) -> tuple:
+    """The (residue, size) of each nonempty ladder of the p-restricted
+    partition mu, smallest ladder first.
+
+    Row i (0-based) holds one node on each of the ladders (p-1)i + 1 ...
+    (p-1)i + mu[i], so one running count of row starts less row ends gives
+    every ladder size, and ladder b has residue (b - 1) mod p."""
+    count = [0] * ((p - 1) * len(mu) + max(mu, default=0) + 1)
+    for i, part in enumerate(mu):
+        count[(p - 1) * i] += 1
+        count[(p - 1) * i + part] -= 1
+    sizes = list(accumulate(count))
+    return tuple(compress(zip(cycle(range(p)), sizes), sizes))
 
 
 def validate_ladder_lengths(lam: Partition, p: int) -> bool:

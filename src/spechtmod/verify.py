@@ -31,7 +31,7 @@ from itertools import chain, product
 
 from .fock import (SparseRows, evaluate_at_one, invert_unitriangular,
                    llt_canonical, nmat_at_one)
-from .partitions import (Partition, _ladder_steps, _Record, all_partitions,
+from .partitions import (Partition, _Record, _steps_of, all_partitions,
                          check_partition, dominates, is_p_restricted,
                          ladder_decomposition, restricted_partitions,
                          standard_tableau_count)
@@ -187,7 +187,7 @@ def m_matrix(n: int, p: int, counts, jobs: int = 1) -> SparseRows:
     check_class_cap(n)
     order, rules = restricted_partitions(n, p), _step_rules(n, p)
     restricted = frozenset(order)
-    mus = sorted(order, key=lambda mu: _ladder_steps(mu, p))
+    mus = sorted(order, key=lambda mu: _steps_of(mu, p))
     jobs = min(jobs, len(mus), os.cpu_count() or 1)
     tasks = [(run, [counts[mu] for mu in run], p, rules, restricted)
              for run in (mus[k * len(mus) // jobs:(k + 1) * len(mus) // jobs]

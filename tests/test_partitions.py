@@ -1,6 +1,7 @@
 import math
 import pickle
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,6 @@ import oracles
 from spechtmod.partitions import (
     LadderData,
     Partition,
-    _ladder_steps,
     addable_nodes,
     all_addable_nodes,
     all_partitions,
@@ -238,17 +238,6 @@ def test_ladder_decomposition_structure(p, lam):
         assert limit == total
 
 
-def test_ladder_steps_are_the_ladder_data_steps():
-    # the sort key of m_matrix lists no node, and agrees with the ladder
-    # data each column reads
-    for p in (3, 5, 7):
-        for n in range(13):
-            for mu in restricted_partitions(n, p):
-                ld = ladder_decomposition(mu, p)
-                assert _ladder_steps(mu, p) == tuple(
-                    zip(ld.residues, ld.sizes)), (mu, p)
-
-
 def test_ladder_data_is_a_read_only_record():
     ld = ladder_decomposition((3, 1), 3)
     fields = dict(partition=ld.partition, p=ld.p, ladders=ld.ladders,
@@ -262,6 +251,7 @@ def test_ladder_data_is_a_read_only_record():
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(ld, protocol)) == ld
     assert ld != ladder_decomposition((2, 2), 3) and ld != fields
+    assert weakref.ref(ld)() is ld
     with pytest.raises(AttributeError):
         ld.p = 5
     with pytest.raises(AttributeError):

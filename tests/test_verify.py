@@ -171,6 +171,17 @@ class TestMMatrix:
                     assert frontiers[mu] == tableaux.ladder_orbit_positions(
                         mu, p), (mu, p)
 
+    def test_columns_do_not_depend_on_the_visiting_order(self, monkeypatch):
+        # the sort key, the Fock side's partitions._steps_of, only orders
+        # the walk: the stack compares the steps of each mu's own ladder
+        # data, so any order gives the same matrix
+        for n, p in ((8, 3), (12, 5), (13, 7)):
+            counts = counts_at_one(n, p)
+            expected = tuple(m_matrix(n, p, counts))
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_steps_of", lambda mu, p: mu[::-1])
+                assert tuple(m_matrix(n, p, counts)) == expected, (n, p)
+
     def test_ladders_read_once_per_mu_and_step_table_once(self, monkeypatch):
         # m_matrix reads each restricted mu's ladders once and builds the
         # step table once, and hands both down to every column; a module
