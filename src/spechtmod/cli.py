@@ -44,7 +44,7 @@ from .fock import LaurentPoly, SparseRows, llt_canonical, nmat_at_one
 from .partitions import check_partition, is_p_restricted
 from .ranks import gram_report
 from .tableaux import _CLASS_CAP, check_class_cap
-from .verify import (_ORACLE_CAP, Grid, check_oracle_cap, check_record,
+from .verify import (_ORACLE_CAP, check_oracle_cap, check_record,
                      conjecture_check, gram_oracle_dimD)
 
 _INT64_MAX = 2 ** 63 - 1
@@ -94,46 +94,23 @@ def _runs_text(runs, sep=",") -> str:
     return sep.join(f"{b}^{c}" if c > 1 else str(b) for b, c in runs)
 
 
-def _refuse_over_cap(args) -> None:
-    """Refuse ``rank`` or ``oracle`` from the runs of its partitions when one
-    of them has more parts than the size cap, and so is over it, without
-    listing those parts.  ``main``'s checks run in ``main``'s order, and the
-    first that fails raises; when all pass, the cap check raises.  A
-    partition with at most cap parts is listed and checked as ``main``
-    checks it, so its messages are ``main``'s; a longer one is named by its
-    runs.  When no partition is longer than the cap, do nothing: ``main``
-    then lists at most cap parts of each."""
-    if args.command not in ("rank", "oracle") or args.allow_large:
-        return
-    cap = _CLASS_CAP if args.command == "rank" else _ORACLE_CAP
-    given, long = [], False
-    for attr in ("mu", "tau"):
-        if getattr(args, attr, None) is None:
-            continue
-        runs = _runs(getattr(args, attr))
-        if sum(count for _, count in runs) <= cap:
-            given.append((runs, partition_str(_parts(runs))))
-            continue
-        long, bases = True, [base for base, _ in runs]
-        if min(bases) <= 0:
-            raise ValueError("partition parts must be positive: "
-                             f"({_runs_text(runs, ', ')})")
-        if any(map(operator.lt, bases, bases[1:])):
-            raise ValueError("partition parts must be weakly decreasing: "
-                             f"({_runs_text(runs, ', ')})")
-        given.append((runs, _runs_text(runs)))
-    if not long:
-        return
-    sizes = [sum(base * count for base, count in runs) for runs, _ in given]
-    if args.command == "rank" and sizes[0] != sizes[1]:
-        raise ValueError(f"|mu| = {sizes[0]} != |tau| = {sizes[1]}")
-    if args.format == "csv":
-        raise ValueError("csv format is available for verify only")
-    runs, name = given[0]           # mu for rank, tau for oracle
-    if not is_p_restricted([base for base, _ in runs], args.p):
-        raise ValueError(f"{name} is not {args.p}-restricted")
-    (check_class_cap if args.command == "rank" else check_oracle_cap)(
-        sizes[0], False)
+def _partition(text: str, cap: int):
+    """(runs, parts, name) of a ``--mu`` or ``--tau`` value.  One with at
+    most ``cap`` parts is listed by ``_parts`` and named by
+    ``partition_str``.  A longer one is checked from its runs and named by
+    them; it is never listed, and its parts are None."""
+    runs = _runs(text)
+    if sum(count for _, count in runs) <= cap:
+        parts = _parts(runs)
+        return runs, parts, partition_str(parts)
+    bases = [base for base, _ in runs]
+    if min(bases) <= 0:
+        raise ValueError("partition parts must be positive: "
+                         f"({_runs_text(runs, ', ')})")
+    if any(map(operator.lt, bases, bases[1:])):
+        raise ValueError("partition parts must be weakly decreasing: "
+                         f"({_runs_text(runs, ', ')})")
+    return runs, None, _runs_text(runs)
 
 
 def partition_str(lam) -> str:
@@ -210,10 +187,11 @@ def _int_list_text(pairs, size: int, pad: str) -> str:
 
 
 class CheckRecords:
-    """The ``checks`` list of a verify report: ``checks`` is any Mapping
-    (mu, tau) -> {"expected", "lhs", "pass"}, ``names`` the text of each
-    partition.  ``_write_json`` writes one object per item, with the keys
-    expected, lhs, mu, pass and tau."""
+    """The ``checks`` list of a verify report: ``checks`` is the checks
+    ``Grid`` of ``conjecture_check`` (the lhs rows of each mu, read through
+    ``check_record``), ``names`` the text of each partition.
+    ``_write_json`` writes one object per item, with the keys expected, lhs,
+    mu, pass and tau."""
     __slots__ = ("checks", "names")
 
     def __init__(self, checks, names):
@@ -238,11 +216,12 @@ def _write_json(obj, fh) -> None:
 
     A check record is ``head(expected, lhs) + name(mu) + tail(pass, tau)``,
     and each head and tail is built once, keyed by its values and their
-    types (so ``True`` and ``1`` stay apart).  The checks ``Grid`` of
-    ``conjecture_check`` is read by its stored lhs rows, one mu at a time: a
-    unit column (every identity of mu passing) is one join on the name of mu
-    of a list of parts built once, patched before the diagonal.  Other
-    columns and other Mappings are written record by record."""
+    types (so ``True`` and ``1`` stay apart).  The checks ``Grid`` is read
+    by its stored lhs rows, one mu at a time: a unit column (every identity
+    of mu passing) is one join on the name of mu of a list of parts built
+    once, patched around the diagonal; its pieces come from the records
+    ``check_record`` gives off and on the diagonal.  Other columns are
+    written record by record."""
     out = []
     held = 0            # characters in out
     polys = {}          # (indent, polynomial) -> its text
@@ -267,48 +246,47 @@ def _write_json(obj, fh) -> None:
         def name(mu):
             return encode_basestring_ascii(obj.names[mu])
 
-        def head(expected, lhs):
-            key = (type(expected), expected, type(lhs), lhs)
+        def head(rec):
+            key = (type(rec["expected"]), rec["expected"], type(rec["lhs"]),
+                   rec["lhs"])
             if key not in heads:
-                heads[key] = ("{" + field[1:] + 'expected": ' + text(expected)
-                              + field + 'lhs": ' + text(lhs) + field + 'mu": ')
+                heads[key] = ("{" + field[1:] + 'expected": '
+                              + text(rec["expected"]) + field + 'lhs": '
+                              + text(rec["lhs"]) + field + 'mu": ')
             return heads[key]
 
-        def tail(ok, tau):
-            key = (type(ok), ok, tau)
+        def tail(rec, tau):
+            key = (type(rec["pass"]), rec["pass"], tau)
             if key not in tails:
-                tails[key] = (field + 'pass": ' + text(ok) + field + 'tau": '
-                              + name(tau) + inner + "}")
+                tails[key] = (field + 'pass": ' + text(rec["pass"]) + field
+                              + 'tau": ' + name(tau) + inner + "}")
             return tails[key]
 
-        def record(mu, tau, rec):
-            return (head(rec["expected"], rec["lhs"]) + name(mu) +
-                    tail(rec["pass"], tau))
+        def joints(before, after):
+            # the text between the names of mu in records k-1 and k
+            return [tail(before, tau) + "," + inner + head(after)
+                    for tau in cols[:-1]]
 
         checks, sep = obj.checks, "[" + inner
-        if isinstance(checks, Grid) and checks.entry is check_record:
-            cols, glue = checks.col_keys, None
-            for i, (mu, row) in enumerate(zip(checks.row_keys,
-                                              checks.rows.rows)):
-                if row == {i: 1} and type(row[i]) is int:
-                    if glue is None:    # piece k ends record k-1, starts k
-                        ends = [""] + [tail(True, tau) + "," + inner
-                                       for tau in cols[:-1]]
-                        glue = [e + head(0, 0) for e in ends] + \
-                            [tail(True, cols[-1])]
-                        diagonal = [e + head(1, 1) for e in ends]
-                    glue[i], kept = diagonal[i], glue[i]
-                    put(sep + name(mu).join(glue))
-                    glue[i], sep = kept, "," + inner
-                else:
-                    for j, tau in enumerate(cols):
-                        put(sep + record(mu, tau, check_record(
-                            i, j, row.get(j, 0))))
-                        sep = "," + inner
-        else:
-            for (mu, tau), rec in checks.items():
-                put(sep + record(mu, tau, rec))
+        cols, glue = checks.col_keys, None
+        for i, (mu, row) in enumerate(zip(checks.row_keys, checks.rows.rows)):
+            if row == {i: 1} and type(row[i]) is int:
+                if glue is None:    # piece k ends record k-1, starts k
+                    off, on = check_record(1, 0, 0), check_record(0, 0, 1)
+                    glue = ([head(off)] + joints(off, off)
+                            + [tail(off, cols[-1])])
+                    starts = [head(on)] + joints(off, on)
+                    ends = joints(on, off) + [tail(on, cols[-1])]
+                kept = glue[i], glue[i + 1]
+                glue[i], glue[i + 1] = starts[i], ends[i]
+                put(sep + name(mu).join(glue))
+                glue[i], glue[i + 1] = kept
                 sep = "," + inner
+            else:
+                for j, tau in enumerate(cols):
+                    rec = check_record(i, j, row.get(j, 0))
+                    put(sep + head(rec) + name(mu) + tail(rec, tau))
+                    sep = "," + inner
         put(pad + "]" if sep[0] == "," else "[]")
 
     def poly_text(f, pad):
@@ -560,19 +538,26 @@ def main(argv=None) -> int:
             raise ValueError(f"--n must be nonnegative, got {args.n}")
         if getattr(args, "jobs", 1) < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        _refuse_over_cap(args)
-        for attr in ("mu", "tau"):
-            if getattr(args, attr, None) is not None:
-                setattr(args, attr, parse_partition(getattr(args, attr)))
-        if args.command == "rank" and sum(args.mu) != sum(args.tau):
-            raise ValueError(f"|mu| = {sum(args.mu)} != |tau| = {sum(args.tau)}")
+        cap = (float("inf") if getattr(args, "allow_large", True) else
+               _CLASS_CAP if args.command == "rank" else _ORACLE_CAP)
+        given = [(attr, *_partition(getattr(args, attr), cap))
+                 for attr in ("mu", "tau") if hasattr(args, attr)]
+        sizes = [sum(base * count for base, count in runs)
+                 for _, runs, _, _ in given]
+        if args.command == "rank" and sizes[0] != sizes[1]:
+            raise ValueError(f"|mu| = {sizes[0]} != |tau| = {sizes[1]}")
         if args.format == "csv" and args.command != "verify":
             raise ValueError("csv format is available for verify only")
-        if args.command in ("rank", "oracle"):
-            shape = args.mu if args.command == "rank" else args.tau
-            if not is_p_restricted(shape, args.p):
-                raise ValueError(
-                    f"{partition_str(shape)} is not {args.p}-restricted")
+        if given:
+            # an unlisted partition has more parts, so more size, than the
+            # cap allows: the cap check refuses it before its parts are read
+            _, runs, _, name = given[0]     # mu for rank, tau for oracle
+            if not is_p_restricted([base for base, _ in runs], args.p):
+                raise ValueError(f"{name} is not {args.p}-restricted")
+            (check_class_cap if args.command == "rank" else check_oracle_cap)(
+                sizes[0], args.allow_large)
+            for attr, _, parts, _ in given:
+                setattr(args, attr, parts)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -112,11 +112,6 @@ def total_order_key(lam: Partition) -> tuple:
     return tuple(-a for a in lam)
 
 
-def node_residue(node: Node, p: int) -> int:
-    i, j = node
-    return (j - i) % p
-
-
 def all_addable_nodes(lam: Partition) -> tuple:
     """Nodes whose addition gives a partition, by increasing row: one at the
     end of the first row of each run of equal parts, found by bisection, and
@@ -184,9 +179,9 @@ class _Record:
     """A record of the fields named by ``__slots__``, in that order: built
     from positional or keyword values (``_defaults`` for the ones left
     out), compared and hashed by its values, shown as ``Name(field=value,
-    ...)``, and read-only once built unless a subclass allows assignment.
-    Unlike a dataclass it has no ``__dict__``, ``__match_args__`` or
-    ``dataclasses.fields``; build a changed copy with the constructor."""
+    ...)``, and read-only once built.  Unlike a dataclass it has no
+    ``__dict__``, ``__match_args__`` or ``dataclasses.fields``; build a
+    changed copy with the constructor."""
 
     __slots__ = ("__weakref__",)
     _defaults = {}
@@ -281,19 +276,19 @@ def ladder_decomposition(lam: Partition, p: int) -> LadderData:
     lam = check_partition(lam)
     if not is_p_restricted(lam, p):
         raise ValueError(f"{lam} is not {p}-restricted")
-    by_b = {}
-    for i in range(1, len(lam) + 1):
-        for j in range(1, lam[i - 1] + 1):
-            by_b.setdefault(ladder_index((i, j), p), []).append((i, j))
-    ladders = tuple(tuple(sorted(by_b[b])) for b in sorted(by_b))
-    sizes = tuple(len(L) for L in ladders)
-    residues = tuple(node_residue(L[0], p) for L in ladders)
-    limits = [0]
-    for m in sizes:
-        limits.append(limits[-1] + m)
-    intervals = tuple((limits[k] + 1, limits[k + 1]) for k in range(len(sizes)))
-    return LadderData(lam, p, ladders, sizes, residues, tuple(limits),
-                      intervals)
+    # row i (0-based) holds one node on each of the ladders b = (p-1)i + 1
+    # ... (p-1)i + lam[i]; appended row by row, each ladder is top to bottom,
+    # and ladder b has residue (b - 1) mod p
+    by_b = [[] for _ in range((p - 1) * len(lam) + max(lam, default=0))]
+    for i, part in enumerate(lam):
+        for j in range(part):
+            by_b[(p - 1) * i + j].append((i + 1, j + 1))
+    ladders = tuple(tuple(L) for L in by_b if L)
+    residues = tuple(b % p for b, L in enumerate(by_b) if L)
+    sizes = tuple(map(len, ladders))
+    limits = (0, *accumulate(sizes))
+    intervals = tuple((a + 1, b) for a, b in zip(limits, limits[1:]))
+    return LadderData(lam, p, ladders, sizes, residues, limits, intervals)
 
 
 def _steps_of(mu: Partition, p: int) -> tuple:

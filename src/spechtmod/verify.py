@@ -101,33 +101,19 @@ class VerificationReport(_Record):
     - ``overall``: every evaluated check passed;
     - ``outside_region``: n >= p*p, outside the stated region;
     - ``decomposition``: (tau in Par_n, mu restricted) -> d(tau, mu), a
-      Grid over the rows of each tau; empty when left out.
+      Grid over the rows of each tau; empty when an identity fails, and
+      when left out.
 
     Every table is a ``SparseRows``, held as its entries other than 0.
-    ``checks`` and ``decomposition`` are read-only Mappings over such
+    ``checks`` and ``decomposition`` are read-only ``Grid``s over such
     tables: conjecture_check stores the N lhs columns and the |Par_n| x N
     decomposition rows, and no per-entry key or record; each check record
-    is built when it is read.  Any other Mapping may be passed for either;
-    a ``decomposition`` Mapping is read into rows.  Dense rows passed for
-    ``nmat1``, ``amat`` or ``mmat`` are read with ``SparseRows.from_rows``.
-    Its fields may be assigned, and it is not hashable."""
+    is built by ``check_record`` when it is read.  The fields are taken as
+    given and cannot be assigned."""
 
     __slots__ = ("p", "n", "order", "nmat1", "amat", "mmat", "checks",
                  "overall", "outside_region", "decomposition")
-    _defaults = {"decomposition": ()}
-    __setattr__ = object.__setattr__
-    __hash__ = None
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        for name in ("nmat1", "amat", "mmat"):
-            if not isinstance(getattr(self, name), SparseRows):
-                setattr(self, name, SparseRows.from_rows(getattr(self, name)))
-        d = self.decomposition
-        if not isinstance(d, Grid):
-            taus = all_partitions(self.n) if d else ()
-            self.decomposition = Grid(taus, self.order, SparseRows.from_rows(
-                [d[(tau, mu)] for mu in self.order] for tau in taus))
+    _defaults = {"decomposition": Grid((), (), SparseRows((), 0))}
 
     def nonnegativity_violations(self) -> tuple:
         """Entries of nmat1 below zero (conjecturally none), by row and
@@ -255,16 +241,14 @@ def conjecture_check(n: int, p: int, jobs: int = 1) -> VerificationReport:
         lhs = {t: lhs[t] for t in sorted(lhs) if lhs[t]}
         overall = overall and lhs == {b: 1}
         lhs_rows.append(lhs)
-    report = VerificationReport(
+    taus = all_partitions(n) if overall else ()
+    return VerificationReport(
         p=p, n=n, order=order, nmat1=nmat1, amat=amat, mmat=mmat,
         checks=Grid(order, order, SparseRows(lhs_rows, size), check_record),
-        overall=overall, outside_region=n >= p * p)
-    if overall:
-        taus = all_partitions(n)
-        report.decomposition = Grid(taus, order, _from_columns(
+        overall=overall, outside_region=n >= p * p,
+        decomposition=Grid(taus, order, _from_columns(
             [{tau: evaluate_at_one(c) for tau, c in table.G[mu].terms.items()}
-             for mu in order], taus))
-    return report
+             if overall else {} for mu in order], taus)))
 
 
 _ORACLE_CAP = 20000

@@ -102,6 +102,30 @@ def ladder_sizes(mu, p):
     return tuple(counts[b] for b in sorted(counts))
 
 
+def ladder_data_reference(mu, p):
+    """(ladders, sizes, residues, limits, intervals) of mu by definition:
+    the nodes grouped by b = j + (p-1)(i-1), smallest b first, each group
+    sorted top to bottom; a group's residue is the (j - i) mod p its nodes
+    share, the limits are the running totals of the group sizes from 0,
+    and the intervals are the entries [limit + 1, next limit]."""
+    groups = {}
+    for i, a in enumerate(mu, 1):
+        for j in range(1, a + 1):
+            groups.setdefault(j + (p - 1) * (i - 1), []).append((i, j))
+    ladders = tuple(tuple(sorted(groups[b])) for b in sorted(groups))
+    residues = []
+    for ladder in ladders:
+        (residue,) = {(j - i) % p for i, j in ladder}
+        residues.append(residue)
+    sizes = tuple(len(ladder) for ladder in ladders)
+    limits = [0]
+    for m in sizes:
+        limits.append(limits[-1] + m)
+    intervals = tuple((limits[k] + 1, limits[k + 1])
+                      for k in range(len(sizes)))
+    return ladders, sizes, tuple(residues), tuple(limits), intervals
+
+
 def ladder_steps(mu, p):
     """The (residue, size) of each nonempty ladder of mu, smallest first."""
     word, sizes = ladder_residues(mu, p), ladder_sizes(mu, p)

@@ -25,10 +25,11 @@ PUBLIC = {
 }
 
 # f_action is divided_f(i, 1, ...), bar is LaurentPoly.bar, dim_e_tilde_D is
-# gram_report(...).rank and Rational is Fraction; the rest live on as
-# references in tests/oracles.py
+# gram_report(...).rank and Rational is Fraction; node_residue is
+# LadderData.residues' rule (b - 1) mod p; the rest live on as references in
+# tests/oracles.py
 REMOVED = ("f_action", "bar", "removable_nodes", "dim_e_tilde_D", "Rational",
-           "tableau_class", "inversions", "swap_entries")
+           "tableau_class", "inversions", "swap_entries", "node_residue")
 
 
 def test_package_root_exports_exactly_the_decided_names():

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spechtmod import cli
 from spechtmod.cli import (CheckRecords, _jint, _write_json, main,
                            parse_partition, partition_str)
 from spechtmod.fock import LaurentPoly, SparseRows, llt_canonical, nmat_at_one
@@ -30,6 +31,16 @@ def run_cli(argv, capsys):
 def run_json(argv, capsys):
     rc, out, err = run_cli(argv, capsys)
     return rc, json.loads(out), err
+
+
+ORDER2 = ((2,), (1, 1))
+UNIT2 = SparseRows.from_rows(((1, 0), (0, 1)))
+
+
+def lhs_grid(order, rows) -> Grid:
+    """The checks Grid of a verify report over the dense lhs ``rows``, the
+    row of each mu over tau."""
+    return Grid(order, order, SparseRows.from_rows(rows), check_record)
 
 
 class TestPartitionParsing:
@@ -254,10 +265,9 @@ class TestVerifyCommand:
     def test_jobs_variable_reaches_conjecture_check(self, capsys, monkeypatch):
         seen = []
         stub = VerificationReport(
-            p=3, n=2, order=((2,), (1, 1)),
-            nmat1=((1, 0), (0, 1)), amat=((1, 0), (0, 1)),
-            mmat=((1, 0), (0, 1)),
-            checks={}, overall=True, outside_region=False)
+            p=3, n=2, order=ORDER2, nmat1=UNIT2, amat=UNIT2, mmat=UNIT2,
+            checks=lhs_grid(ORDER2, ((1, 0), (0, 1))), overall=True,
+            outside_region=False)
         monkeypatch.setattr("spechtmod.cli.conjecture_check",
                             lambda n, p, jobs=1: seen.append(jobs) or stub)
         monkeypatch.setenv("SPECHTMOD_JOBS", "2")
@@ -294,11 +304,10 @@ class TestVerifyCommand:
 
     def test_failed_check_is_exit_1(self, capsys, monkeypatch):
         stub = VerificationReport(
-            p=3, n=2, order=((2,), (1, 1)),
-            nmat1=((1, 0), (0, 1)), amat=((1, 0), (0, 1)),
-            mmat=((1, 0), (1, 1)),
-            checks={((2,), (1, 1)): {"lhs": 1, "expected": 0, "pass": False}},
-            overall=False, outside_region=False)
+            p=3, n=2, order=ORDER2, nmat1=UNIT2, amat=UNIT2,
+            mmat=SparseRows.from_rows(((1, 0), (1, 1))),
+            checks=lhs_grid(ORDER2, ((1, 1), (0, 1))), overall=False,
+            outside_region=False)
         monkeypatch.setattr("spechtmod.cli.conjecture_check",
                             lambda n, p, jobs=1: stub)
         rc, doc, err = run_json(["verify", "--p", "3", "--n", "2"], capsys)
@@ -308,10 +317,11 @@ class TestVerifyCommand:
 
     def test_negative_entry_is_exit_1(self, capsys, monkeypatch):
         stub = VerificationReport(
-            p=3, n=2, order=((2,), (1, 1)),
-            nmat1=((1, 0), (-1, 1)), amat=((1, 0), (1, 1)),
-            mmat=((1, 0), (0, 1)),
-            checks={}, overall=True, outside_region=False)
+            p=3, n=2, order=ORDER2,
+            nmat1=SparseRows.from_rows(((1, 0), (-1, 1))),
+            amat=SparseRows.from_rows(((1, 0), (1, 1))), mmat=UNIT2,
+            checks=lhs_grid(ORDER2, ((1, 0), (0, 1))), overall=True,
+            outside_region=False)
         monkeypatch.setattr("spechtmod.cli.conjecture_check",
                             lambda n, p, jobs=1: stub)
         rc, doc, _ = run_json(["verify", "--p", "3", "--n", "2"], capsys)
@@ -388,6 +398,172 @@ class TestOracleCommand:
         assert "|tau| = 20001 > 20000 needs allow_large=True" in err
 
 
+# (exit code, stdout, stderr) of main on each argv, as the parent of the
+# single partition read gave them
+REFUSALS = {
+    # at most cap parts each: listed, as main lists them
+    "oracle --p 3 --tau 4^5": (
+        2, "", "error: 4,4,4,4,4 is not 3-restricted\n"),
+    "oracle --p 3 --tau 2,3": (
+        2, "", "error: partition parts must be weakly decreasing: (2, 3)\n"),
+    "oracle --p 3 --tau 2,0,1": (
+        2, "", "error: partition parts must be positive: (2, 0, 1)\n"),
+    "oracle --p 3 --tau 2,1,0^30": (
+        0, "{\n"
+        '  "command": "oracle",\n'
+        '  "dim_D": 1,\n'
+        '  "p": 3,\n'
+        '  "tau": "2,1"\n'
+        "}\n", ""),
+    "oracle --p 5 --tau 9^3 --format csv": (
+        2, "", "error: csv format is available for verify only\n"),
+    "oracle --p 3 --tau 2^20000": (
+        2, "",
+        "error: |tau| = 40000 > 20000 needs allow_large=True "
+        "(--allow-large)\n"),
+    "oracle --p 3 --tau 100000": (
+        2, "", "error: 100000 is not 3-restricted\n"),
+    "rank --p 3 --mu 1^40 --tau 1^39": (
+        2, "", "error: |mu| = 40 != |tau| = 39\n"),
+    "rank --p 3 --mu 4,1 --tau 5": (
+        2, "", "error: 4,1 is not 3-restricted\n"),
+    "rank --p 3 --mu 2^20,1 --tau 1^41": (
+        2, "",
+        "error: class enumeration with n=41 > 40 needs allow_large=True "
+        "(--allow-large)\n"),
+    "rank --p 3 --mu 2^21 --tau 2^21": (
+        2, "",
+        "error: class enumeration with n=42 > 40 needs allow_large=True "
+        "(--allow-large)\n"),
+    "rank --p 3 --mu 100 --tau 1^20,80": (
+        2, "",
+        "error: partition parts must be weakly decreasing: (1, 1, 1, 1, 1, "
+        "1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 80)\n"),
+    "rank --p 3 --mu 2,1 --tau 2,1 --format csv": (
+        2, "", "error: csv format is available for verify only\n"),
+    # mu listed, tau longer than the cap
+    "rank --p 3 --mu 2^21 --tau 1^42": (
+        2, "",
+        "error: class enumeration with n=42 > 40 needs allow_large=True "
+        "(--allow-large)\n"),
+    "rank --p 3 --mu 43 --tau 1^43": (
+        2, "", "error: 43 is not 3-restricted\n"),
+    "rank --p 3 --mu 3,2 --tau 1^50": (
+        2, "", "error: |mu| = 5 != |tau| = 50\n"),
+    "rank --p 3 --mu 2,3 --tau 1^50": (
+        2, "", "error: partition parts must be weakly decreasing: (2, 3)\n"),
+    # mu longer than the cap, tau listed
+    "rank --p 3 --mu 1^42 --tau 2^21": (
+        2, "",
+        "error: class enumeration with n=42 > 40 needs allow_large=True "
+        "(--allow-large)\n"),
+    "rank --p 3 --mu 1^42 --tau 3,2,1": (
+        2, "", "error: |mu| = 42 != |tau| = 6\n"),
+    "rank --p 3 --mu 1^41 --tau 2,3": (
+        2, "", "error: partition parts must be weakly decreasing: (2, 3)\n"),
+    "rank --p 3 --mu 1^41 --tau 4^10,1": (
+        2, "",
+        "error: class enumeration with n=41 > 40 needs allow_large=True "
+        "(--allow-large)\n"),
+    # both longer than the cap
+    "rank --p 3 --mu 1^50 --tau 1^50": (
+        2, "",
+        "error: class enumeration with n=50 > 40 needs allow_large=True "
+        "(--allow-large)\n"),
+    "rank --p 3 --mu 2,1^48 --tau 1^50": (
+        2, "",
+        "error: class enumeration with n=50 > 40 needs allow_large=True "
+        "(--allow-large)\n"),
+    "rank --p 3 --mu 4,1^46 --tau 1^50": (
+        2, "", "error: 4,1^46 is not 3-restricted\n"),
+    "rank --p 3 --mu 1^50 --tau 1^48,2": (
+        2, "",
+        "error: partition parts must be weakly decreasing: (1^48, 2)\n"),
+    "rank --p 3 --mu 1^50 --tau 1^49": (
+        2, "", "error: |mu| = 50 != |tau| = 49\n"),
+    # --allow-large lifts the cap: long shorthand is listed and named by its
+    # parts
+    "rank --p 3 --mu 1^41 --tau 1^40 --allow-large": (
+        2, "", "error: |mu| = 41 != |tau| = 40\n"),
+    "rank --p 3 --mu 1^41 --tau 1^41 --allow-large --format csv": (
+        2, "", "error: csv format is available for verify only\n"),
+    "rank --p 3 --mu 4,1^40 --tau 1^44 --allow-large": (
+        2, "", "error: 4" + ",1" * 40 + " is not 3-restricted\n"),
+    "rank --p 3 --mu 4,1^40 --tau 1^44": (
+        2, "", "error: 4,1^40 is not 3-restricted\n"),
+    "oracle --p 3 --tau 1^20001 --allow-large --format csv": (
+        2, "", "error: csv format is available for verify only\n"),
+    "oracle --p 3 --tau 1^20001,0^3 --allow-large --format csv": (
+        2, "", "error: csv format is available for verify only\n"),
+    # trailing runs of 0 are dropped before the parts are counted
+    "oracle --p 3 --tau 2,1,0^30000": (
+        0, "{\n"
+        '  "command": "oracle",\n'
+        '  "dim_D": 1,\n'
+        '  "p": 3,\n'
+        '  "tau": "2,1"\n'
+        "}\n", ""),
+    "oracle --p 3 --tau 0^30000": (
+        0, "{\n"
+        '  "command": "oracle",\n'
+        '  "dim_D": 1,\n'
+        '  "p": 3,\n'
+        '  "tau": ""\n'
+        "}\n", ""),
+    "oracle --p 3 --tau 1^20001,0^3": (
+        2, "",
+        "error: |tau| = 20001 > 20000 needs allow_large=True "
+        "(--allow-large)\n"),
+    "oracle --p 3 --tau 2,0^30000,1": (
+        2, "", "error: partition parts must be positive: (2, 0^30000, 1)\n"),
+    "rank --p 3 --mu 1^41,0^2 --tau 1^41": (
+        2, "",
+        "error: class enumeration with n=41 > 40 needs allow_large=True "
+        "(--allow-large)\n"),
+    "rank --p 3 --mu 2,1 --tau 1^3,0^50": (
+        0, "{\n"
+        '  "basis": [],\n'
+        '  "basis_size": 0,\n'
+        '  "basis_size_before_symmetrization": 0,\n'
+        '  "command": "rank",\n'
+        '  "gram": [],\n'
+        '  "gram_mod_p": [],\n'
+        '  "mu": "2,1",\n'
+        '  "p": 3,\n'
+        '  "rank": 0,\n'
+        '  "tau": "1,1,1"\n'
+        "}\n", ""),
+    # --format csv, after the sizes
+    "oracle --p 3 --tau 1^20001 --format csv": (
+        2, "", "error: csv format is available for verify only\n"),
+    "oracle --p 3 --tau 4^20001 --format csv": (
+        2, "", "error: csv format is available for verify only\n"),
+    "rank --p 3 --mu 1^50 --tau 1^50 --format csv": (
+        2, "", "error: csv format is available for verify only\n"),
+    "rank --p 3 --mu 1^50 --tau 1^49 --format csv": (
+        2, "", "error: |mu| = 50 != |tau| = 49\n"),
+    "rank --p 3 --mu 4^13 --tau 1^52 --format csv": (
+        2, "", "error: csv format is available for verify only\n"),
+}
+SHORT = list(REFUSALS)[:13]
+
+
+def refuse_long_lists(monkeypatch, argv):
+    """Make the CLI's one expansion of runs into parts fail on a partition
+    with more parts than the cap of the command (40 for rank, 20000 for
+    oracle), unless --allow-large lifts it."""
+    cap = (float("inf") if "--allow-large" in argv
+           else 40 if argv[0] == "rank" else 20000)
+    listed = cli._parts
+
+    def parts(runs):
+        if sum(count for _, count in runs) > cap:
+            raise AssertionError(f"{runs} was listed")
+        return listed(runs)
+
+    monkeypatch.setattr(cli, "_parts", parts)
+
+
 class TestValidation:
     @pytest.mark.parametrize("p", ["2", "4", "1", "9"])
     def test_p_must_be_an_odd_prime(self, capsys, p):
@@ -460,36 +636,23 @@ class TestValidation:
         # a partition with more parts than the cap is never listed: every
         # check runs on its runs, in main's order, and names it by its runs;
         # one with at most cap parts keeps main's message
-        def refuse(text):
-            raise AssertionError(f"{text} was listed")
-
-        monkeypatch.setattr("spechtmod.cli.parse_partition", refuse)
+        refuse_long_lists(monkeypatch, argv)
         rc, out, err = run_cli(argv, capsys)
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("argv", [
-        ["oracle", "--p", "3", "--tau", "4^5"],
-        ["oracle", "--p", "3", "--tau", "2,3"],
-        ["oracle", "--p", "3", "--tau", "2,0,1"],
-        ["oracle", "--p", "3", "--tau", "2,1,0^30"],
-        ["oracle", "--p", "5", "--tau", "9^3", "--format", "csv"],
-        ["oracle", "--p", "3", "--tau", "2^20000"],
-        ["oracle", "--p", "3", "--tau", "100000"],
-        ["rank", "--p", "3", "--mu", "1^40", "--tau", "1^39"],
-        ["rank", "--p", "3", "--mu", "4,1", "--tau", "5"],
-        ["rank", "--p", "3", "--mu", "2^20,1", "--tau", "1^41"],
-        ["rank", "--p", "3", "--mu", "2^21", "--tau", "2^21"],
-        ["rank", "--p", "3", "--mu", "100", "--tau", "1^20,80"],
-        ["rank", "--p", "3", "--mu", "2,1", "--tau", "2,1", "--format",
-         "csv"],
-    ])
-    def test_short_partitions_keep_mains_messages(self, capsys, monkeypatch,
-                                                  argv):
-        # at most cap parts each: the same exit code and bytes as main
-        # without the refusal from runs
-        want = run_cli(argv, capsys)
-        monkeypatch.setattr("spechtmod.cli._refuse_over_cap", lambda args: None)
-        assert run_cli(argv, capsys) == want
+    @pytest.mark.parametrize("argv", [key.split() for key in SHORT])
+    def test_short_partitions_keep_mains_messages(self, capsys, argv):
+        # at most cap parts each: the bytes of main before the long
+        # shorthand was read from its runs
+        assert run_cli(argv, capsys) == REFUSALS[" ".join(argv)]
+
+    @pytest.mark.parametrize("key", list(REFUSALS)[len(SHORT):])
+    def test_long_and_listed_partitions_meet(self, capsys, monkeypatch, key):
+        # one partition over the cap and one under it, both over it, the cap
+        # lifted, trailing runs of 0 and csv: the bytes of the parent, and
+        # no partition over the cap listed
+        refuse_long_lists(monkeypatch, key.split())
+        assert run_cli(key.split(), capsys) == REFUSALS[key]
 
     def test_csv_limited_to_verify(self, capsys):
         rc, _, err = run_cli(["fock", "--p", "3", "--n", "3",
@@ -522,8 +685,8 @@ class Streamed(list):
 
 
 class Checks:
-    """A Mapping (mu, tau) -> {"expected", "lhs", "pass"} with the text of
-    each partition in ``names``; the writer receives it as ``CheckRecords``."""
+    """A verify checks Grid with the text of each partition in ``names``;
+    the writer receives it as ``CheckRecords``."""
 
     def __init__(self, checks, names):
         self.checks, self.names = checks, names
@@ -535,12 +698,13 @@ def check_list(checks, names) -> list:
             for (mu, tau), rec in checks.items()]
 
 
-def grid_checks_equal_json_dumps(rows) -> bool:
+def grid_checks_equal_json_dumps(rows, names=None) -> bool:
     """Whether the writer gives the bytes of json.dumps for a verify checks
-    Grid over the lhs ``rows``, both at the top and nested."""
+    Grid over the lhs ``rows``, both at the top and nested; partition k is
+    named ``names[k]``, by default ``mu,k``."""
     order = tuple(range(len(rows)))
-    grid = Grid(order, order, SparseRows.from_rows(rows), check_record)
-    names = [f"mu,{k}" for k in order]
+    grid = lhs_grid(order, rows)
+    names = names or [f"mu,{k}" for k in order]
     plain = check_list(dict(grid.items()), names)
     doc = {"checks": CheckRecords(grid, names),
            "deeper": [[CheckRecords(grid, names)]]}
@@ -582,8 +746,9 @@ INT64 = 2 ** 63 - 1
 keys = st.one_of(st.sampled_from(["-1", "10", "2", "", "a", "B", 'q"', "\u00e9"]),
                  st.text(max_size=4))
 small_ints = st.integers(min_value=-INT64, max_value=INT64)
-big_ints = st.integers(min_value=INT64 + 1, max_value=2 ** 80).flatmap(
-    lambda x: st.sampled_from([x, -x])).map(_jint)
+huge_ints = st.integers(min_value=INT64 + 1, max_value=2 ** 80).flatmap(
+    lambda x: st.sampled_from([x, -x]))
+big_ints = huge_ints.map(_jint)
 strings = st.one_of(
     st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\n\t\x7f", "\u00e9",
                      "\u2028", "\U0001f600", ""]),
@@ -594,15 +759,14 @@ int_rows = st.one_of(st.lists(small_ints, max_size=6),
                               max_size=6))
 # values in objects, check records included, are written as they are, so a
 # big int stays bare
-record_scalars = st.one_of(st.none(), st.booleans(), st.integers(), strings)
-check_maps = st.lists(strings, min_size=1, max_size=3, unique=True).flatmap(
-    lambda names: st.dictionaries(
-        st.tuples(st.sampled_from(range(len(names))),
-                  st.sampled_from(range(len(names)))),
-        st.fixed_dictionaries({"expected": record_scalars,
-                               "lhs": record_scalars,
-                               "pass": record_scalars}),
-        max_size=4).map(lambda checks: Checks(checks, names)))
+lhs_values = st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
+                       huge_ints)
+check_maps = st.lists(strings, max_size=3).flatmap(
+    lambda names: st.lists(
+        st.lists(lhs_values, min_size=len(names), max_size=len(names)),
+        min_size=len(names), max_size=len(names)).map(
+        lambda rows: Checks(lhs_grid(tuple(range(len(names))), rows),
+                            names)))
 # exponents of both signs past one digit, where string order is not numeric
 # order; coefficients past int64 (written as strings); the zero polynomial;
 # equal polynomials built in different orders
@@ -655,24 +819,18 @@ class TestJsonWriter:
             {"sparse": dense, "dense": dense, "deeper": [dense]})
 
     @given(st.lists(st.text(alphabet='0123456789,^ab"\\\u00e9', max_size=8),
-                    min_size=1, max_size=4),
-           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
-                              st.sampled_from([None, 0, 1, -1, 2 ** 63,
-                                               -(2 ** 63), 2 ** 70]),
-                              st.integers(0, 1),
-                              st.sampled_from([None, True, False])),
-                    max_size=8))
+                    min_size=1, max_size=4).flatmap(
+        lambda labels: st.tuples(st.just(labels), st.lists(
+            st.lists(st.sampled_from([None, 0, 1, -1, 2 ** 63, -(2 ** 63),
+                                      2 ** 70, True, False]),
+                     min_size=len(labels), max_size=len(labels)),
+            min_size=len(labels), max_size=len(labels)))))
     @settings(max_examples=200, deadline=None)
-    def test_check_records_equal_json_dumps(self, labels, rows):
-        # the verify path: any Mapping of check dicts, partition names
-        # with commas, big lhs values written as bare ints
-        checks = {(a % len(labels), b % len(labels)):
-                  {"lhs": lhs, "expected": e, "pass": ok}
-                  for a, b, lhs, e, ok in rows}
-        plain = check_list(checks, labels)
-        doc = {"checks": CheckRecords(checks, labels),
-               "deeper": [[CheckRecords(checks, labels)]]}
-        assert streamed(doc) == dumps({"checks": plain, "deeper": [[plain]]})
+    def test_check_records_equal_json_dumps(self, case):
+        # the verify path: a checks Grid, partition names with commas,
+        # quotes and non-ASCII characters, big lhs values written bare
+        labels, rows = case
+        assert grid_checks_equal_json_dumps(rows, labels)
 
     @given(st.integers(0, 4).flatmap(lambda size: st.lists(
         st.one_of(st.just("unit"), st.just("skipped"),
@@ -726,8 +884,9 @@ class TestJsonWriter:
         # row of 40 entries (under 400 characters) or one check record
         monkeypatch.setattr("spechtmod.cli._BUDGET", 1000)
         rows = SparseRows([{k: k + 1} for k in range(40)] * 5, 40)
-        checks = {("mu", k): {"expected": 0, "lhs": k, "pass": False}
-                  for k in range(200)}
+        # one failing row of 200 records: mu's lhs at tau = k is k
+        checks = Grid(("mu",), tuple(range(200)),
+                      SparseRows.from_rows([range(200)]), check_record)
         names = {"mu": "mu", **{k: str(k) for k in range(200)}}
         doc = {"rows": rows, "checks": CheckRecords(checks, names)}
         writes = []
@@ -793,12 +952,9 @@ class TestJsonWriter:
             streamed(doc)
 
     @pytest.mark.parametrize("records", [
-        CheckRecords({(0, 0): {"expected": 1, "lhs": 1.5, "pass": None}},
-                     ["a"]),
-        CheckRecords({(0, 0): {"expected": 1, "lhs": [1], "pass": None}},
-                     ["a"]),
-        CheckRecords(Grid((0,), (0,), SparseRows.from_rows(((1,),)),
-                          check_record), [1])])
+        CheckRecords(lhs_grid((0,), ((1.5,),)), ["a"]),
+        CheckRecords(lhs_grid((0,), (([1],),)), ["a"]),
+        CheckRecords(lhs_grid((0,), ((1,),)), [1])])
     def test_unsupported_record_values_raise(self, records):
         with pytest.raises(TypeError):
             streamed({"r": records})
@@ -860,32 +1016,24 @@ def old_fock_doc(table, n, p):
 
 
 BIG = 2 ** 70
+BIG_N = SparseRows.from_rows(((1, 0), (-BIG, 1)))
+BIG_A = SparseRows.from_rows(((1, 0), (BIG, 1)))
 STUBS = {
     "failing-and-skipped": VerificationReport(
-        p=3, n=2, order=((2,), (1, 1)),
-        nmat1=((1, 0), (-BIG, 1)), amat=((1, 0), (BIG, 1)),
-        mmat=((1, None), (1, None)),
-        checks={((2,), (2,)): {"lhs": 1, "expected": 1, "pass": True},
-                ((2,), (1, 1)): {"lhs": 1, "expected": 0, "pass": False},
-                ((1, 1), (2,)): {"lhs": None, "expected": 0, "pass": None},
-                ((1, 1), (1, 1)): {"lhs": None, "expected": 1,
-                                   "pass": None}},
+        p=3, n=2, order=ORDER2, nmat1=BIG_N, amat=BIG_A,
+        mmat=SparseRows.from_rows(((1, None), (1, None))),
+        checks=lhs_grid(ORDER2, ((1, 1), (None, None))),
         overall=False, outside_region=False),
     "outside-region": VerificationReport(
-        p=3, n=2, order=((2,), (1, 1)),
-        nmat1=((1, 0), (-BIG, 1)), amat=((1, 0), (BIG, 1)),
-        mmat=((1, None), (0, None)),
-        checks={((2,), (2,)): {"lhs": 1, "expected": 1, "pass": True},
-                ((1, 1), (1, 1)): {"lhs": None, "expected": 1,
-                                   "pass": None}},
+        p=3, n=2, order=ORDER2, nmat1=BIG_N, amat=BIG_A,
+        mmat=SparseRows.from_rows(((1, None), (0, None))),
+        checks=lhs_grid(ORDER2, ((1, 0), (None, None))),
         overall=True, outside_region=True,
-        decomposition={(tau, mu): int(tau == mu) * BIG
-                       for tau in ((2,), (1, 1)) for mu in ((2,), (1, 1))}),
+        decomposition=Grid(ORDER2, ORDER2,
+                           SparseRows.from_rows(((BIG, 0), (0, BIG))))),
     "failing-big-lhs": VerificationReport(
-        p=3, n=2, order=((2,), (1, 1)),
-        nmat1=((1, 0), (0, 1)), amat=((1, 0), (0, 1)),
-        mmat=((1, 0), (0, 1)),
-        checks={((2,), (2,)): {"lhs": BIG, "expected": 1, "pass": False}},
+        p=3, n=2, order=ORDER2, nmat1=UNIT2, amat=UNIT2, mmat=UNIT2,
+        checks=lhs_grid(ORDER2, ((BIG, 0), (0, 1))),
         overall=False, outside_region=False),
 }
 

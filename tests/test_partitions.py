@@ -238,6 +238,18 @@ def test_ladder_decomposition_structure(p, lam):
         assert limit == total
 
 
+def test_ladder_decomposition_matches_the_definition():
+    # each row's nodes appended to their ladders in row order: the ladders,
+    # their residues and limits as the definition groups and sorts them
+    for p in (3, 5, 7):
+        for n in range(15):
+            for mu in oracles.restricted_of(n, p):
+                ld = ladder_decomposition(mu, p)
+                assert (ld.ladders, ld.sizes, ld.residues, ld.limits,
+                        ld.ladder_group_intervals) == \
+                    oracles.ladder_data_reference(mu, p), (p, mu)
+
+
 def test_ladder_data_is_a_read_only_record():
     ld = ladder_decomposition((3, 1), 3)
     fields = dict(partition=ld.partition, p=ld.p, ladders=ld.ladders,

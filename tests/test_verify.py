@@ -2,12 +2,13 @@
 identities, decomposition numbers, and the full-Gram dimension oracle."""
 
 import sys
+from collections.abc import Mapping
 
 import pytest
 
 import oracles
 from spechtmod import fock, ranks, seminormal, tableaux, verify
-from spechtmod.fock import evaluate_at_one, llt_canonical
+from spechtmod.fock import SparseRows, evaluate_at_one, llt_canonical
 from spechtmod.partitions import (all_partitions, dominates,
                                   ladder_decomposition,
                                   restricted_partitions,
@@ -16,8 +17,9 @@ from spechtmod.partitions import (all_partitions, dominates,
 from spechtmod.ranks import GramReport
 from spechtmod.seminormal import SeminormalVector
 from spechtmod.tableaux import StandardTableau
-from spechtmod.verify import (VerificationReport, conjecture_check,
-                              consistency_check, gram_oracle_dimD, m_matrix)
+from spechtmod.verify import (Grid, VerificationReport, check_record,
+                              conjecture_check, consistency_check,
+                              gram_oracle_dimD, m_matrix)
 
 # Decomposition numbers for n = 5, p = 3: the nonzero off-diagonal entries,
 # keyed (tau, mu).  Every other off-diagonal entry is zero and every diagonal
@@ -309,13 +311,13 @@ class TestConjectureCheck:
 
     def test_nonnegativity_violations_by_row_then_column(self):
         order = ((3,), (2, 1), (1, 1, 1))
+        unit = SparseRows.from_rows(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         report = VerificationReport(
             p=3, n=3, order=order,
-            nmat1=((1, -2, -1), (0, 1, 5), (-3, 0, 1)),
-            amat=((1, 0, 0), (0, 1, 0), (0, 0, 1)), mmat=(), checks={},
+            nmat1=SparseRows.from_rows(((1, -2, -1), (0, 1, 5), (-3, 0, 1))),
+            amat=unit, mmat=unit,
+            checks=Grid(order, order, unit, check_record),
             overall=True, outside_region=False)
-        assert report.nmat1.rows == ({0: 1, 1: -2, 2: -1}, {1: 1, 2: 5},
-                                     {0: -3, 2: 1})
         assert report.nonnegativity_violations() == (
             (order[0], order[1], -2), (order[0], order[2], -1),
             (order[2], order[0], -3))
@@ -329,10 +331,21 @@ class TestConjectureCheck:
         assert body[rows.index((5,))][cols.index((2, 2, 1))] == 1
 
     def test_decomposition_matrix_empty_without_data(self):
-        bare = VerificationReport(p=3, n=2, order=(), nmat1=(), amat=(),
-                                  mmat=(), checks={}, overall=False,
-                                  outside_region=False)
+        empty = SparseRows((), 0)
+        bare = VerificationReport(p=3, n=2, order=(), nmat1=empty,
+                                  amat=empty, mmat=empty,
+                                  checks=Grid((), (), empty, check_record),
+                                  overall=False, outside_region=False)
         assert bare.decomposition_matrix() == ((), (), ())
+
+    def test_report_fields_cannot_be_assigned(self, reports_p3):
+        report = reports_p3[5]
+        for field in ("overall", "nmat1", "checks", "decomposition"):
+            with pytest.raises(AttributeError):
+                setattr(report, field, None)
+        with pytest.raises(AttributeError):
+            report.extra = 1
+        assert report.overall is True and len(report.decomposition) == 35
 
 
 class TestGramOracle:
@@ -433,7 +446,33 @@ def assert_views_match_references(report):
     assert_stored_entries(body, lambda t: set())
 
 
+def failing_report(monkeypatch):
+    """conjecture_check(6, 3) with one wrong m entry, in column order[0]."""
+    real = verify.m_matrix
+
+    def off_by_one(n, p, counts, jobs=1):
+        m = [list(row) for row in real(n, p, counts, jobs)]
+        m[-1][0] += 1
+        return fock.SparseRows.from_rows(m)
+
+    monkeypatch.setattr("spechtmod.verify.m_matrix", off_by_one)
+    return conjecture_check(6, 3)
+
+
 class TestReportViews:
+    def test_failing_report_reads_an_empty_decomposition(self, monkeypatch):
+        # conjecture_check builds the report whole: a failing one still
+        # holds a decomposition, an empty Mapping, as a stub left without
+        # one does
+        report = failing_report(monkeypatch)
+        bare = VerificationReport(*report._values()[:-1])
+        for d in (report.decomposition, bare.decomposition):
+            assert isinstance(d, Mapping) and len(d) == 0
+            assert list(d) == [] and dict(d.items()) == {}
+            assert (report.order[0], report.order[0]) not in d
+        assert report.decomposition_matrix() == ((), (), ())
+        assert bare.decomposition_matrix() == ((), (), ())
+
     @pytest.mark.parametrize("p, n", VIEW_CASES)
     def test_views_match_the_dict_assembly(self, p, n):
         assert_views_match_references(conjecture_check(n, p))
@@ -450,15 +489,7 @@ class TestReportViews:
 
     def test_failing_identity(self, monkeypatch):
         # one wrong m entry fails its checks and leaves no decomposition
-        real = verify.m_matrix
-
-        def off_by_one(n, p, counts, jobs=1):
-            m = [list(row) for row in real(n, p, counts, jobs)]
-            m[-1][0] += 1
-            return fock.SparseRows.from_rows(m)
-
-        monkeypatch.setattr("spechtmod.verify.m_matrix", off_by_one)
-        report = conjecture_check(6, 3)
+        report = failing_report(monkeypatch)
         assert not report.overall
         failed = [key for key, v in report.checks.items()
                   if v["pass"] is False]
