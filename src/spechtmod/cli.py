@@ -84,11 +84,6 @@ def _parts(runs) -> tuple:
         repeat(base, count) for base, count in runs)))
 
 
-def parse_partition(text: str) -> tuple:
-    """Parse '3,2' or exponent shorthand '2,1^3' into a partition tuple."""
-    return _parts(_runs(text))
-
-
 def _runs_text(runs, sep=",") -> str:
     """A partition named by its runs: a run of c > 1 parts b is b^c."""
     return sep.join(f"{b}^{c}" if c > 1 else str(b) for b, c in runs)

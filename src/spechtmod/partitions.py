@@ -15,7 +15,7 @@ eigenspace algorithm in :mod:`spechtmod.ranks`.
 
 import operator
 from bisect import bisect_right
-from itertools import accumulate, compress, cycle
+from itertools import accumulate
 
 Partition = tuple
 Node = tuple
@@ -169,12 +169,6 @@ def standard_tableau_count(lam: Partition) -> int:
     return num // den
 
 
-def ladder_index(node: Node, p: int) -> int:
-    """The b with ``j = b - (p-1)(i-1)``, i.e. the ladder containing the node."""
-    i, j = node
-    return j + (p - 1) * (i - 1)
-
-
 class _Record:
     """A record of the fields named by ``__slots__``, in that order: built
     from positional or keyword values (``_defaults`` for the ones left
@@ -278,13 +272,15 @@ def ladder_decomposition(lam: Partition, p: int) -> LadderData:
         raise ValueError(f"{lam} is not {p}-restricted")
     # row i (0-based) holds one node on each of the ladders b = (p-1)i + 1
     # ... (p-1)i + lam[i]; appended row by row, each ladder is top to bottom,
-    # and ladder b has residue (b - 1) mod p
-    by_b = [[] for _ in range((p - 1) * len(lam) + max(lam, default=0))]
+    # and ladder b has residue (b - 1) mod p.  Keyed by b - 1, so only the
+    # nodes of lam are stored, whatever the size of p.
+    by_b = {}
     for i, part in enumerate(lam):
         for j in range(part):
-            by_b[(p - 1) * i + j].append((i + 1, j + 1))
-    ladders = tuple(tuple(L) for L in by_b if L)
-    residues = tuple(b % p for b, L in enumerate(by_b) if L)
+            by_b.setdefault((p - 1) * i + j, []).append((i + 1, j + 1))
+    keys = sorted(by_b)
+    ladders = tuple(tuple(by_b[b]) for b in keys)
+    residues = tuple(b % p for b in keys)
     sizes = tuple(map(len, ladders))
     limits = (0, *accumulate(sizes))
     intervals = tuple((a + 1, b) for a, b in zip(limits, limits[1:]))
@@ -296,14 +292,13 @@ def _steps_of(mu: Partition, p: int) -> tuple:
     partition mu, smallest ladder first.
 
     Row i (0-based) holds one node on each of the ladders (p-1)i + 1 ...
-    (p-1)i + mu[i], so one running count of row starts less row ends gives
-    every ladder size, and ladder b has residue (b - 1) mod p."""
-    count = [0] * ((p - 1) * len(mu) + max(mu, default=0) + 1)
+    (p-1)i + mu[i], and ladder b has residue (b - 1) mod p.  Only the
+    nodes of mu are counted, so the work does not grow with p."""
+    sizes = {}
     for i, part in enumerate(mu):
-        count[(p - 1) * i] += 1
-        count[(p - 1) * i + part] -= 1
-    sizes = list(accumulate(count))
-    return tuple(compress(zip(cycle(range(p)), sizes), sizes))
+        for b in range((p - 1) * i, (p - 1) * i + part):
+            sizes[b] = sizes.get(b, 0) + 1
+    return tuple((b % p, sizes[b]) for b in sorted(sizes))
 
 
 def validate_ladder_lengths(lam: Partition, p: int) -> bool:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from spechtmod import cli
 from spechtmod.cli import (CheckRecords, _jint, _write_json, main,
-                           parse_partition, partition_str)
+                           partition_str)
 from spechtmod.fock import LaurentPoly, SparseRows, llt_canonical, nmat_at_one
 from spechtmod.verify import (Grid, VerificationReport, check_record,
                               conjecture_check)
@@ -41,6 +41,11 @@ def lhs_grid(order, rows) -> Grid:
     """The checks Grid of a verify report over the dense lhs ``rows``, the
     row of each mu over tau."""
     return Grid(order, order, SparseRows.from_rows(rows), check_record)
+
+
+def parse_partition(text: str) -> tuple:
+    """The parts of a --mu/--tau value, as main reads one within its cap."""
+    return cli._parts(cli._runs(text))
 
 
 class TestPartitionParsing:
@@ -1111,6 +1116,31 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["order"] == ["2,1", "1,1,1"]
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["rank", "--p", "2147483647", "--mu", "2,1", "--tau", "2,1"], "rank", 1),
+    (["rank", "--p", "2147483647", "--mu", "1", "--tau", "1"], "rank", 1),
+    (["oracle", "--p", "2147483647", "--tau", "2,1"], "dim_D", 2),
+    (["fock", "--p", "2147483647", "--n", "3"], "order",
+     ["3", "2,1", "1,1,1"]),
+    (["verify", "--p", "2147483647", "--n", "3"], "overall", True),
+])
+def test_largest_p_costs_no_memory_per_ladder(argv, key, value):
+    # the ladders of a partition are read from its nodes: under a 512 MB
+    # address-space limit, one slot per ladder index up to (p-1)(rows) would
+    # raise MemoryError (exit 1)
+    import resource
+
+    def limit_memory():
+        limit = 512 << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "spechtmod", *argv], capture_output=True,
+        text=True, timeout=120, preexec_fn=limit_memory)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)[key] == value
 
 
 def test_cli_import_leaves_multiprocessing_and_csv_unloaded():

@@ -19,7 +19,6 @@ from spechtmod.partitions import (
     hook_lengths,
     is_p_restricted,
     ladder_decomposition,
-    ladder_index,
     restricted_partitions,
     standard_tableau_count,
     total_order_key,
@@ -208,10 +207,12 @@ def test_residue_nodes_are_the_filtered_node_lists(p):
 
 
 def test_ladder_index_slope():
-    # nodes on a common ladder for p = 3: (i, j) and (i + 1, j - 2)
-    assert ladder_index((1, 3), 3) == ladder_index((2, 1), 3)
-    assert ladder_index((1, 5), 3) == ladder_index((3, 1), 3)
-    assert ladder_index((1, 1), 3) == 1
+    # nodes on a common ladder for p = 3: (i, j) and (i + 1, j - 2); the
+    # first ladder is the single node (1, 1), of residue 0
+    ld = ladder_decomposition((5, 3, 1), 3)
+    assert ld.ladders[:3] == (((1, 1),), ((1, 2),), ((1, 3), (2, 1)))
+    assert ((1, 5), (2, 3), (3, 1)) in ld.ladders
+    assert ld.residues[0] == 0
 
 
 def test_ladder_decomposition_rejects_non_restricted():
