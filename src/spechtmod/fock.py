@@ -35,8 +35,8 @@ a ladder prefix share its partial product, held on one path stack, so each
 distinct prefix costs one divided power.
 The canonical basis vector G(mu) is characterized by bar-invariance and
 G(mu) = mu mod qZ[q]; ``llt_canonical`` extracts it by subtracting
-bar-symmetric corrections n(q) G(nu) at dominance-greater nu, most dominant
-first, and records the transition matrix n.
+bar-symmetric corrections n(q) G(nu) at dominance-greater nu, least dominant
+first and each nu at most once, and records the transition matrix n.
 
 Inside, vectors are plain dicts {partition: {exponent: coefficient}} and
 polynomials plain dicts {exponent: coefficient}: the divided-power kernel
@@ -420,31 +420,27 @@ def _add_product(terms: dict, f: dict, g: dict) -> None:
             del terms[lam]
 
 
-def llt_canonical(n: int, p: int, order=None) -> CanonicalBasisTable:
+def llt_canonical(n: int, p: int) -> CanonicalBasisTable:
     """Compute G(mu) and n(lam, mu) for every p-restricted mu of n.
 
     The A(mu) come from one ``_products`` walk, whose ladder products share
     their prefixes through one path stack.  Processing mu most dominant
-    first, the current vector starts at A(mu) and bar-symmetric corrections
-    n(q) G(nu) are subtracted at the most dominant nu != mu whose coefficient
-    still has a term of non-positive degree.  The vector is updated in place,
-    and after a correction only the terms of G(nu) are checked again; a
-    subtraction can re-dirty strictly more dominant coefficients, but each
-    cascade strictly decreases the negative depth, so the loop terminates (a
-    generous iteration cap guards this).  On exit every non-leading coefficient
-    lies in qZ[q]; bar-invariance of the recorded corrections, unitriangularity
-    and exact reconstruction A = nmat . G are asserted.  All of this runs on
-    plain dicts, and the table's FockVectors and LaurentPolys are made once,
-    at the end; a G(mu) that needed no correction is A(mu) itself.
+    first, the current vector starts at A(mu), and a bar-symmetric
+    correction n(q) G(nu) is subtracted at the least dominant nu != mu whose
+    coefficient still has a term of non-positive degree.  G(nu) lies on
+    partitions dominating nu, which precede it in the canonical order, so no
+    coefficient after nu changes: each nu is corrected at most once, n(nu,
+    mu) is that correction, and only the partitions of G(nu) become candidates.
+    On exit every non-leading coefficient lies in qZ[q]; bar-invariance of
+    the recorded corrections, unitriangularity and exact reconstruction A =
+    nmat . G are asserted.  All of this runs on plain dicts, updated in
+    place, and the table's FockVectors and LaurentPolys are made once, at
+    the end; a G(mu) that needed no correction is A(mu) itself.
     """
-    restricted = restricted_partitions(n, p)
-    order = restricted if order is None else tuple(check_partition(m) for m in order)
-    if set(order) != set(restricted) or len(set(order)) != len(order):
-        raise ValueError("order must enumerate the p-restricted partitions of n")
+    order = restricted_partitions(n, p)
     pos = {mu: k for k, mu in enumerate(order)}
     A = _products({mu: _steps_of(mu, p) for mu in order}, p)
     G, nmat = {}, {}
-    cap = 1000 + 20 * len(order) * len(order)
     for mu in order:
         bound = tuple(accumulate(mu))
         for lam in A[mu]:
@@ -456,23 +452,14 @@ def llt_canonical(n: int, p: int, order=None) -> CanonicalBasisTable:
                  if pos.get(nu, top) < top and min(c) <= 0}
         if dirty:       # else G(mu) is A(mu), the same dict
             cur = {lam: dict(c) for lam, c in cur.items()}
-        steps = 0
         while dirty:
-            offender = order[min(dirty)]
-            steps += 1
-            if steps > cap:
-                raise AssertionError("canonical-basis elimination did not stabilize")
-            corr = _bar_symmetric_correction(cur[offender])
-            _add_product(cur, {e: -x for e, x in corr.items()}, G[offender])
-            for lam in G[offender]:
-                k = pos.get(lam, top)
-                if k < top:
-                    if lam in cur and min(cur[lam]) <= 0:
-                        dirty.add(k)
-                    else:
-                        dirty.discard(k)
-            # n(offender, mu) += corr
-            _add_product(nmat, corr, {(offender, mu): {0: 1}})
+            k = max(dirty)
+            dirty.remove(k)
+            nu = order[k]
+            if nu in cur and min(cur[nu]) <= 0:
+                nmat[nu, mu] = corr = _bar_symmetric_correction(cur[nu])
+                _add_product(cur, {e: -x for e, x in corr.items()}, G[nu])
+                dirty.update(pos[lam] for lam in G[nu] if pos.get(lam, k) < k)
         # global-basis congruence: all non-leading coefficients in qZ[q]
         if cur.get(mu) != {0: 1}:
             raise AssertionError(f"leading coefficient of G({mu}) is not 1")

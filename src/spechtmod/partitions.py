@@ -38,22 +38,6 @@ def check_partition(parts) -> Partition:
     return parts
 
 
-def all_partitions(n: int) -> tuple:
-    """All partitions of ``n`` in canonical order (descending lexicographic)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-
-    def gen(m, max_part):
-        if m == 0:
-            yield ()
-            return
-        for first in range(min(m, max_part), 0, -1):
-            for rest in gen(m - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(n, n))
-
-
 def is_p_restricted(lam: Partition, p: int) -> bool:
     """True iff every difference ``lam[i] - lam[i+1]`` (last part included,
     against 0) is strictly less than ``p``."""
@@ -90,6 +74,15 @@ def restricted_partitions(n: int, p: int) -> tuple:
 
     fill((), n, 1, n)
     return tuple(out)
+
+
+def all_partitions(n: int) -> tuple:
+    """All partitions of ``n``, most dominant first: the (n+1)-restricted ones.
+
+    >>> all_partitions(4)
+    ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    """
+    return restricted_partitions(n, n + 1)
 
 
 def dominates(lam: Partition, mu: Partition) -> bool:

@@ -135,7 +135,7 @@ def _m_columns(args):
     (mu, their counts, p, step rules, restricted set), in order, or None
     where mu has a ladder of length >= p.  Each mu's ladder data is read
     when its column runs.  Its orbit representatives come from a path stack
-    of ``_fill`` frontiers, one per ladder step of the current mu: pop back
+    of ``_extend`` frontiers, one per ladder step of the current mu: pop back
     to the steps it shares with the previous mu, extend by the rest, and
     rank from the last frontier.  Sorted by their steps, mu that share a
     prefix follow each other, so each distinct prefix is walked once per
@@ -169,8 +169,10 @@ def m_matrix(n: int, p: int, counts, jobs: int = 1) -> SparseRows:
     None in every row.  The columns run in sorted order of their ladder
     steps (``_m_columns``), split into one contiguous run per worker; at
     most min(jobs, N, CPUs) worker processes are started.  The
-    class-size cap is checked first, before any partition is listed."""
+    class-size cap and jobs >= 1 are checked before any partition is listed."""
     check_class_cap(n)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     order, rules = restricted_partitions(n, p), _step_rules(n, p)
     restricted = frozenset(order)
     mus = sorted(order, key=lambda mu: _steps_of(mu, p))
@@ -216,6 +218,8 @@ def _column_nonzeros(matrix: SparseRows) -> list:
 def conjecture_check(n: int, p: int, jobs: int = 1) -> VerificationReport:
     """Evaluate every delta identity for (n, p) and assemble the report."""
     check_class_cap(n)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     table = llt_canonical(n, p)
     order = table.order
     mmat = m_matrix(n, p, {mu: {tau: evaluate_at_one(c)

@@ -2,6 +2,7 @@
 names removed from the package, so that adding or removing one is a visible
 decision."""
 
+import doctest
 import importlib
 import pkgutil
 import types
@@ -39,10 +40,23 @@ def test_package_root_exports_exactly_the_decided_names():
     assert names == PUBLIC and len(PUBLIC) == 45
 
 
+def _modules():
+    """Every module of the package but ``__main__``, which runs the CLI."""
+    return [importlib.import_module(f"spechtmod.{info.name}")
+            for info in pkgutil.iter_modules(spechtmod.__path__)
+            if info.name != "__main__"]
+
+
 def test_removed_names_are_defined_nowhere_in_the_package():
-    modules = [importlib.import_module(f"spechtmod.{info.name}")
-               for info in pkgutil.iter_modules(spechtmod.__path__)
-               if info.name != "__main__"]
+    modules = _modules()
     assert len(modules) == 7
     for module in [spechtmod, *modules]:
         assert not [name for name in REMOVED if hasattr(module, name)], module
+
+
+def test_docstring_examples_hold():
+    results = [doctest.testmod(module) for module in [spechtmod, *_modules()]]
+    assert sum(r.failed for r in results) == 0
+    # check_partition, restricted_partitions, all_partitions,
+    # row_reading_tableau and canonical_word
+    assert sum(r.attempted for r in results) == 5

@@ -8,8 +8,9 @@ Rows so far:
   twice, at p = 3, n = 8: the weight-space count check raises and names mu
   and tau before any chain of that pair is walked;
 - every bar-symmetric correction of the LLT elimination doubled, at p = 3,
-  n = 8: the elimination's iteration cap raises.  This also pins that the
-  elimination takes every correction from the one rule
+  n = 8: the congruence check raises at the first mu corrected, (3, 2, 1,
+  1, 1), and names the coefficient of (4, 2, 2) left outside qZ[q].  This
+  also pins that the elimination takes every correction from the one rule
   ``fock._bar_symmetric_correction``;
 - the largest key of a folded chain dropped, at p = 3, n = 8: the
   unitriangularity check of the chain basis raises and names mu, tau and
@@ -32,6 +33,8 @@ representative listed twice is caught because the count check runs before
 the chains: an elimination on the chains would drop the copy, and the
 counts would then agree.
 """
+
+import re
 
 import pytest
 
@@ -120,8 +123,8 @@ def test_doubled_correction_stops_the_elimination(monkeypatch):
         return {e: 2 * x for e, x in correction(c).items()}
 
     monkeypatch.setattr(fock, "_bar_symmetric_correction", faulty)
-    with pytest.raises(AssertionError,
-                       match="canonical-basis elimination did not stabilize"):
+    with pytest.raises(AssertionError, match=re.escape(
+            "coefficient of (4, 2, 2) in G((3, 2, 1, 1, 1)) not in qZ[q]")):
         conjecture_check(8, 3)
     assert calls
 

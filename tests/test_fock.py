@@ -270,14 +270,33 @@ def test_nmat_at_one_stores_no_zero_at_q_equals_one():
                          + [(7, n) for n in range(7, 11)])
 def test_llt_matches_linear_algebra_solve(p, n):
     # G and nmat equal those of the global linear solve, which starts from
-    # the reference first approximations and has no correction loop
+    # the reference first approximations and has no correction loop; solved
+    # in a second linear extension of dominance, it gives them too, so the
+    # basis does not depend on the order it is built in
     table = llt_canonical(n, p)
     a_map = {mu: oracles.first_approximation_reference(mu, p)
              for mu in table.order}
-    g_map, nmat = oracles.llt_solve(a_map, table.order)
-    assert {mu: {lam: c.coeffs for lam, c in table.G[mu].terms.items()}
-            for mu in table.order} == g_map
-    assert {key: c.coeffs for key, c in table.nmat.items()} == nmat
+    g_map = {mu: {lam: c.coeffs for lam, c in table.G[mu].terms.items()}
+             for mu in table.order}
+    nmat = {key: c.coeffs for key, c in table.nmat.items()}
+    for order in (table.order, oracles.alt_total_order(n, p)):
+        assert oracles.llt_solve(a_map, order) == (g_map, nmat), order
+
+
+@pytest.mark.parametrize("p, n", [(3, n) for n in range(14)]
+                         + [(5, n) for n in range(17)])
+def test_llt_makes_one_correction_per_transition_entry(monkeypatch, p, n):
+    # least dominant first, a correction never dirties a partition already
+    # corrected, so each nmat entry is one correction
+    correction, calls = fock._bar_symmetric_correction, []
+
+    def counted(c):
+        calls.append(c)
+        return correction(c)
+
+    monkeypatch.setattr(fock, "_bar_symmetric_correction", counted)
+    table = llt_canonical(n, p)
+    assert len(calls) == len(table.nmat)
 
 
 def test_bar_invariance_of_expansion_n_le_9():
@@ -333,27 +352,6 @@ def test_llt_congruence_property():
                     assert coeff == LaurentPoly.one()
                 else:
                     assert coeff.min_degree() > 0
-
-
-def test_llt_alternate_order_same_basis():
-    for n in range(8):
-        default = llt_canonical(n, 3)
-        alt = oracles.alt_total_order(n, 3)
-        if alt == default.order:
-            continue
-        table = llt_canonical(n, 3, order=alt)
-        assert list(table.A) == list(alt)
-        assert table.A == default.A
-        for mu in default.order:
-            assert table.G[mu].terms == default.G[mu].terms
-            for lam in default.order:
-                assert table.nmat_entry(lam, mu) == \
-                    default.nmat_entry(lam, mu)
-
-
-def test_llt_rejects_bad_order():
-    with pytest.raises(ValueError):
-        llt_canonical(5, 3, order=((5,), (3, 2)))
 
 
 def test_weightspace_count_identity():

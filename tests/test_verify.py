@@ -58,6 +58,24 @@ def counts_at_one(n, p):
             for mu, a in table.A.items()}
 
 
+@pytest.mark.parametrize("check", [
+    lambda jobs: m_matrix(5, 3, {}, jobs=jobs),
+    lambda jobs: conjecture_check(5, 3, jobs=jobs),
+    lambda jobs: consistency_check(5, 3, jobs=jobs),
+], ids=["m_matrix", "conjecture_check", "consistency_check"])
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_are_refused(monkeypatch, check, jobs):
+    # refused with a ValueError before any partition is listed
+    def listed(*args):
+        raise AssertionError("partitions listed before the jobs check")
+
+    for module in (verify, fock):
+        monkeypatch.setattr(module, "restricted_partitions", listed)
+    with pytest.raises(ValueError,
+                       match=f"^jobs must be at least 1, got {jobs}$"):
+        check(jobs)
+
+
 class TestMMatrix:
     def test_single_box(self):
         assert tuple(m_matrix(1, 3, counts_at_one(1, 3))) == ((1,),)
