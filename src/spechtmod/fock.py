@@ -30,9 +30,10 @@ powers applied to the vacuum,
 a bar-invariant vector supported on partitions dominating mu with leading
 coefficient 1.  It needs only the residue and size of each ladder, which
 ``first_approximations`` reads from the parts of mu, without a ladder
-tableau.  It builds the products of many mu in one walk: products that share
-a ladder prefix share its partial product, held on one path stack, so each
-distinct prefix costs one divided power.
+tableau.  It builds the products of many mu in one walk,
+``partitions._prefix_walk`` with ``_divided`` as its step: products that
+share a ladder prefix share its partial product, held on the walk's path
+stack, so each distinct prefix costs one divided power.
 The canonical basis vector G(mu) is characterized by bar-invariance and
 G(mu) = mu mod qZ[q]; ``llt_canonical`` extracts it by subtracting
 bar-symmetric corrections n(q) G(nu) at dominance-greater nu, least dominant
@@ -40,7 +41,7 @@ first and each nu at most once, and records the transition matrix n.
 
 Inside, vectors are plain dicts {partition: {exponent: coefficient}} and
 polynomials plain dicts {exponent: coefficient}: the divided-power kernel
-``_divided``, the path stack of ``_products``, the elimination of
+``_divided``, the walk of ``_products``, the elimination of
 ``llt_canonical`` and the reconstruction of ``_assert_table_invariants`` all
 run on them.  ``FockVector`` and ``LaurentPoly`` start at the public
 results: ``divided_f`` and ``first_approximations`` wrap each result once,
@@ -52,9 +53,9 @@ import operator
 from collections.abc import Sequence
 from itertools import accumulate, combinations
 
-from .partitions import (Partition, _Record, _steps_of, check_partition,
-                         is_p_restricted, restricted_partitions, dominates,
-                         total_order_key)
+from .partitions import (Partition, _Record, _prefix_walk, _steps_of,
+                         check_partition, is_p_restricted,
+                         restricted_partitions, dominates, total_order_key)
 
 
 class LaurentPoly:
@@ -196,31 +197,12 @@ class FockVector:
     def coefficient(self, lam) -> LaurentPoly:
         return self.terms.get(tuple(lam), LaurentPoly.zero())
 
-    def support(self) -> tuple:
-        return tuple(sorted(self.terms, key=total_order_key))
-
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
         return (isinstance(other, FockVector) and self.n == other.n
                 and self.terms == other.terms)
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, LaurentPoly.zero()) + c
-        return FockVector(self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(LaurentPoly.const(-1))
-
-    def scale(self, f) -> "FockVector":
-        if isinstance(f, int):
-            f = LaurentPoly.const(f)
-        return FockVector(self.n, {lam: c * f for lam, c in self.terms.items()})
 
     def __repr__(self):
         parts = [f"({c!r})*{lam}" for lam, c in
@@ -326,45 +308,30 @@ def divided_f(i: int, k: int, v: FockVector, p: int) -> FockVector:
     return FockVector(v.n + k, {mu: LaurentPoly(c) for mu, c in out.items()})
 
 
-def _ladder_steps(mus, p: int) -> dict:
-    """Map each mu in ``mus``, normalized, to ``_steps_of(mu, p)``;
-    non-p-restricted mu raise."""
-    out = {}
-    for mu in mus:
-        mu = check_partition(mu)
-        if not is_p_restricted(mu, p):
-            raise ValueError(f"{mu} is not {p}-restricted")
-        out[mu] = _steps_of(mu, p)
-    return out
-
-
 def _products(steps: dict, p: int) -> dict:
     """The ladder products on plain terms, {mu: terms of A(mu)} in the order
-    of ``steps`` (checked mu -> their steps).
-
-    The mu are visited in sorted order of their steps.  A path stack holds
-    the products for the current prefix: pop back to the prefix shared with
-    the previous mu, push one divided power per remaining step.  So each
+    of ``steps`` (checked mu -> their steps): one ``_prefix_walk`` of
+    ``_divided`` steps over the mu in sorted order of their steps, so each
     distinct prefix costs one ``_divided`` call.  Every coefficient is a sum
     of positive terms, so none is 0."""
-    out, path, prev = dict.fromkeys(steps), [{(): {0: 1}}], ()
-    for mu in sorted(steps, key=steps.get):
-        cur, d = steps[mu], 0
-        shared = min(len(prev), len(cur))
-        while d < shared and prev[d] == cur[d]:
-            d += 1
-        del path[d + 1:]
-        for iota, m in cur[d:]:
-            path.append(_divided(iota, m, path[-1], p))
-        out[mu], prev = path[-1], cur
+    walks = sorted(steps.items(), key=operator.itemgetter(1))
+    out = dict.fromkeys(steps)
+    out.update(_prefix_walk(walks, {(): {0: 1}},
+                            lambda terms, i, m: _divided(i, m, terms, p)))
     return out
 
 
 def first_approximations(mus, p: int) -> dict:
-    """A(mu) for each mu in ``mus``, keyed in input order: the products of
-    ``_products``, each made a FockVector once."""
-    products = _products(_ladder_steps(mus, p), p)
-    return {mu: _vector(sum(mu), terms) for mu, terms in products.items()}
+    """A(mu) for each mu in ``mus``, normalized and keyed in input order:
+    the products of ``_products`` over the steps ``_steps_of`` reads off
+    each mu, each made a FockVector once; non-p-restricted mu raise."""
+    steps = {}
+    for mu in map(check_partition, mus):
+        if not is_p_restricted(mu, p):
+            raise ValueError(f"{mu} is not {p}-restricted")
+        steps[mu] = _steps_of(mu, p)
+    return {mu: _vector(sum(mu), terms)
+            for mu, terms in _products(steps, p).items()}
 
 
 def first_approximation(mu: Partition, p: int) -> FockVector:
@@ -424,7 +391,7 @@ def llt_canonical(n: int, p: int) -> CanonicalBasisTable:
     """Compute G(mu) and n(lam, mu) for every p-restricted mu of n.
 
     The A(mu) come from one ``_products`` walk, whose ladder products share
-    their prefixes through one path stack.  Processing mu most dominant
+    their prefixes through one ``_prefix_walk``.  Processing mu most dominant
     first, the current vector starts at A(mu), and a bar-symmetric
     correction n(q) G(nu) is subtracted at the least dominant nu != mu whose
     coefficient still has a term of non-positive degree.  G(nu) lies on

@@ -294,6 +294,26 @@ def _steps_of(mu: Partition, p: int) -> tuple:
     return tuple((b % p, sizes[b]) for b in sorted(sizes))
 
 
+def _prefix_walk(walks, root, step):
+    """Yield ``(key, frontier)`` for each ``(key, steps)`` of ``walks``, the
+    frontier ``step(...step(root, *steps[0])..., *steps[-1])``.  A path
+    stack holds the frontiers of the previous key's steps: pop back to the
+    prefix its steps share with these, push one ``step(frontier, *s)`` per
+    remaining step s.  So walks listed with a shared prefix next to each
+    other, as in sorted order of their steps, take one step per distinct
+    prefix; ``step`` must leave the frontier it extends as it is."""
+    path, prev = [root], ()
+    for key, steps in walks:
+        d, shared = 0, min(len(prev), len(steps))
+        while d < shared and prev[d] == steps[d]:
+            d += 1
+        del path[d + 1:]
+        for s in steps[d:]:
+            path.append(step(path[-1], *s))
+        prev = steps
+        yield key, path[-1]
+
+
 def validate_ladder_lengths(lam: Partition, p: int) -> bool:
     """True iff every ladder of lam has length < p (so that the ladder-group
     symmetrizers 1/|L_k|! exist mod p); guaranteed whenever ``|lam| < p**2``."""

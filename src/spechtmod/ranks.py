@@ -12,11 +12,13 @@ object until a caller asks for one:
    residue and number fewer than p, so they lie in distinct rows and columns
    and the ladder group acts freely on T_{mu,tau}.  ``weight_space_dims``
    enumerates every shape at once; a shape with no representative has rank
-   0.  Its weight-space count must be 0 too, which is checked on the key
-   sets: every restricted shape the Fock side counts must have
-   representatives.  ``verify.m_matrix`` hands ``_weight_space_dims`` the
-   representatives of each mu from a path stack of walks, so mu with a
-   common prefix of ladder steps share the walk along it;
+   0.  ``_basis`` checks the number of representatives of a shape against
+   its weight-space count, the Fock side's, before it walks any chain, and
+   every restricted shape the Fock side counts is handed to it, so a shape
+   counted there must have representatives.  ``verify.m_matrix`` hands
+   ``_weight_space_dims`` the representatives of each mu from one
+   ``partitions._prefix_walk`` of ``_extend`` steps, so mu with a common
+   prefix of ladder steps share the walk along it;
 2. read the canonical reduced word of d(s) off the positions of each
    representative s (``canonical_word``);
 3. apply the chain phi_{i_k} ... phi_{i_1} of that word to the seminormal
@@ -41,9 +43,7 @@ object until a caller asks for one:
    tableaux before s in sort_key order (Murphy; Mathas, Ch. 3), so its
    fold is f_O(s) plus terms at representatives before s: the basis is
    unitriangular, hence independent, and each fold is checked to have s
-   as its largest key instead of being eliminated.  The number of
-   representatives is checked against the weight-space count before any
-   chain of the pair is walked;
+   as its largest key instead of being eliminated;
 5. form the Gram matrix of the invariant form from the numerators weighted
    by the orbit norms over one common denominator, one ``Fraction`` per
    entry (for one vector, its lowest terms only); the entries must be
@@ -343,26 +343,22 @@ def modp_rank(gram, p: int):
     return tuple(tuple(row) for row in reduced), rank
 
 
-def _check_weight_space_count(mu: Partition, tau: Partition, expected: int,
-                              size: int) -> None:
-    """Cross-check the number of orbit representatives against the
-    Fock-side weight-space count, the coefficient of tau in the first
-    approximation A(mu) at q = 1."""
-    if size != expected:
-        raise AssertionError(
-            f"symmetrized basis for mu={mu}, tau={tau} has size {size}, "
-            f"weight-space count expects {expected}")
-
-
 def _basis(ld: LadderData, tau: Partition, start, rules, representatives,
-           norms: dict, word=canonical_word) -> list:
+           count: int, norms: dict, word=canonical_word) -> list:
     """Steps 2-4 for the orbit representatives (position tuples) of
     T_{mu,tau}, mu read from its ladder data ``ld``: the symmetrized chain
     of each, in the given order and in orbit coordinates as a (numerators,
-    denominator) pair.  Each is checked to have its representative as its
-    largest key (step 4).  ``start`` is ``_row_reading(tau)``, ``rules``
-    the ``_step_rules`` for |tau| and p; ``norms`` gets the orbit norm of
-    every representative the folds reach."""
+    denominator) pair.  Before any chain is walked, the number of
+    representatives is checked against ``count``, the Fock side's
+    weight-space count: the coefficient of tau in A(mu) at q = 1.  Each
+    chain is checked to have its representative as its largest key (step
+    4).  ``start`` is ``_row_reading(tau)``, ``rules`` the ``_step_rules``
+    for |tau| and p; ``norms`` gets the orbit norm of every representative
+    the folds reach."""
+    if len(representatives) != count:
+        raise AssertionError(
+            f"symmetrized basis for mu={ld.partition}, tau={tau} has size "
+            f"{len(representatives)}, weight-space count expects {count}")
     slices = [(a - 1, b) for a, b in ld.ladder_group_intervals if b > a]
     sym = []
     for s in representatives:
@@ -404,12 +400,11 @@ def gram_report(mu: Partition, tau: Partition, p: int,
         raise ValueError(f"size mismatch: {mu} vs {tau}")
     representatives = sorted(_orbit_positions(ld, tau).get(tau, ()))
     count = evaluate_at_one(first_approximation(mu, p).coefficient(tau))
-    _check_weight_space_count(mu, tau, count, len(representatives))
     norms, word = {}, _word_of(word_strategy)
     intervals, start = ld.ladder_group_intervals, _row_reading(tau)
     rules = _step_rules(sum(tau), p)
-    gram = _gram(_basis(ld, tau, start, rules, representatives, norms, word),
-                 norms)
+    gram = _gram(_basis(ld, tau, start, rules, representatives, count, norms,
+                        word), norms)
     try:
         gram_p, rank = modp_rank(gram, p)
     except ArithmeticError as e:
@@ -463,12 +458,11 @@ def _weight_space_dims(ld: LadderData, representatives, counts, rules,
     dims = {}
     for tau in sorted(shapes, reverse=True):
         reps = sorted(representatives.get(tau, ()))
-        _check_weight_space_count(mu, tau, counts.get(tau, 0), len(reps))
         start = starts.get(tau)
         if start is None:
             start = starts[tau] = _row_reading(tau, nodes)
         norms = {}
-        sym = _basis(ld, tau, start, rules, reps, norms)
+        sym = _basis(ld, tau, start, rules, reps, counts.get(tau, 0), norms)
         try:
             rank = _rank(sym, norms, p)
         except ArithmeticError as e:

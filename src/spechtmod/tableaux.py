@@ -10,9 +10,10 @@ start from the empty diagram and, at each step, add nodes of the step's
 residue in every possible way, keeping a frontier of the entry-position tuples
 that reach each shape.  One step is ``_extend``, which leaves the frontier it
 starts from as it is, so walks that share their first steps can share those
-frontiers: ``verify.m_matrix`` keeps them on a path stack.  Two standard
-tableaux are p-equivalent when their residue sequences agree.  The class of
-a residue sequence is the walk with one node per step along it;
+frontiers: ``verify.m_matrix`` walks them with ``partitions._prefix_walk``,
+the walker the Fock side's ladder products share.  Two standard tableaux
+are p-equivalent when their residue sequences agree.  The class of a
+residue sequence is the walk with one node per step along it;
 ``ladder_class_of_shape`` keeps the members of the class of the ladder
 tableau of mu that fit in a fixed shape, the index set T_{mu,lambda} of the
 eigenspace algorithm.  ``standard_tableaux`` is the walk with any addable

@@ -27,14 +27,15 @@ carry an explicit marker and skip the mu columns whose ladder lengths reach p.
 
 import os
 from collections.abc import ItemsView, Mapping
+from functools import partial
 from itertools import chain, product
 
 from .fock import (SparseRows, evaluate_at_one, invert_unitriangular,
                    llt_canonical, nmat_at_one)
-from .partitions import (Partition, _Record, _steps_of, all_partitions,
-                         check_partition, dominates, is_p_restricted,
-                         ladder_decomposition, restricted_partitions,
-                         standard_tableau_count)
+from .partitions import (Partition, _Record, _prefix_walk, _steps_of,
+                         all_partitions, check_partition, dominates,
+                         is_p_restricted, ladder_decomposition,
+                         restricted_partitions, standard_tableau_count)
 from .ranks import _step_rules, _weight_space_dims, gram_matrix, modp_rank
 from .seminormal import SeminormalVector, act_by_word
 from .tableaux import (_extend, check_class_cap, d_reduced_word,
@@ -134,31 +135,23 @@ def _m_columns(args):
     """The nonzero entries {tau: dim} of the column of each mu of a run
     (mu, their counts, p, step rules, restricted set), in order, or None
     where mu has a ladder of length >= p.  Each mu's ladder data is read
-    when its column runs.  Its orbit representatives come from a path stack
-    of ``_extend`` frontiers, one per ladder step of the current mu: pop back
-    to the steps it shares with the previous mu, extend by the rest, and
-    rank from the last frontier.  Sorted by their steps, mu that share a
-    prefix follow each other, so each distinct prefix is walked once per
-    run.  The row-reading starts are built once per run, for at most the N
+    when its column runs, and its orbit representatives are the frontier
+    that ``_prefix_walk`` hands it, ``_extend`` walked along the steps of
+    that ladder data.  Sorted by their steps, mu that share a prefix follow
+    each other, so each distinct prefix is walked once per run.  The
+    row-reading starts are built once per run, for at most the N
     restricted shapes, and share their nodes."""
     mus, counts, p, rules, restricted = args
-    path, prev, starts, nodes, columns = [{(): [()]}], (), {}, {}, []
-    for mu, count in zip(mus, counts):
-        ld = ladder_decomposition(mu, p)
-        if not ld.ladders_below_p():
-            columns.append(None)
-            continue
-        steps, d = tuple(zip(ld.residues, ld.sizes)), 0
-        shared = min(len(prev), len(steps))
-        while d < shared and prev[d] == steps[d]:
-            d += 1
-        del path[d + 1:]
-        for residue, m in steps[d:]:
-            path.append(_extend(path[-1], residue, m, p))
-        columns.append(_weight_space_dims(ld, path[-1], count, rules,
-                                          restricted, starts, nodes))
-        prev = steps
-    return columns
+    starts, nodes, columns = {}, {}, dict.fromkeys(mus)
+    lds = (ladder_decomposition(mu, p) for mu in mus)
+    walks = (((mu, ld, count), tuple(zip(ld.residues, ld.sizes)))
+             for mu, ld, count in zip(mus, lds, counts)
+             if ld.ladders_below_p())
+    for (mu, ld, count), frontier in _prefix_walk(walks, {(): [()]},
+                                                  partial(_extend, p=p)):
+        columns[mu] = _weight_space_dims(ld, frontier, count, rules,
+                                         restricted, starts, nodes)
+    return list(columns.values())
 
 
 def m_matrix(n: int, p: int, counts, jobs: int = 1) -> SparseRows:

@@ -22,7 +22,16 @@ Rows so far:
   p = 5, n = 21.  At p = 5 the fault goes unseen for every n <= 20;
 - the residue of the first or of the last ladder shifted by one in the
   ladder data the Gram side walks, at p = 3, n = 8: the weight-space count
-  check raises at the first mu.
+  check raises at the first mu;
+- a fault in the one prefix walk both sides share, ``_prefix_walk``,
+  patched where ``fock`` and ``verify`` bind it, at p = 3, n = 8.  Each key
+  handed the previous key's frontier: the Fock side runs first, and the
+  triangularity check of A(mu) raises at mu = (4, 3, 1).  The stack not
+  popped back to the shared prefix: the leading-coefficient check of G(mu)
+  raises at mu = (4, 3, 1).  With only ``verify``'s binding patched, the
+  Fock side is sound and the weight-space count check raises at the first
+  mu with a wrong frontier.  So a fault common to both sides is still
+  refused.
 
 Where a row names the first (mu, tau) to fail, the mu are visited in sorted
 order of their ladder steps, as ``m_matrix`` visits them.
@@ -38,7 +47,7 @@ import re
 
 import pytest
 
-from spechtmod import fock, ranks, verify
+from spechtmod import fock, partitions, ranks, verify
 from spechtmod.partitions import LadderData, is_p_restricted
 from spechtmod.verify import conjecture_check
 
@@ -67,7 +76,7 @@ def test_rank_of_one_read_as_zero_fails_the_identity(monkeypatch):
 def _fault_first_restricted_shape(monkeypatch, edit):
     """Apply ``edit`` to the orbit representatives of the first restricted
     shape other than mu itself, in the order listed, of the first mu whose
-    class has one once some chain has been walked, where the path stack
+    class has one once some chain has been walked, where the prefix walk
     hands mu its frontier, and record the start positions of every chain
     walked.  Returns (patched, walked); patched gets (shape, number of
     chains walked before the fault), and every chain walked after it
@@ -205,4 +214,45 @@ def test_off_by_one_ladder_residue_fails_the_weight_space_count(
     with pytest.raises(AssertionError,
                        match=r"mu=\(2, 2, 1, 1, 1, 1\), tau=\(3, 3, 1, 1\) "
                              r"has size 0, weight-space count expects 1"):
+        conjecture_check(8, 3)
+
+
+def _stale_walk(walks, root, step):
+    # each key gets the frontier of the key before it, the first the root
+    prev = root
+    for key, frontier in partitions._prefix_walk(walks, root, step):
+        yield key, prev
+        prev = frontier
+
+
+def _unpopped_walk(walks, root, step):
+    # _prefix_walk with no pop: the rest of each key's steps is pushed onto
+    # the frontier of the previous key
+    path, prev = [root], ()
+    for key, steps in walks:
+        d, shared = 0, min(len(prev), len(steps))
+        while d < shared and prev[d] == steps[d]:
+            d += 1
+        for s in steps[d:]:
+            path.append(step(path[-1], *s))
+        prev = steps
+        yield key, path[-1]
+
+
+@pytest.mark.parametrize("fault, sides, message", [
+    (_stale_walk, (fock, verify),
+     "triangularity failure: (4, 2, 2) in A((4, 3, 1)) does not dominate"),
+    (_unpopped_walk, (fock, verify),
+     "leading coefficient of G((4, 3, 1)) is not 1"),
+    (_stale_walk, (verify,),
+     "symmetrized basis for mu=(2, 2, 1, 1, 1, 1), tau=(3, 3, 1, 1) has "
+     "size 0, weight-space count expects 1"),
+    (_unpopped_walk, (verify,),
+     "symmetrized basis for mu=(2, 2, 2, 2), tau=(4, 3, 1) has size 0, "
+     "weight-space count expects 1"),
+], ids=["stale-both", "unpopped-both", "stale-verify", "unpopped-verify"])
+def test_faulty_prefix_walk_is_refused(monkeypatch, fault, sides, message):
+    for module in sides:
+        monkeypatch.setattr(module, "_prefix_walk", fault)
+    with pytest.raises(AssertionError, match=re.escape(message)):
         conjecture_check(8, 3)

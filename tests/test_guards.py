@@ -13,15 +13,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
-from spechtmod.fock import FockVector
+from spechtmod.fock import FockVector, divided_f
 from spechtmod.seminormal import SeminormalVector
-from spechtmod.tableaux import from_rows, reduced_word
+from spechtmod.tableaux import (from_rows, ladder_class_of_shape,
+                                ladder_orbit_positions, reduced_word)
 row, hook = from_rows([[1, 2, 3]]), from_rows([[1, 2], [3]])
 for call in (lambda: FockVector(3, {(5,): 1}),
+             lambda: divided_f(0, 0, FockVector.vacuum(), 3),
              lambda: SeminormalVector((2, 1), {row: 1}),
              lambda: SeminormalVector.unit(row) + SeminormalVector.unit(hook),
-             lambda: FockVector.basis((1,)) + FockVector(2),
-             lambda: reduced_word((1, 1, 2))):
+             lambda: reduced_word((1, 1, 2)),
+             lambda: reduced_word((2, 1), "bogus"),
+             lambda: ladder_class_of_shape((2, 1), (2, 2), 3),
+             lambda: ladder_orbit_positions((2, 1), 3, target=(2, 2))):
     try:
         call()
     except ValueError:

@@ -295,10 +295,12 @@ def test_carried_norms_equal_norm():
             for mu in restricted_partitions(n, p):
                 ld = ladder_decomposition(mu, p)
                 intervals = ld.ladder_group_intervals
+                a = first_approximation(mu, p)
                 for tau, reps in ladder_orbit_positions(mu, p).items():
                     norms = {}
                     ranks._basis(ld, tau, ranks._row_reading(tau), rules,
-                                 reps, norms)
+                                 reps, evaluate_at_one(a.coefficient(tau)),
+                                 norms)
                     for s, value in norms.items():
                         assert value == orbit_norm(s, intervals), (mu, tau, s)
                     positions += len(norms)

@@ -1,8 +1,10 @@
 """Tests for the verification pipeline: multiplicity matrices, the delta
 identities, decomposition numbers, and the full-Gram dimension oracle."""
 
+import re
 import sys
 from collections.abc import Mapping
+from fractions import Fraction
 
 import pytest
 
@@ -402,6 +404,30 @@ class TestGramOracle:
         with pytest.raises(ValueError, match="292864 > 20000"):
             gram_oracle_dimD((5, 4, 3, 2, 1), 7)
 
+    def test_rejects_a_non_integer_gram_entry(self, monkeypatch):
+        gram = verify.gram_matrix
+
+        def off_by_half(basis):
+            rows = [list(row) for row in gram(basis)]
+            rows[0][0] += Fraction(1, 2)
+            return rows
+
+        monkeypatch.setattr(verify, "gram_matrix", off_by_half)
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "non-integer Gram entry 5/2 for shape (2, 1)")):
+            gram_oracle_dimD((2, 1), 3)
+
+
+def set_decomposition_entry(tau, mu, value):
+    """An edit of a dict of report fields that sets d(tau, mu) to value."""
+    def edit(fields):
+        d = fields["decomposition"]
+        rows = [dict(row) for row in d.rows.rows]
+        rows[d.row_keys.index(tau)][d.col_keys.index(mu)] = value
+        fields["decomposition"] = Grid(d.row_keys, d.col_keys,
+                                       SparseRows(rows, d.rows.size))
+    return edit
+
 
 class TestConsistencyCheck:
     def test_holds_through_n6_p3(self):
@@ -412,6 +438,42 @@ class TestConsistencyCheck:
 
     def test_holds_small_p5(self):
         assert consistency_check(4, 5)
+
+    # at n = 4, p = 3: dim D = 3, 1, 3, 1 on (3, 1), (2, 2), (2, 1, 1),
+    # (1, 1, 1, 1), and d(tau, mu) = 1 on the diagonal, at ((4,), (2, 2))
+    # and at ((2, 2), (1, 1, 1, 1)), 0 elsewhere
+    def test_reports_a_wrong_dimension(self, monkeypatch):
+        oracle = verify.gram_oracle_dimD
+        monkeypatch.setattr(verify, "gram_oracle_dimD",
+                            lambda mu, p: oracle(mu, p) + (mu == (2, 2)))
+        diffs = []
+        assert consistency_check(4, 3, collect=diffs) is False
+        assert diffs == ["dim S(4,) = 1 but sum d*dimD = 2",
+                         "dim S(2, 2) = 2 but sum d*dimD = 3"]
+
+    @pytest.mark.parametrize("edit, lines", [
+        (lambda fields: fields.update(overall=False),
+         ["conjecture check failed for n=4, p=3"]),
+        (set_decomposition_entry((2, 1, 1), (2, 1, 1), 2),
+         ["dim S(2, 1, 1) = 3 but sum d*dimD = 6",
+          "d((2, 1, 1),(2, 1, 1)) = 2 != 1"]),
+        (set_decomposition_entry((1, 1, 1, 1), (3, 1), 1),
+         ["dim S(1, 1, 1, 1) = 1 but sum d*dimD = 4",
+          "d((1, 1, 1, 1),(3, 1)) = 1 nonzero without dominance"]),
+    ], ids=["overall-false", "diagonal-two", "off-dominance"])
+    def test_reports_a_faulty_report(self, monkeypatch, edit, lines):
+        real = verify.conjecture_check
+
+        def patched(n, p, jobs=1):
+            report = real(n, p, jobs=jobs)
+            fields = {key: getattr(report, key) for key in report.__slots__}
+            edit(fields)
+            return VerificationReport(**fields)
+
+        monkeypatch.setattr(verify, "conjecture_check", patched)
+        diffs = []
+        assert consistency_check(4, 3, collect=diffs) is False
+        assert diffs == lines
 
 
 VIEW_CASES = ([(3, n) for n in range(1, 10)] + [(5, n) for n in range(1, 13)]
